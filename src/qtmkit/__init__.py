@@ -7,169 +7,20 @@ spinless electron on a one-dimensional quantum ring) in the Otto cycle, and
 sweeps compression ratios to produce plot-ready tables.
 """
 
-from .designs import (
-    AlphaBounds,
-    CarnotLimitKind,
-    EnergyRole,
-    IntersectionSet,
-    QtmDesign,
-    RelationResiduals,
-    admissible_designs,
-    alpha_bounds,
-    carnot_efficiency,
-    classical_otto_efficiency,
-    efficiency,
-    intersections,
-    relation_residuals,
-)
-from .errors import (
-    BoundaryRegionError,
-    DegenerateExchangeError,
-    DegenerateMediumError,
-    EmitIOError,
-    EmptyGridError,
-    InvalidGapError,
-    InvalidReservoirError,
-    InvalidRhoError,
-    InvalidRingError,
-    InvalidSignsError,
-    InvalidTemperatureError,
-    InvalidThetaError,
-    OccupationMismatchError,
-    OutOfRegionError,
-    QtmError,
-    SingularEfficiencyError,
-    SpectrumMismatchError,
-    UnclassifiableExchangeError,
-    ValidationError,
-)
-from .media import (
-    CODATA,
-    PhysicalConstants,
-    QuantumRing,
-    RingOttoSetup,
-    gap_medium,
-    ring_levels,
-    ring_medium,
-)
-from .otto import (
-    CycleEnergies,
-    LevelSpectrum,
-    OccupationPair,
-    TwoLevelMedium,
-    multilevel_exchange,
-    occupation,
-    otto_cycle_energies,
-    work_exchange,
-)
-from .regions import (
-    DEFAULT_CLASSIFY_TOL,
-    AlphaSquared,
-    ExchangeTriple,
-    OperationalRegion,
-    ReservoirPair,
-    alpha_squared,
-    classify_region,
-    theta_squared,
-)
-from .sweep import (
-    CSV_COLUMNS,
-    BoundaryReport,
-    DesignEfficiency,
-    EfficiencyCurve,
-    MediumKind,
-    Normalization,
-    SweepRecord,
-    SweepSpec,
-    boundary_report,
-    default_rho_grid,
-    efficiency_curves,
-    emit,
-    emit_curves,
-    parse_records,
-    region_boundaries_rho,
-    run_sweep,
-)
+from . import designs, errors, media, otto, regions, sweep
+from .designs import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .media import *  # noqa: F401,F403
+from .otto import *  # noqa: F401,F403
+from .regions import *  # noqa: F401,F403
+from .sweep import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # regions
-    "ReservoirPair",
-    "ExchangeTriple",
-    "OperationalRegion",
-    "AlphaSquared",
-    "theta_squared",
-    "alpha_squared",
-    "classify_region",
-    "DEFAULT_CLASSIFY_TOL",
-    # designs
-    "QtmDesign",
-    "EnergyRole",
-    "CarnotLimitKind",
-    "AlphaBounds",
-    "IntersectionSet",
-    "RelationResiduals",
-    "admissible_designs",
-    "efficiency",
-    "carnot_efficiency",
-    "alpha_bounds",
-    "intersections",
-    "relation_residuals",
-    "classical_otto_efficiency",
-    # otto
-    "LevelSpectrum",
-    "TwoLevelMedium",
-    "OccupationPair",
-    "CycleEnergies",
-    "occupation",
-    "otto_cycle_energies",
-    "multilevel_exchange",
-    "work_exchange",
-    # media
-    "PhysicalConstants",
-    "CODATA",
-    "QuantumRing",
-    "RingOttoSetup",
-    "ring_levels",
-    "ring_medium",
-    "gap_medium",
-    # sweep
-    "MediumKind",
-    "Normalization",
-    "SweepSpec",
-    "SweepRecord",
-    "DesignEfficiency",
-    "BoundaryReport",
-    "EfficiencyCurve",
-    "CSV_COLUMNS",
-    "region_boundaries_rho",
-    "default_rho_grid",
-    "boundary_report",
-    "run_sweep",
-    "efficiency_curves",
-    "emit",
-    "emit_curves",
-    "parse_records",
-    # errors
-    "QtmError",
-    "ValidationError",
-    "InvalidReservoirError",
-    "InvalidThetaError",
-    "InvalidTemperatureError",
-    "InvalidRhoError",
-    "DegenerateExchangeError",
-    "InvalidSignsError",
-    "UnclassifiableExchangeError",
-    "BoundaryRegionError",
-    "OutOfRegionError",
-    "SingularEfficiencyError",
-    "DegenerateMediumError",
-    "SpectrumMismatchError",
-    "OccupationMismatchError",
-    "InvalidRingError",
-    "InvalidGapError",
-    "EmptyGridError",
-    "EmitIOError",
-]
+__all__ = ["__version__"]
+__all__ += regions.__all__
+__all__ += designs.__all__
+__all__ += otto.__all__
+__all__ += media.__all__
+__all__ += sweep.__all__
+__all__ += errors.__all__

@@ -14,9 +14,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple, fields, replace
 from typing import Optional, Sequence
 
 from .designs import (
+    CATALOG,
     QtmDesign,
     admissible_designs,
     alpha_bounds,
@@ -25,7 +27,12 @@ from .designs import (
 )
 from .errors import EmitIOError, ValidationError
 from .media import PhysicalConstants
-from .regions import ExchangeTriple, alpha_squared, classify_region
+from .regions import (
+    DEFAULT_CLASSIFY_TOL,
+    ExchangeTriple,
+    alpha_squared,
+    classify_region,
+)
 from .sweep import (
     MediumKind,
     Normalization,
@@ -41,30 +48,8 @@ from .sweep import (
 #: Environment variable naming a JSON file with constants overrides.
 CONSTANTS_ENV_VAR = "QTM_CONSTANTS"
 
-_CONSTANTS_KEYS = ("hbar", "boltzmann_k", "electron_mass")
-_SPEC_KEYS = (
-    "t_low",
-    "theta_sq",
-    "rho_grid",
-    "medium_kind",
-    "normalization",
-    "r_low",
-    "gap_low",
-)
-
-# Efficiency limit at the non-Carnot end of each design's interval: zero
-# where the target exchange vanishes there, one where target and source
-# become equal.
-_FAR_LIMIT = {
-    QtmDesign.QCO: 0.0,
-    QtmDesign.QHT: 1.0,
-    QtmDesign.QDP: 0.0,
-    QtmDesign.QHO: 1.0,
-    QtmDesign.QEN: 0.0,
-    QtmDesign.QLL: 1.0,
-    QtmDesign.QRE: 0.0,
-    QtmDesign.QHP: 1.0,
-}
+_CONSTANTS_KEYS = tuple(f.name for f in fields(PhysicalConstants))
+_SPEC_KEYS = tuple(f.name for f in fields(SweepSpec))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,16 +74,18 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify an energy-exchange triple")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--e-high", type=float, required=True,
                    help="signed energy exchanged with the hot reservoir")
     p.add_argument("--e-low", type=float, required=True,
                    help="signed energy exchanged with the cold reservoir")
     p.add_argument("--theta-sq", type=float, required=True,
                    help="reservoir temperature ratio (> 1)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="relative boundary band (default 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_CLASSIFY_TOL,
+                   help="relative boundary band (default %(default)g)")
 
     p = sub.add_parser("efficiency", help="evaluate one design's efficiency")
+    p.set_defaults(run=_cmd_efficiency)
     p.add_argument("--design", required=True,
                    choices=[d.value for d in QtmDesign])
     p.add_argument("--alpha-sq", type=float, required=True,
@@ -107,9 +94,11 @@ def _build_parser() -> _Parser:
                    help="also print the Carnot value at this ratio")
 
     p = sub.add_parser("bounds", help="print the full design catalog")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--theta-sq", type=float, required=True)
 
     p = sub.add_parser("sweep", help="run a compression-ratio sweep")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--out", default=None,
                    help="records output file (default: stdout)")
@@ -118,6 +107,7 @@ def _build_parser() -> _Parser:
                    help="also write per-design efficiency curves here")
 
     p = sub.add_parser("table2", help="print the region-boundary summary")
+    p.set_defaults(run=_cmd_table2)
     p.add_argument("--theta-sq", type=float, required=True)
     p.add_argument("--paper-style", action="store_true",
                    help="round to two decimals instead of six")
@@ -161,7 +151,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     for design in QtmDesign:
         bounds = alpha_bounds(design, theta_sq)
         carnot = carnot_efficiency(design, theta_sq)
-        far = _FAR_LIMIT[design]
+        far = CATALOG[design].far_limit
         if bounds.carnot_alpha_sq == bounds.alpha_sq_min:
             eff_min, eff_max = carnot, far
         else:
@@ -176,7 +166,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, keys: Sequence[str]) -> dict:
+    """The JSON object in ``path``; a key outside ``keys`` is an error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -188,49 +179,58 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path} must contain a JSON object")
-    return doc
-
-
-def _constants_from(doc: dict, base: PhysicalConstants) -> PhysicalConstants:
-    values = {key: getattr(base, key) for key in _CONSTANTS_KEYS}
-    for key in _CONSTANTS_KEYS:
-        if key in doc:
-            values[key] = float(doc[key])
-    return PhysicalConstants(**values)
-
-
-def _load_sweep_config(path: str) -> tuple[SweepSpec, PhysicalConstants]:
-    doc = _load_json(path)
-    unknown = set(doc) - set(_SPEC_KEYS) - set(_CONSTANTS_KEYS)
+    unknown = set(doc) - set(keys)
     if unknown:
         raise ValidationError(
             f"unknown config keys in {path}: {', '.join(sorted(unknown))}"
         )
+    return doc
 
+
+def _grid(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError("not an array")
+    return tuple(float(r) for r in value)
+
+
+#: How each config value is read; numbers unless named here.
+_READERS = {
+    "rho_grid": _grid,
+    "medium_kind": MediumKind,
+    "normalization": Normalization,
+}
+
+
+def _read(doc: dict, path: str, keys: Sequence[str]) -> dict:
+    """The values of ``keys`` that ``doc`` sets, each read by its reader."""
+    values = {}
+    for key in keys:
+        if key in doc:
+            try:
+                values[key] = _READERS.get(key, float)(doc[key])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{key} in {path} has the wrong type or value: "
+                    f"{doc[key]!r}"
+                ) from None
+    return values
+
+
+def _load_sweep_config(path: str) -> tuple[SweepSpec, PhysicalConstants]:
+    doc = _load_json(path, _SPEC_KEYS + _CONSTANTS_KEYS)
     constants = PhysicalConstants()
     env_path = os.environ.get(CONSTANTS_ENV_VAR)
     if env_path:
-        constants = _constants_from(_load_json(env_path), constants)
-    constants = _constants_from(doc, constants)
+        env_doc = _load_json(env_path, _CONSTANTS_KEYS)
+        constants = replace(constants, **_read(env_doc, env_path, _CONSTANTS_KEYS))
+    constants = replace(constants, **_read(doc, path, _CONSTANTS_KEYS))
 
-    if "theta_sq" not in doc or "t_low" not in doc:
+    values = _read(doc, path, _SPEC_KEYS)
+    if "theta_sq" not in values or "t_low" not in values:
         raise ValidationError(f"{path} must define t_low and theta_sq")
-    theta_sq = float(doc["theta_sq"])
-    rho_grid = (
-        tuple(float(r) for r in doc["rho_grid"])
-        if "rho_grid" in doc
-        else default_rho_grid(theta_sq)
-    )
-    spec = SweepSpec(
-        t_low=float(doc["t_low"]),
-        theta_sq=theta_sq,
-        rho_grid=rho_grid,
-        medium_kind=MediumKind(doc.get("medium_kind", "quantum_ring")),
-        normalization=Normalization(doc.get("normalization", "max_abs_energy")),
-        r_low=float(doc["r_low"]) if "r_low" in doc else None,
-        gap_low=float(doc["gap_low"]) if "gap_low" in doc else None,
-    )
-    return spec, constants
+    if "rho_grid" not in values:
+        values["rho_grid"] = default_rho_grid(values["theta_sq"])
+    return SweepSpec(**values), constants
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -242,12 +242,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit_curves(curves, format=args.format, destination=args.curves_out)
     if args.out is not None:
         print(f"wrote {len(records)} records to {args.out}")
-        print(
-            "boundaries (rho): "
-            f"{boundaries.rho_subregion:.6f}, "
-            f"{boundaries.rho_2acq_outt:.6f}, "
-            f"{boundaries.rho_outt_pump:.6f}"
-        )
+        rhos = astuple(boundaries)[:3]
+        print("boundaries (rho): " + ", ".join(f"{r:.6f}" for r in rhos))
     return 0
 
 
@@ -258,26 +254,13 @@ def _cmd_table2(args: argparse.Namespace) -> int:
         "reconstructed region boundaries "
         f"(theta_sq = {args.theta_sq:.12g}, rho = sqrt(alpha_sq)):"
     )
-    rows = (
-        ("2Acq_out / 2Acq_high", report.rho_subregion, report.alpha_sq_subregion),
-        ("2Acquirers / OutTransfers", report.rho_2acq_outt,
-         report.alpha_sq_2acq_outt),
-        ("OutTransfers / Pumpers", report.rho_outt_pump,
-         report.alpha_sq_outt_pump),
-    )
-    for label, rho, alpha_sq in rows:
+    labels = ("2Acq_out / 2Acq_high", "2Acquirers / OutTransfers",
+              "OutTransfers / Pumpers")
+    values = astuple(report)
+    for label, rho, alpha_sq in zip(labels, values[:3], values[3:]):
         print(f"  {label:<26} rho = {rho:.{digits}f}   alpha_sq = "
               f"{alpha_sq:.{digits}f}")
     return 0
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "efficiency": _cmd_efficiency,
-    "bounds": _cmd_bounds,
-    "sweep": _cmd_sweep,
-    "table2": _cmd_table2,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -288,7 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except EmitIOError as exc:
         print(f"qtmkit: i/o error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,9 @@ design except QLL, where it is a floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum, unique
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     BoundaryRegionError,
@@ -38,6 +38,7 @@ from .errors import (
     OutOfRegionError,
     SingularEfficiencyError,
     ValidationError,
+    require_finite,
 )
 from .regions import OperationalRegion
 
@@ -86,77 +87,85 @@ class QtmDesign(Enum):
 
     @property
     def region(self) -> OperationalRegion:
-        return _DESIGN_REGION[self]
+        return CATALOG[self].region
 
     @property
     def target(self) -> EnergyRole:
         """Exchange the design prioritizes (efficiency numerator)."""
-        return _DESIGN_ROLES[self][0]
+        return CATALOG[self].target
 
     @property
     def source(self) -> EnergyRole:
         """Exchange that funds the design (efficiency denominator)."""
-        return _DESIGN_ROLES[self][1]
+        return CATALOG[self].source
 
 
-_DESIGN_REGION = {
-    QtmDesign.QCO: OperationalRegion.TWO_ACQUIRERS_OUT,
-    QtmDesign.QHT: OperationalRegion.TWO_ACQUIRERS_OUT,
-    QtmDesign.QDP: OperationalRegion.TWO_ACQUIRERS_HIGH,
-    QtmDesign.QHO: OperationalRegion.TWO_ACQUIRERS_HIGH,
-    QtmDesign.QEN: OperationalRegion.OUT_TRANSFERS,
-    QtmDesign.QLL: OperationalRegion.OUT_TRANSFERS,
-    QtmDesign.QRE: OperationalRegion.PUMPERS,
-    QtmDesign.QHP: OperationalRegion.PUMPERS,
+@unique
+class CarnotLimitKind(Enum):
+    """Whether the Carnot value caps the efficiency or floors it."""
+
+    MAXIMUM = "maximum"
+    MINIMUM = "minimum"
+
+
+def _edges(theta_sq: float) -> tuple[float, ...]:
+    """The ``alpha_sq`` region edges ``(0, 1/theta_sq, 1, theta_sq, inf)``."""
+    return (0.0, 1.0 / theta_sq, 1.0, theta_sq, math.inf)
+
+
+class DesignRow(NamedTuple):
+    """Every catalog fact of one design.
+
+    ``lo``, ``hi`` and ``carnot_end`` index :func:`_edges`: the design's
+    ``alpha_sq`` interval and the endpoint where the efficiency meets its
+    Carnot value.  ``far_limit`` is the efficiency's limit at the other end.
+    """
+
+    region: OperationalRegion
+    target: EnergyRole
+    source: EnergyRole
+    efficiency: Callable[[float], float]
+    carnot: Callable[[float], float]
+    lo: int
+    hi: int
+    carnot_end: int
+    limit: CarnotLimitKind
+    far_limit: float
+
+
+_R, _C = OperationalRegion, EnergyRole
+_MAX, _MIN = CarnotLimitKind.MAXIMUM, CarnotLimitKind.MINIMUM
+
+# The efficiency forms share denominators within each region pair, so the
+# exact pairwise identities (difference or sum equal to one) hold to machine
+# precision rather than merely to algebraic equivalence.  QLL's efficiency
+# falls with alpha_sq, so its Carnot value at the upper endpoint is a floor.
+CATALOG = {
+    QtmDesign.QCO: DesignRow(
+        _R.TWO_ACQUIRERS_OUT, _C.ABSORB_HIGH, _C.RECEIVE_OUTSIDE,
+        lambda a: a / (1.0 - a), lambda t: 1.0 / (t - 1.0), 0, 1, 1, _MAX, 0.0),
+    QtmDesign.QHT: DesignRow(
+        _R.TWO_ACQUIRERS_OUT, _C.RELEASE_LOW, _C.RECEIVE_OUTSIDE,
+        lambda a: 1.0 / (1.0 - a), lambda t: t / (t - 1.0), 0, 1, 1, _MAX, 1.0),
+    QtmDesign.QDP: DesignRow(
+        _R.TWO_ACQUIRERS_HIGH, _C.RECEIVE_OUTSIDE, _C.ABSORB_HIGH,
+        lambda a: (1.0 - a) / a, lambda t: t - 1.0, 1, 2, 1, _MAX, 0.0),
+    QtmDesign.QHO: DesignRow(
+        _R.TWO_ACQUIRERS_HIGH, _C.RELEASE_LOW, _C.ABSORB_HIGH,
+        lambda a: 1.0 / a, lambda t: t, 1, 2, 1, _MAX, 1.0),
+    QtmDesign.QEN: DesignRow(
+        _R.OUT_TRANSFERS, _C.GENERATE_OUTSIDE, _C.ABSORB_HIGH,
+        lambda a: (a - 1.0) / a, lambda t: (t - 1.0) / t, 2, 3, 3, _MAX, 0.0),
+    QtmDesign.QLL: DesignRow(
+        _R.OUT_TRANSFERS, _C.RELEASE_LOW, _C.ABSORB_HIGH,
+        lambda a: 1.0 / a, lambda t: 1.0 / t, 2, 3, 3, _MIN, 1.0),
+    QtmDesign.QRE: DesignRow(
+        _R.PUMPERS, _C.ABSORB_LOW, _C.RECEIVE_OUTSIDE,
+        lambda a: 1.0 / (a - 1.0), lambda t: 1.0 / (t - 1.0), 3, 4, 3, _MAX, 0.0),
+    QtmDesign.QHP: DesignRow(
+        _R.PUMPERS, _C.RELEASE_HIGH, _C.RECEIVE_OUTSIDE,
+        lambda a: a / (a - 1.0), lambda t: t / (t - 1.0), 3, 4, 3, _MAX, 1.0),
 }
-
-_DESIGN_ROLES = {
-    QtmDesign.QCO: (EnergyRole.ABSORB_HIGH, EnergyRole.RECEIVE_OUTSIDE),
-    QtmDesign.QHT: (EnergyRole.RELEASE_LOW, EnergyRole.RECEIVE_OUTSIDE),
-    QtmDesign.QDP: (EnergyRole.RECEIVE_OUTSIDE, EnergyRole.ABSORB_HIGH),
-    QtmDesign.QHO: (EnergyRole.RELEASE_LOW, EnergyRole.ABSORB_HIGH),
-    QtmDesign.QEN: (EnergyRole.GENERATE_OUTSIDE, EnergyRole.ABSORB_HIGH),
-    QtmDesign.QLL: (EnergyRole.RELEASE_LOW, EnergyRole.ABSORB_HIGH),
-    QtmDesign.QRE: (EnergyRole.ABSORB_LOW, EnergyRole.RECEIVE_OUTSIDE),
-    QtmDesign.QHP: (EnergyRole.RELEASE_HIGH, EnergyRole.RECEIVE_OUTSIDE),
-}
-
-#: Designs whose efficiency formula lives on alpha_sq in (0, 1).
-_LOW_RATIO_DESIGNS = frozenset(
-    {QtmDesign.QCO, QtmDesign.QHT, QtmDesign.QDP, QtmDesign.QHO}
-)
-
-# The forms below share denominators within each region pair, so the exact
-# pairwise identities (difference or sum equal to one) hold to machine
-# precision rather than merely to algebraic equivalence.
-_EFFICIENCY = {
-    QtmDesign.QCO: lambda a: a / (1.0 - a),
-    QtmDesign.QHT: lambda a: 1.0 / (1.0 - a),
-    QtmDesign.QDP: lambda a: (1.0 - a) / a,
-    QtmDesign.QHO: lambda a: 1.0 / a,
-    QtmDesign.QEN: lambda a: (a - 1.0) / a,
-    QtmDesign.QLL: lambda a: 1.0 / a,
-    QtmDesign.QRE: lambda a: 1.0 / (a - 1.0),
-    QtmDesign.QHP: lambda a: a / (a - 1.0),
-}
-
-_CARNOT = {
-    QtmDesign.QCO: lambda t: 1.0 / (t - 1.0),
-    QtmDesign.QHT: lambda t: t / (t - 1.0),
-    QtmDesign.QDP: lambda t: t - 1.0,
-    QtmDesign.QHO: lambda t: t,
-    QtmDesign.QEN: lambda t: (t - 1.0) / t,
-    QtmDesign.QLL: lambda t: 1.0 / t,
-    QtmDesign.QRE: lambda t: 1.0 / (t - 1.0),
-    QtmDesign.QHP: lambda t: t / (t - 1.0),
-}
-
-
-def _require_theta(theta_sq: float) -> None:
-    if not (math.isfinite(theta_sq) and theta_sq > 1.0):
-        raise InvalidThetaError(
-            f"temperature ratio theta_sq must exceed 1, got {theta_sq!r}"
-        )
 
 
 def admissible_designs(region: OperationalRegion) -> frozenset[QtmDesign]:
@@ -165,7 +174,7 @@ def admissible_designs(region: OperationalRegion) -> frozenset[QtmDesign]:
         raise BoundaryRegionError(
             f"no design operates on a region boundary ({region.value})"
         )
-    return frozenset(d for d, r in _DESIGN_REGION.items() if r is region)
+    return frozenset(d for d, row in CATALOG.items() if row.region is region)
 
 
 def efficiency(design: QtmDesign, alpha_sq: float) -> float:
@@ -175,27 +184,20 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     2Acquirers designs, (1, inf) for the rest.  Interval endpoints are the
     reversible/degenerate limits and raise instead of returning a value.
     """
-    if not math.isfinite(alpha_sq):
-        raise OutOfRegionError(f"alpha_sq must be finite, got {alpha_sq!r}")
-    if design in _LOW_RATIO_DESIGNS:
-        if alpha_sq in (0.0, 1.0):
-            raise SingularEfficiencyError(
-                f"{design.value} efficiency is singular at alpha_sq={alpha_sq!r}"
-            )
-        if not 0.0 < alpha_sq < 1.0:
-            raise OutOfRegionError(
-                f"{design.value} requires alpha_sq in (0, 1), got {alpha_sq!r}"
-            )
-    else:
-        if alpha_sq == 1.0:
-            raise SingularEfficiencyError(
-                f"{design.value} efficiency is singular at alpha_sq=1"
-            )
-        if alpha_sq < 1.0:
-            raise OutOfRegionError(
-                f"{design.value} requires alpha_sq > 1, got {alpha_sq!r}"
-            )
-    return _EFFICIENCY[design](alpha_sq)
+    require_finite("alpha_sq", alpha_sq, OutOfRegionError)
+    row = CATALOG[design]
+    # The efficiency form holds on the whole side of alpha_sq = 1 (edge 2).
+    lo, hi = (0.0, 1.0) if row.hi <= 2 else (1.0, math.inf)
+    if alpha_sq == lo or alpha_sq == hi:
+        raise SingularEfficiencyError(
+            f"{design.value} efficiency is singular at alpha_sq={alpha_sq!r}"
+        )
+    if not lo < alpha_sq < hi:
+        raise OutOfRegionError(
+            f"{design.value} requires alpha_sq in ({lo:g}, {hi:g}), "
+            f"got {alpha_sq!r}"
+        )
+    return row.efficiency(alpha_sq)
 
 
 def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
@@ -204,16 +206,8 @@ def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
     Equals ``efficiency(design, a*)`` at the design's reversible ratio
     ``a* = 1/theta_sq`` (2Acquirers designs) or ``a* = theta_sq`` (others).
     """
-    _require_theta(theta_sq)
-    return _CARNOT[design](theta_sq)
-
-
-@unique
-class CarnotLimitKind(Enum):
-    """Whether the Carnot value caps the efficiency or floors it."""
-
-    MAXIMUM = "maximum"
-    MINIMUM = "minimum"
+    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    return CATALOG[design].carnot(theta_sq)
 
 
 @dataclass(frozen=True)
@@ -246,19 +240,12 @@ class AlphaBounds:
 def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
     """Admissible ``alpha_sq`` interval for the design between reservoirs
     with the given temperature ratio."""
-    _require_theta(theta_sq)
-    inv = 1.0 / theta_sq
-    if design in (QtmDesign.QCO, QtmDesign.QHT):
-        return AlphaBounds(0.0, inv, CarnotLimitKind.MAXIMUM, inv)
-    if design in (QtmDesign.QDP, QtmDesign.QHO):
-        return AlphaBounds(inv, 1.0, CarnotLimitKind.MAXIMUM, inv)
-    if design is QtmDesign.QEN:
-        return AlphaBounds(1.0, theta_sq, CarnotLimitKind.MAXIMUM, theta_sq)
-    if design is QtmDesign.QLL:
-        # Its efficiency falls with alpha_sq, so the Carnot value at the
-        # upper endpoint bounds it from below.
-        return AlphaBounds(1.0, theta_sq, CarnotLimitKind.MINIMUM, theta_sq)
-    return AlphaBounds(theta_sq, math.inf, CarnotLimitKind.MAXIMUM, theta_sq)
+    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    row = CATALOG[design]
+    edges = _edges(theta_sq)
+    return AlphaBounds(
+        edges[row.lo], edges[row.hi], row.limit, edges[row.carnot_end]
+    )
 
 
 @dataclass(frozen=True)
@@ -278,17 +265,13 @@ class IntersectionSet:
             raise ValidationError("intersection thresholds must be increasing")
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (
-            self.alpha_sq_subregion,
-            self.alpha_sq_2acq_outt,
-            self.alpha_sq_outt_pump,
-        )
+        return astuple(self)
 
 
 def intersections(theta_sq: float) -> IntersectionSet:
     """Region-boundary ratios ``(1/theta_sq, 1, theta_sq)``."""
-    _require_theta(theta_sq)
-    return IntersectionSet(1.0 / theta_sq, 1.0, theta_sq)
+    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    return IntersectionSet(*_edges(theta_sq)[1:4])
 
 
 class RelationResiduals(NamedTuple):
@@ -311,7 +294,7 @@ def relation_residuals(
     catalog but does not influence applicability.
     """
     if theta_sq is not None:
-        _require_theta(theta_sq)
+        require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     low = high = (None, None)
     if 0.0 < alpha_sq < 1.0:
         low = (
@@ -337,6 +320,5 @@ def relation_residuals(
 def classical_otto_efficiency(rho: float) -> float:
     """Otto-cycle efficiency of a monatomic ideal gas at compression ratio
     ``rho``: ``1 - rho**(-2/3)``."""
-    if not (math.isfinite(rho) and rho > 1.0):
-        raise InvalidRhoError(f"compression ratio must exceed 1, got {rho!r}")
+    require_finite("compression ratio rho", rho, InvalidRhoError, 1.0)
     return 1.0 - rho ** (-2.0 / 3.0)

@@ -3,8 +3,20 @@
 Validation failures (bad temperatures, inadmissible sign patterns, values
 outside a machine design's operating interval, ...) derive from
 :class:`ValidationError`, which is also a ``ValueError``.  I/O failures while
-writing sweep output derive from :class:`EmitIOError`.
+writing sweep output derive from :class:`EmitIOError`.  A number that must
+be finite, or finite and above a floor, is checked by :func:`require_finite`.
 """
+
+import math
+
+__all__ = [
+    "QtmError", "ValidationError", "InvalidReservoirError", "InvalidThetaError",
+    "InvalidTemperatureError", "InvalidRhoError", "DegenerateExchangeError",
+    "InvalidSignsError", "UnclassifiableExchangeError", "BoundaryRegionError",
+    "OutOfRegionError", "SingularEfficiencyError", "DegenerateMediumError",
+    "SpectrumMismatchError", "OccupationMismatchError", "InvalidRingError",
+    "InvalidGapError", "EmptyGridError", "EmitIOError",
+]
 
 
 class QtmError(Exception):
@@ -81,3 +93,12 @@ class EmptyGridError(ValidationError):
 
 class EmitIOError(QtmError):
     """Failed to write sweep output; message carries the path."""
+
+
+def require_finite(
+    name: str, value: float, error_cls: type, floor: float = -math.inf
+) -> None:
+    """Raise ``error_cls`` unless ``value`` is finite and above ``floor``."""
+    if not (math.isfinite(value) and value > floor):
+        above = "" if floor == -math.inf else f" and above {floor:g}"
+        raise error_cls(f"{name} must be finite{above}, got {value!r}")

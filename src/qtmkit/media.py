@@ -10,7 +10,6 @@ arithmetic in tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -20,6 +19,7 @@ from .errors import (
     InvalidTemperatureError,
     InvalidThetaError,
     ValidationError,
+    require_finite,
 )
 from .otto import TwoLevelMedium
 
@@ -47,9 +47,7 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "boltzmann_k", "electron_mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{name} must be positive, got {value!r}")
+            require_finite(name, getattr(self, name), ValidationError, 0.0)
 
     @classmethod
     def reduced(cls) -> "PhysicalConstants":
@@ -77,13 +75,10 @@ class QuantumRing:
     M_EXCITED: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise InvalidRingError(f"radius must be positive, got {self.radius!r}")
-        if self.effective_mass is not None and not (
-            math.isfinite(self.effective_mass) and self.effective_mass > 0.0
-        ):
-            raise InvalidRingError(
-                f"effective_mass must be positive, got {self.effective_mass!r}"
+        require_finite("radius", self.radius, InvalidRingError, 0.0)
+        if self.effective_mass is not None:
+            require_finite(
+                "effective_mass", self.effective_mass, InvalidRingError, 0.0
             )
 
 
@@ -120,18 +115,10 @@ class RingOttoSetup:
     theta_sq: float
 
     def __post_init__(self) -> None:
-        for name in ("r_low", "r_high"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidRingError(f"{name} must be positive, got {value!r}")
-        if not (math.isfinite(self.t_low) and self.t_low > 0.0):
-            raise InvalidTemperatureError(
-                f"t_low must be positive, got {self.t_low!r}"
-            )
-        if not (math.isfinite(self.theta_sq) and self.theta_sq > 1.0):
-            raise InvalidThetaError(
-                f"theta_sq must exceed 1, got {self.theta_sq!r}"
-            )
+        require_finite("r_low", self.r_low, InvalidRingError, 0.0)
+        require_finite("r_high", self.r_high, InvalidRingError, 0.0)
+        require_finite("t_low", self.t_low, InvalidTemperatureError, 0.0)
+        require_finite("theta_sq", self.theta_sq, InvalidThetaError, 1.0)
 
     @property
     def rho(self) -> float:
@@ -160,12 +147,10 @@ def gap_medium(
     Ground offsets shift whole configurations without touching the gaps; the
     reservoir exchanges of the resulting Otto cycle depend on the gaps only.
     """
-    if not (math.isfinite(gap_low) and gap_low > 0.0):
-        raise InvalidGapError(f"gap_low must be positive, got {gap_low!r}")
-    if not (math.isfinite(alpha_sq) and alpha_sq > 0.0):
-        raise InvalidGapError(f"alpha_sq must be positive, got {alpha_sq!r}")
-    if not (math.isfinite(e_ground_low) and math.isfinite(e_ground_high)):
-        raise InvalidGapError("ground offsets must be finite")
+    require_finite("gap_low", gap_low, InvalidGapError, 0.0)
+    require_finite("alpha_sq", alpha_sq, InvalidGapError, 0.0)
+    require_finite("e_ground_low", e_ground_low, InvalidGapError)
+    require_finite("e_ground_high", e_ground_high, InvalidGapError)
     return TwoLevelMedium(
         low_config=(e_ground_low, e_ground_low + gap_low),
         high_config=(e_ground_high, e_ground_high + alpha_sq * gap_low),

@@ -25,7 +25,6 @@ so the reservoir exchanges always satisfy
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,6 +37,7 @@ from .errors import (
     OccupationMismatchError,
     SpectrumMismatchError,
     ValidationError,
+    require_finite,
 )
 from .regions import ExchangeTriple
 
@@ -53,20 +53,6 @@ __all__ = [
 ]
 
 
-def _require_temperature(temperature: float) -> None:
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise InvalidTemperatureError(
-            f"temperature must be positive, got {temperature!r}"
-        )
-
-
-def _require_boltzmann(boltzmann_k: float) -> None:
-    if not (math.isfinite(boltzmann_k) and boltzmann_k > 0.0):
-        raise ValidationError(
-            f"boltzmann_k must be positive, got {boltzmann_k!r}"
-        )
-
-
 @dataclass(frozen=True)
 class LevelSpectrum:
     """Strictly increasing energy eigenvalues of a working medium (>= 2)."""
@@ -78,8 +64,8 @@ class LevelSpectrum:
             raise DegenerateMediumError(
                 f"a spectrum needs at least two levels, got {len(self.levels)}"
             )
-        if any(not math.isfinite(e) for e in self.levels):
-            raise ValidationError(f"levels must be finite, got {self.levels!r}")
+        for level in self.levels:
+            require_finite("level", level, ValidationError)
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise DegenerateMediumError(
                 f"levels must be strictly increasing, got {self.levels!r}"
@@ -112,8 +98,8 @@ class TwoLevelMedium:
             ("low_config", self.low_config),
             ("high_config", self.high_config),
         ):
-            if not (math.isfinite(e_g) and math.isfinite(e_e)):
-                raise ValidationError(f"{name} must be finite, got {(e_g, e_e)!r}")
+            require_finite(name, e_g, ValidationError)
+            require_finite(name, e_e, ValidationError)
             if e_e - e_g <= 0.0:
                 raise DegenerateMediumError(
                     f"{name} gap must be positive, got {(e_g, e_e)!r}"
@@ -181,8 +167,8 @@ def occupation(
     numpy.ndarray
         Probabilities summing to one, non-increasing with level energy.
     """
-    _require_temperature(temperature)
-    _require_boltzmann(boltzmann_k)
+    require_finite("temperature", temperature, InvalidTemperatureError, 0.0)
+    require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
     levels = np.asarray(spectrum.levels, dtype=float)
     weights = np.exp(-(levels - levels[0]) / (boltzmann_k * temperature))
     return weights / weights.sum()
@@ -222,18 +208,13 @@ def otto_cycle_energies(
     difference.  This occupation-difference form is algebraically identical
     to the ratio-of-exponentials closed form but numerically stabler.
     """
-    _require_temperature(t_low)
-    if not (math.isfinite(theta_sq) and theta_sq > 1.0):
-        raise InvalidThetaError(
-            f"temperature ratio theta_sq must exceed 1, got {theta_sq!r}"
-        )
+    require_finite("t_low", t_low, InvalidTemperatureError, 0.0)
+    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     p_low = occupation(LevelSpectrum(medium.low_config), t_low, boltzmann_k)
     p_high = occupation(
         LevelSpectrum(medium.high_config), theta_sq * t_low, boltzmann_k
     )
-    cold = OccupationPair(float(p_low[0]), float(p_low[1]))
-    hot = OccupationPair(float(p_high[0]), float(p_high[1]))
-    x = hot.p_excited - cold.p_excited
+    x = float(p_high[1]) - float(p_low[1])
     return CycleEnergies(medium.gap_high * x, -medium.gap_low * x)
 
 

@@ -16,7 +16,6 @@ This module holds the value types and the classifier.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -27,6 +26,7 @@ from .errors import (
     InvalidThetaError,
     UnclassifiableExchangeError,
     ValidationError,
+    require_finite,
 )
 
 __all__ = [
@@ -45,17 +45,11 @@ __all__ = [
 DEFAULT_CLASSIFY_TOL = 1e-9
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
-def _require_theta(theta_sq: float) -> None:
-    _require_finite("theta_sq", theta_sq)
-    if theta_sq <= 1.0:
-        raise InvalidThetaError(
-            f"temperature ratio theta_sq must exceed 1, got {theta_sq!r}"
-        )
+def in_boundary_band(
+    alpha_sq: float, threshold: float, tol: float = DEFAULT_CLASSIFY_TOL
+) -> bool:
+    """Whether ``alpha_sq`` lies within ``tol * alpha_sq`` of a threshold."""
+    return abs(alpha_sq - threshold) <= tol * alpha_sq
 
 
 @dataclass(frozen=True)
@@ -70,8 +64,8 @@ class ReservoirPair:
     t_high: float
 
     def __post_init__(self) -> None:
-        _require_finite("t_low", self.t_low)
-        _require_finite("t_high", self.t_high)
+        require_finite("t_low", self.t_low, ValidationError)
+        require_finite("t_high", self.t_high, ValidationError)
         if self.t_low <= 0.0:
             raise InvalidReservoirError(f"t_low must be positive, got {self.t_low!r}")
         if self.t_high <= self.t_low:
@@ -101,8 +95,8 @@ class ExchangeTriple:
     e_low: float
 
     def __post_init__(self) -> None:
-        _require_finite("e_high", self.e_high)
-        _require_finite("e_low", self.e_low)
+        require_finite("e_high", self.e_high, ValidationError)
+        require_finite("e_low", self.e_low, ValidationError)
 
     @property
     def e_out(self) -> float:
@@ -140,9 +134,7 @@ class AlphaSquared:
     value: float
 
     def __post_init__(self) -> None:
-        _require_finite("alpha_sq", self.value)
-        if self.value <= 0.0:
-            raise ValidationError(f"alpha_sq must be positive, got {self.value!r}")
+        require_finite("alpha_sq", self.value, ValidationError, 0.0)
 
     def __float__(self) -> float:
         return self.value
@@ -195,7 +187,7 @@ def classify_region(
     OperationalRegion
         A region, subregion, or boundary marker.
     """
-    _require_theta(theta_sq)
+    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     if not (tol >= 0.0):
         raise ValidationError(f"tol must be non-negative, got {tol!r}")
     if ex.e_high == 0.0 or ex.e_low == 0.0:
@@ -211,12 +203,11 @@ def classify_region(
         )
 
     a = -ex.e_high / ex.e_low
-    band = tol * a
-    if forward and abs(a - 1.0 / theta_sq) <= band:
+    if forward and in_boundary_band(a, 1.0 / theta_sq, tol):
         return OperationalRegion.BOUNDARY_2ACQ_SUBREGIONS
-    if forward and abs(a - 1.0) <= band:
+    if forward and in_boundary_band(a, 1.0, tol):
         return OperationalRegion.BOUNDARY_2ACQ_OUTT
-    if abs(a - theta_sq) <= band:
+    if in_boundary_band(a, theta_sq, tol):
         # Reversible Carnot limit: both orientations degenerate here.
         return OperationalRegion.BOUNDARY_OUTT_PUMP
 
@@ -227,15 +218,14 @@ def classify_region(
             return OperationalRegion.TWO_ACQUIRERS_HIGH
         if a < theta_sq:
             return OperationalRegion.OUT_TRANSFERS
-        raise UnclassifiableExchangeError(
-            f"alpha_sq={a!r} exceeds theta_sq={theta_sq!r} for an "
-            f"absorb-hot/release-cold triple; this would beat the Carnot "
-            f"bound and is inadmissible"
-        )
-    if a > theta_sq:
+    elif a > theta_sq:
         return OperationalRegion.PUMPERS
+    side, kind = (
+        ("exceeds", "an absorb-hot/release-cold")
+        if forward
+        else ("is below", "a release-hot/absorb-cold")
+    )
     raise UnclassifiableExchangeError(
-        f"alpha_sq={a!r} is below theta_sq={theta_sq!r} for a "
-        f"release-hot/absorb-cold triple; this would beat the Carnot "
-        f"bound and is inadmissible"
+        f"alpha_sq={a!r} {side} theta_sq={theta_sq!r} for {kind} triple; "
+        f"this would beat the Carnot bound and is inadmissible"
     )

@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,10 +41,11 @@ from .errors import (
     InvalidTemperatureError,
     InvalidThetaError,
     ValidationError,
+    require_finite,
 )
 from .media import CODATA, PhysicalConstants, RingOttoSetup, gap_medium, ring_medium
 from .otto import TwoLevelMedium, otto_cycle_energies
-from .regions import DEFAULT_CLASSIFY_TOL, OperationalRegion, classify_region
+from .regions import OperationalRegion, classify_region, in_boundary_band
 
 __all__ = [
     "MediumKind",
@@ -81,9 +83,16 @@ CSV_COLUMNS = (
     "carnot1",
     "carnot2",
 )
+#: The float fields of a :class:`SweepRecord`, in column order.
+_FLOAT_COLUMNS = CSV_COLUMNS[:8]
+_floats = attrgetter(*_FLOAT_COLUMNS)
 
-#: Fixed presentation order of the designs within each region.
-_DESIGN_ORDER = tuple(QtmDesign)
+#: Admissible designs of each (sub)region, in catalog order.
+_REGION_DESIGNS = {
+    region: tuple(d for d in QtmDesign if d in admissible_designs(region))
+    for region in OperationalRegion
+    if not region.is_boundary
+}
 
 
 @unique
@@ -115,32 +124,26 @@ class SweepSpec:
     gap_low: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_low) and self.t_low > 0.0):
-            raise InvalidTemperatureError(
-                f"t_low must be positive, got {self.t_low!r}"
-            )
-        if not (math.isfinite(self.theta_sq) and self.theta_sq > 1.0):
-            raise InvalidThetaError(f"theta_sq must exceed 1, got {self.theta_sq!r}")
-        if len(self.rho_grid) == 0:
+        require_finite("t_low", self.t_low, InvalidTemperatureError, 0.0)
+        require_finite("theta_sq", self.theta_sq, InvalidThetaError, 1.0)
+        grid = self.rho_grid
+        if len(grid) == 0:
             raise EmptyGridError("rho_grid must contain at least one point")
-        if any(not (math.isfinite(r) and r > 0.0) for r in self.rho_grid):
-            raise ValidationError("rho_grid values must be positive and finite")
-        if any(b <= a for a, b in zip(self.rho_grid, self.rho_grid[1:])):
-            raise ValidationError("rho_grid must be strictly increasing")
-        if self.medium_kind is MediumKind.QUANTUM_RING:
-            if self.r_low is None or not (
-                math.isfinite(self.r_low) and self.r_low > 0.0
-            ):
-                raise ValidationError(
-                    "quantum_ring sweeps require a positive r_low"
-                )
-        else:
-            if self.gap_low is None or not (
-                math.isfinite(self.gap_low) and self.gap_low > 0.0
-            ):
-                raise ValidationError(
-                    "generic_gap sweeps require a positive gap_low"
-                )
+        # A NaN anywhere fails one of these comparisons.
+        if not (
+            0.0 < grid[0]
+            and grid[-1] < math.inf
+            and all(a < b for a, b in zip(grid, grid[1:]))
+        ):
+            raise ValidationError(
+                "rho_grid values must be positive, finite and strictly "
+                "increasing"
+            )
+        key = "r_low" if self.medium_kind is MediumKind.QUANTUM_RING else "gap_low"
+        value = getattr(self, key)
+        if value is None:
+            raise ValidationError(f"{self.medium_kind.value} sweeps require {key}")
+        require_finite(key, value, ValidationError, 0.0)
 
 
 @dataclass(frozen=True)
@@ -183,28 +186,17 @@ class BoundaryReport:
 def region_boundaries_rho(theta_sq: float) -> tuple[float, float, float]:
     """Boundary compression ratios ``(1/theta, 1, theta)``.
 
-    All sweep machinery derives boundary rho values from this single helper
-    so injected grid points, reports, and curve clipping agree bitwise.
+    Each is the square root of its ``alpha_sq`` threshold, as is every rho
+    endpoint of the efficiency curves, so injected grid points, reports and
+    curve clipping agree bitwise.
     """
-    thresholds = intersections(theta_sq)
-    return (
-        math.sqrt(thresholds.alpha_sq_subregion),
-        1.0,
-        math.sqrt(thresholds.alpha_sq_outt_pump),
-    )
+    return tuple(math.sqrt(a) for a in intersections(theta_sq).as_tuple())
 
 
 def boundary_report(theta_sq: float) -> BoundaryReport:
     """Boundary ratios for the given temperature ratio."""
-    thresholds = intersections(theta_sq)
-    rho_sub, rho_mid, rho_pump = region_boundaries_rho(theta_sq)
     return BoundaryReport(
-        rho_subregion=rho_sub,
-        rho_2acq_outt=rho_mid,
-        rho_outt_pump=rho_pump,
-        alpha_sq_subregion=thresholds.alpha_sq_subregion,
-        alpha_sq_2acq_outt=thresholds.alpha_sq_2acq_outt,
-        alpha_sq_outt_pump=thresholds.alpha_sq_outt_pump,
+        *region_boundaries_rho(theta_sq), *intersections(theta_sq).as_tuple()
     )
 
 
@@ -255,8 +247,7 @@ def _classify_point(
     except DegenerateExchangeError:
         # An exactly reversible point yields identically zero exchanges; the
         # gap ratio still identifies it as the OutTransfers/Pumpers boundary.
-        band = DEFAULT_CLASSIFY_TOL * triple_alpha_sq
-        if abs(triple_alpha_sq - theta_sq) <= band:
+        if in_boundary_band(triple_alpha_sq, theta_sq):
             return OperationalRegion.BOUNDARY_OUTT_PUMP
         raise DegenerateExchangeError(
             f"cycle energies vanished at rho={rho!r} away from the reversible "
@@ -268,22 +259,15 @@ def _classify_point(
 def _design_entries(
     region: OperationalRegion, alpha_sq: float, theta_sq: float
 ) -> tuple[DesignEfficiency, ...]:
-    if region.is_boundary:
-        return ()
-    designs = sorted(
-        admissible_designs(region), key=_DESIGN_ORDER.index
+    return tuple(
+        DesignEfficiency(
+            design=design,
+            efficiency=efficiency(design, alpha_sq),
+            carnot=carnot_efficiency(design, theta_sq),
+        )
+        for design in _REGION_DESIGNS.get(region, ())
+        if alpha_bounds(design, theta_sq).contains(alpha_sq)
     )
-    entries = []
-    for design in designs:
-        if alpha_bounds(design, theta_sq).contains(alpha_sq):
-            entries.append(
-                DesignEfficiency(
-                    design=design,
-                    efficiency=efficiency(design, alpha_sq),
-                    carnot=carnot_efficiency(design, theta_sq),
-                )
-            )
-    return tuple(entries)
 
 
 def run_sweep(
@@ -305,15 +289,12 @@ def run_sweep(
         region = _classify_point(rho, medium.alpha_sq, energies, spec.theta_sq)
         points.append((rho, medium.alpha_sq, energies, region))
 
+    scale = 1.0
     if spec.normalization is Normalization.MAX_ABS_ENERGY:
         scale = max(
             max(abs(e.e_high_gamma), abs(e.e_low_gamma), abs(e.e_out))
             for _, _, e, _ in points
-        )
-        if scale == 0.0:
-            scale = 1.0
-    else:
-        scale = 1.0
+        ) or 1.0
 
     records = [
         SweepRecord(
@@ -345,43 +326,23 @@ class EfficiencyCurve:
     carnot_limit_kind: CarnotLimitKind
 
 
-def _rho_interval(
-    design: QtmDesign, boundaries: tuple[float, float, float]
-) -> tuple[float, float, bool, bool]:
-    """Admissible rho interval with closed-endpoint flags.
-
-    Only the Carnot endpoint is closed; the opposite endpoint is a singular
-    or degenerate limit and stays open.
-    """
-    rho_sub, rho_mid, rho_pump = boundaries
-    if design in (QtmDesign.QCO, QtmDesign.QHT):
-        return (0.0, rho_sub, False, True)
-    if design in (QtmDesign.QDP, QtmDesign.QHO):
-        return (rho_sub, rho_mid, True, False)
-    if design in (QtmDesign.QEN, QtmDesign.QLL):
-        return (rho_mid, rho_pump, False, True)
-    return (rho_pump, math.inf, True, False)
-
-
 def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     """Per-design efficiency series over the sweep's rho grid.
 
     Each series exists only on the design's admissible interval; the endpoint
     shared with the adjacent region is included, where the series value meets
-    the design's Carnot level.
+    the design's Carnot level.  The rho interval is the square root of the
+    design's ``alpha_sq`` interval; only its Carnot endpoint is closed, the
+    other one being a singular or degenerate limit.
     """
-    boundaries = region_boundaries_rho(spec.theta_sq)
     curves = {}
     for design in QtmDesign:
-        lo, hi, closed_lo, closed_hi = _rho_interval(design, boundaries)
-        rhos = tuple(
-            r
-            for r in spec.rho_grid
-            if (lo < r or (closed_lo and r == lo))
-            and (r < hi or (closed_hi and r == hi))
-        )
-        effs = tuple(efficiency(design, r * r) for r in rhos)
         bounds = alpha_bounds(design, spec.theta_sq)
+        lo, hi, end = map(math.sqrt, (
+            bounds.alpha_sq_min, bounds.alpha_sq_max, bounds.carnot_alpha_sq
+        ))
+        rhos = tuple(r for r in spec.rho_grid if lo < r < hi or r == end)
+        effs = tuple(efficiency(design, r * r) for r in rhos)
         curves[design] = EfficiencyCurve(
             design=design,
             rho=rhos,
@@ -397,67 +358,31 @@ def _fmt(value: float) -> str:
 
 
 def _record_row(record: SweepRecord) -> list[str]:
-    row = [
-        _fmt(record.rho),
-        _fmt(record.alpha_sq),
-        _fmt(record.e_high),
-        _fmt(record.e_low),
-        _fmt(record.e_out),
-        _fmt(record.e_high_norm),
-        _fmt(record.e_low_norm),
-        _fmt(record.e_out_norm),
-        record.region.value,
-    ]
-    names = ["", ""]
-    effs = ["", ""]
-    carnots = ["", ""]
-    for i, entry in enumerate(record.designs[:2]):
-        names[i] = entry.design.value
-        effs[i] = _fmt(entry.efficiency)
-        carnots[i] = _fmt(entry.carnot)
-    row += [names[0], effs[0], names[1], effs[1], carnots[0], carnots[1]]
-    return row
+    row = [_fmt(value) for value in _floats(record)]
+    row.append(record.region.value)
+    cells = [(e.design.value, _fmt(e.efficiency), _fmt(e.carnot))
+             for e in record.designs[:2]]
+    cells += [("", "", "")] * (2 - len(cells))
+    (name1, eff1, carnot1), (name2, eff2, carnot2) = cells
+    return row + [name1, eff1, name2, eff2, carnot1, carnot2]
 
 
 def _record_obj(record: SweepRecord) -> dict:
-    return {
-        "rho": record.rho,
-        "alpha_sq": record.alpha_sq,
-        "e_high": record.e_high,
-        "e_low": record.e_low,
-        "e_out": record.e_out,
-        "e_high_norm": record.e_high_norm,
-        "e_low_norm": record.e_low_norm,
-        "e_out_norm": record.e_out_norm,
-        "region": record.region.value,
-        "designs": [
-            {
-                "design": entry.design.value,
-                "efficiency": entry.efficiency,
-                "carnot": entry.carnot,
-            }
-            for entry in record.designs
-        ],
-    }
+    obj = dict(zip(_FLOAT_COLUMNS, _floats(record)))
+    obj["region"] = record.region.value
+    obj["designs"] = [
+        {"design": e.design.value, "efficiency": e.efficiency, "carnot": e.carnot}
+        for e in record.designs
+    ]
+    return obj
 
 
 def _record_from_obj(obj: dict) -> SweepRecord:
     return SweepRecord(
-        rho=obj["rho"],
-        alpha_sq=obj["alpha_sq"],
-        e_high=obj["e_high"],
-        e_low=obj["e_low"],
-        e_out=obj["e_out"],
-        e_high_norm=obj["e_high_norm"],
-        e_low_norm=obj["e_low_norm"],
-        e_out_norm=obj["e_out_norm"],
+        **{name: obj[name] for name in _FLOAT_COLUMNS},
         region=OperationalRegion(obj["region"]),
         designs=tuple(
-            DesignEfficiency(
-                design=QtmDesign(d["design"]),
-                efficiency=d["efficiency"],
-                carnot=d["carnot"],
-            )
+            DesignEfficiency(QtmDesign(d["design"]), d["efficiency"], d["carnot"])
             for d in obj["designs"]
         ),
     )
@@ -482,6 +407,21 @@ def _write(destination, text: str) -> None:
         raise EmitIOError(f"cannot write {destination}: {exc}") from exc
 
 
+def _emit(format: str, destination, header, rows, doc) -> None:
+    """Write ``header`` and ``rows`` as CSV, or ``doc()`` as JSON."""
+    if format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buffer.getvalue()
+    elif format == "json":
+        text = json.dumps(doc(), indent=2) + "\n"
+    else:
+        raise ValidationError(f"unknown format {format!r} (expected csv or json)")
+    _write(destination, text)
+
+
 def emit(
     records: Sequence[SweepRecord],
     format: str = "csv",
@@ -497,18 +437,8 @@ def emit(
     """
     if len(records) == 0:
         raise ValidationError("no records to emit")
-    if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(_record_row(record))
-        _write(destination, buffer.getvalue())
-    elif format == "json":
-        text = json.dumps([_record_obj(r) for r in records], indent=2)
-        _write(destination, text + "\n")
-    else:
-        raise ValidationError(f"unknown format {format!r} (expected csv or json)")
+    _emit(format, destination, CSV_COLUMNS, map(_record_row, records),
+          lambda: [_record_obj(r) for r in records])
 
 
 def emit_curves(
@@ -519,35 +449,21 @@ def emit_curves(
     """Serialize efficiency curves: long-format CSV or per-design JSON."""
     if len(curves) == 0:
         raise ValidationError("no curves to emit")
-    if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("design", "rho", "efficiency", "carnot", "carnot_limit"))
-        for design in QtmDesign:
-            if design not in curves:
-                continue
-            curve = curves[design]
-            for rho, eff in zip(curve.rho, curve.efficiency):
-                writer.writerow(
-                    (
-                        design.value,
-                        _fmt(rho),
-                        _fmt(eff),
-                        _fmt(curve.carnot),
-                        curve.carnot_limit_kind.value,
-                    )
-                )
-        _write(destination, buffer.getvalue())
-    elif format == "json":
-        doc = {
-            design.value: {
-                "rho": list(curve.rho),
-                "efficiency": list(curve.efficiency),
-                "carnot": curve.carnot,
-                "carnot_limit": curve.carnot_limit_kind.value,
-            }
-            for design, curve in curves.items()
-        }
-        _write(destination, json.dumps(doc, indent=2) + "\n")
-    else:
-        raise ValidationError(f"unknown format {format!r} (expected csv or json)")
+    ordered = [(design, curves[design]) for design in QtmDesign if design in curves]
+    rows = (
+        (design.value, _fmt(rho), _fmt(eff), _fmt(curve.carnot),
+         curve.carnot_limit_kind.value)
+        for design, curve in ordered
+        for rho, eff in zip(curve.rho, curve.efficiency)
+    )
+    _emit(format, destination,
+          ("design", "rho", "efficiency", "carnot", "carnot_limit"), rows,
+          lambda: {
+              design.value: {
+                  "rho": list(curve.rho),
+                  "efficiency": list(curve.efficiency),
+                  "carnot": curve.carnot,
+                  "carnot_limit": curve.carnot_limit_kind.value,
+              }
+              for design, curve in curves.items()
+          })
