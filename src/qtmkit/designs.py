@@ -200,6 +200,15 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     return row.efficiency(alpha_sq)
 
 
+def _efficiencies(design: QtmDesign, alpha_sq):
+    """:func:`efficiency` over an ascending ``alpha_sq`` array, by one
+    evaluation of the catalog expression.  The values it accepts form an
+    interval, so checking both ends with :func:`efficiency` checks them all."""
+    for end in alpha_sq[:1].tolist() + alpha_sq[-1:].tolist():
+        efficiency(design, end)
+    return CATALOG[design].efficiency(alpha_sq)
+
+
 def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
     """Carnot-limit efficiency, a function of the temperature ratio only.
 

@@ -95,8 +95,15 @@ def ring_levels(
         if ring.effective_mass is None
         else ring.effective_mass
     )
-    e_ground = constants.hbar**2 / (2.0 * mass * ring.radius**2)
+    require_finite(f"2 * mass * radius**2 at radius {ring.radius!r}",
+                   2.0 * mass * (ring.radius * ring.radius), InvalidRingError, 0.0)
+    e_ground = _ground_level(ring.radius, mass, constants)
     return (e_ground, 4.0 * e_ground)
+
+
+def _ground_level(radius, mass: float, constants: PhysicalConstants):
+    """Ring ground level ``hbar^2 / (2 mass r^2)``; elementwise on arrays."""
+    return constants.hbar**2 / (2.0 * mass * (radius * radius))
 
 
 @dataclass(frozen=True)

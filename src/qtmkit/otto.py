@@ -21,6 +21,17 @@ For a two-level medium the full cycle collapses to closed form: with
 
 so the reservoir exchanges always satisfy
 ``e_high_gamma / e_low_gamma = -gap_high / gap_low``.
+
+Subtracting the two occupations cancels near the reversible ratio
+``gap_high / gap_low = theta_sq`` at high temperature, so with
+``b = gap / (k_B T)``, ``w = exp(-b)`` and ``d = b_low - b_high`` the code
+evaluates
+
+    x = sign(d) * max(w_low, w_high) * (-expm1(-|d|))
+        / ((1 + w_high) * (1 + w_low))
+
+which cannot overflow and takes no difference but ``d``.  In deep freeze-out
+``x`` underflows to 0, which the sweep reports as a unit mismatch.
 """
 
 from __future__ import annotations
@@ -194,28 +205,34 @@ class CycleEnergies:
         return ExchangeTriple(self.e_high_gamma, self.e_low_gamma)
 
 
+def _exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
+    """``(e_high_gamma, e_low_gamma)`` of the cycle, by the module docstring's
+    ``x``, after checking its temperatures; elementwise over gap arrays."""
+    require_finite("t_low", t_low, InvalidTemperatureError, 0.0)
+    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
+    require_finite("temperature", theta_sq * t_low, InvalidTemperatureError, 0.0)
+    require_finite("k_B * t_low", boltzmann_k * t_low, ValidationError, 0.0)
+    b_low = gap_low / (boltzmann_k * t_low)
+    b_high = gap_high / (boltzmann_k * (theta_sq * t_low))
+    d = b_low - b_high
+    w_low, w_high = np.exp(-b_low), np.exp(-b_high)
+    x = (np.sign(d) * np.maximum(w_low, w_high) * -np.expm1(-abs(d))
+         / ((1.0 + w_high) * (1.0 + w_low)))
+    return gap_high * x, -gap_low * x
+
+
 def otto_cycle_energies(
     medium: TwoLevelMedium,
     t_low: float,
     theta_sq: float,
     boltzmann_k: float,
 ) -> CycleEnergies:
-    """Per-cycle reservoir exchanges of a two-level Otto cycle.
-
-    Hot-stroke occupations are evaluated at ``t_high = theta_sq * t_low`` on
-    the high-gap configuration, cold-stroke occupations at ``t_low`` on the
-    low-gap configuration; the exchanges are gap times the excited-occupation
-    difference.  This occupation-difference form is algebraically identical
-    to the ratio-of-exponentials closed form but numerically stabler.
-    """
-    require_finite("t_low", t_low, InvalidTemperatureError, 0.0)
-    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    p_low = occupation(LevelSpectrum(medium.low_config), t_low, boltzmann_k)
-    p_high = occupation(
-        LevelSpectrum(medium.high_config), theta_sq * t_low, boltzmann_k
-    )
-    x = float(p_high[1]) - float(p_low[1])
-    return CycleEnergies(medium.gap_high * x, -medium.gap_low * x)
+    """Per-cycle reservoir exchanges of a two-level Otto cycle: the hot
+    stroke thermalizes the high gap at ``t_high = theta_sq * t_low``, the cold
+    stroke the low gap at ``t_low``; each exchange is its gap times ``x``."""
+    return CycleEnergies(*map(float, _exchanges(
+        medium.gap_low, medium.gap_high, t_low, theta_sq, boltzmann_k)))
 
 
 def multilevel_exchange(

@@ -16,6 +16,7 @@ This module holds the value types and the classifier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -188,8 +189,8 @@ def classify_region(
         A region, subregion, or boundary marker.
     """
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    if not (tol >= 0.0):
-        raise ValidationError(f"tol must be non-negative, got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and non-negative, got {tol!r}")
     if ex.e_high == 0.0 or ex.e_low == 0.0:
         raise DegenerateExchangeError(
             f"cannot classify a triple with a zero reservoir exchange: "

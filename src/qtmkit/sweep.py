@@ -1,14 +1,11 @@
 """Compression-ratio sweeps, boundary reports, and record serialization.
 
-A sweep walks a grid of compression ratios ``rho``, builds the working medium
-at each point (``alpha_sq = rho**2``), runs the Otto cycle, classifies the
-resulting exchange triple, and attaches the efficiencies of the two designs
-admissible there.  Output goes to CSV (fixed column order, 12 significant
-digits) or JSON (exact floats, round-trippable).
-
-Every grid point is independent and every function here is pure, so callers
-may evaluate points concurrently; records are always ordered by ascending
-``rho`` regardless of evaluation order.
+A sweep evaluates a grid of compression ratios ``rho`` in one numpy pass: the
+working medium's gaps at every point (``alpha_sq = rho**2``), the Otto-cycle
+exchanges, the operational region, and the efficiencies of the two designs
+admissible there.  Records are built last, in ascending ``rho``.  Output goes
+to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
+round-trippable).
 """
 
 from __future__ import annotations
@@ -25,27 +22,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .designs import (
-    CarnotLimitKind,
-    QtmDesign,
-    admissible_designs,
-    alpha_bounds,
-    carnot_efficiency,
-    efficiency,
-    intersections,
+from .designs import (  # noqa: F401  (admissible_designs, efficiency: see below)
+    CarnotLimitKind, QtmDesign, _edges, _efficiencies, admissible_designs,
+    alpha_bounds, carnot_efficiency, efficiency, intersections,
 )
-from .errors import (
-    DegenerateExchangeError,
-    EmitIOError,
-    EmptyGridError,
-    InvalidTemperatureError,
-    InvalidThetaError,
-    ValidationError,
-    require_finite,
-)
-from .media import CODATA, PhysicalConstants, RingOttoSetup, gap_medium, ring_medium
-from .otto import TwoLevelMedium, otto_cycle_energies
-from .regions import OperationalRegion, classify_region, in_boundary_band
+from .errors import (DegenerateExchangeError, EmitIOError, EmptyGridError,
+                     InvalidTemperatureError, InvalidThetaError,
+                     ValidationError, require_finite)
+from .media import (CODATA, PhysicalConstants, RingOttoSetup, _ground_level,
+                    gap_medium, ring_medium)
+from .otto import _exchanges, otto_cycle_energies  # noqa: F401  (see below)
+from .regions import (ExchangeTriple, OperationalRegion, classify_region,
+                      in_boundary_band)
+
+# The kernel evaluates on arrays what the scalar API does point by point; the
+# scalar API stays bound here for the spans perfbench/tracing.py wraps.
 
 __all__ = [
     "MediumKind",
@@ -87,12 +78,9 @@ CSV_COLUMNS = (
 _FLOAT_COLUMNS = CSV_COLUMNS[:8]
 _floats = attrgetter(*_FLOAT_COLUMNS)
 
-#: Admissible designs of each (sub)region, in catalog order.
-_REGION_DESIGNS = {
-    region: tuple(d for d in QtmDesign if d in admissible_designs(region))
-    for region in OperationalRegion
-    if not region.is_boundary
-}
+#: Regions by kernel index, in the enum's order: the four alpha_sq intervals
+#: between the thresholds, then the boundary marker of each threshold.
+_REGIONS = tuple(OperationalRegion)
 
 
 @unique
@@ -217,57 +205,69 @@ def default_rho_grid(
             f"need num >= 2 and 0 < rho_min < rho_max, got "
             f"num={num!r}, rho_min={rho_min!r}, rho_max={rho_max!r}"
         )
-    grid = np.linspace(rho_min, rho_max, num)
     inject = [r for r in region_boundaries_rho(theta_sq) if rho_min <= r <= rho_max]
-    return tuple(float(r) for r in np.unique(np.concatenate([grid, inject])))
+    # Sort and drop repeats by hand: np.unique would import numpy.ma.
+    grid = np.sort(np.concatenate([np.linspace(rho_min, rho_max, num), inject]))
+    return tuple(grid[np.append(True, grid[1:] != grid[:-1])].tolist())
 
 
-def _build_medium(
-    spec: SweepSpec, rho: float, constants: PhysicalConstants
-) -> TwoLevelMedium:
-    if spec.medium_kind is MediumKind.QUANTUM_RING:
-        setup = RingOttoSetup(
-            r_low=spec.r_low,
-            r_high=spec.r_low / rho,
-            t_low=spec.t_low,
-            theta_sq=spec.theta_sq,
-        )
-        return ring_medium(setup, constants)
-    return gap_medium(spec.gap_low, rho * rho)
+def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
+    """``(gap_low, gap_high, alpha_sq)`` at every grid point.  The first point
+    whose gaps leave the float range is rebuilt by the scalar constructor,
+    which raises the medium's own error, prefixed with that point's rho."""
+    ring = spec.medium_kind is MediumKind.QUANTUM_RING
+
+    def medium(r: float):
+        if ring:
+            return ring_medium(RingOttoSetup(
+                spec.r_low, spec.r_low / r, spec.t_low, spec.theta_sq), constants)
+        return gap_medium(spec.gap_low, r * r)
+
+    gap_low = medium(1.0).gap_low  # at rho = 1 both configurations are low
+    with np.errstate(all="ignore"):  # what leaves the float range is caught below
+        if ring:
+            ground = _ground_level(spec.r_low / rho, constants.electron_mass, constants)
+            gap_high = 4.0 * ground - ground
+        else:
+            gap_high = rho * rho * gap_low
+    for r in rho[~((0.0 < gap_high) & (gap_high < math.inf))][:1].tolist():
+        try:
+            medium(r)
+        except ValidationError as exc:
+            raise type(exc)(f"at rho={r!r}: {exc}") from None
+    return gap_low, gap_high, gap_high / gap_low
 
 
-def _classify_point(
-    rho: float,
-    triple_alpha_sq: float,
-    energies,
-    theta_sq: float,
-) -> OperationalRegion:
-    try:
-        return classify_region(energies.as_exchange_triple(), theta_sq)
-    except DegenerateExchangeError:
-        # An exactly reversible point yields identically zero exchanges; the
-        # gap ratio still identifies it as the OutTransfers/Pumpers boundary.
-        if in_boundary_band(triple_alpha_sq, theta_sq):
-            return OperationalRegion.BOUNDARY_OUTT_PUMP
-        raise DegenerateExchangeError(
-            f"cycle energies vanished at rho={rho!r} away from the reversible "
-            f"ratio; the gaps are probably enormous compared to k_B * t_low "
-            f"(check units and constants)"
-        ) from None
+def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
+    """:func:`classify_region` of every point, as indices into ``_REGIONS``.
 
-
-def _design_entries(
-    region: OperationalRegion, alpha_sq: float, theta_sq: float
-) -> tuple[DesignEfficiency, ...]:
-    return tuple(
-        DesignEfficiency(
-            design=design,
-            efficiency=efficiency(design, alpha_sq),
-            carnot=carnot_efficiency(design, theta_sq),
-        )
-        for design in _REGION_DESIGNS.get(region, ())
-        if alpha_bounds(design, theta_sq).contains(alpha_sq)
-    )
+    A zero exchange, or a ratio past the Carnot bound of its orientation,
+    makes :func:`classify_region` itself raise; only an exactly reversible
+    point is kept, as the boundary that its gap ratio identifies.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # zeros are redone below
+        a = -e_high / e_low
+    thresholds = _edges(theta_sq)[1:4]
+    forward = e_high > 0.0
+    side = np.searchsorted(thresholds, a, side="right")
+    band = [in_boundary_band(a, t) for t in thresholds]
+    index = np.select([forward & band[0], forward & band[1], band[2]], [4, 5, 6], side)
+    redo = (~(np.abs(e_high) > 0.0) | ~(np.abs(e_low) > 0.0)
+            | ((index < 4) & (forward == (side == 3))))
+    for i in np.flatnonzero(redo).tolist():
+        try:
+            region = classify_region(
+                ExchangeTriple(float(e_high[i]), float(e_low[i])), theta_sq)
+        except DegenerateExchangeError:
+            if not in_boundary_band(float(alpha_sq[i]), theta_sq):
+                raise DegenerateExchangeError(
+                    f"cycle energies vanished at rho={float(rho[i])!r} away from "
+                    f"the reversible ratio; the gaps are probably enormous "
+                    f"compared to k_B * t_low (check units and constants)"
+                ) from None
+            region = OperationalRegion.BOUNDARY_OUTT_PUMP
+        index[i] = _REGIONS.index(region)
+    return index
 
 
 def run_sweep(
@@ -280,37 +280,32 @@ def run_sweep(
     energy columns share a single scale: the largest absolute energy found
     anywhere in the sweep.
     """
-    points = []
-    for rho in spec.rho_grid:
-        medium = _build_medium(spec, rho, constants)
-        energies = otto_cycle_energies(
-            medium, spec.t_low, spec.theta_sq, constants.boltzmann_k
-        )
-        region = _classify_point(rho, medium.alpha_sq, energies, spec.theta_sq)
-        points.append((rho, medium.alpha_sq, energies, region))
+    rho = np.asarray(spec.rho_grid, dtype=float)
+    gap_low, gap_high, alpha_sq = _gaps(spec, rho, constants)
+    e_high, e_low = _exchanges(gap_low, gap_high, spec.t_low, spec.theta_sq,
+                               constants.boltzmann_k)
+    e_out = e_high + e_low
+    index = _classify(rho, e_high, e_low, alpha_sq, spec.theta_sq)
 
     scale = 1.0
     if spec.normalization is Normalization.MAX_ABS_ENERGY:
-        scale = max(
-            max(abs(e.e_high_gamma), abs(e.e_low_gamma), abs(e.e_out))
-            for _, _, e, _ in points
-        ) or 1.0
+        scale = max(float(np.abs(e).max()) for e in (e_high, e_low, e_out)) or 1.0
 
-    records = [
-        SweepRecord(
-            rho=float(rho),
-            alpha_sq=float(alpha_sq),
-            e_high=energies.e_high_gamma,
-            e_low=energies.e_low_gamma,
-            e_out=energies.e_out,
-            e_high_norm=energies.e_high_gamma / scale,
-            e_low_norm=energies.e_low_gamma / scale,
-            e_out_norm=energies.e_out / scale,
-            region=region,
-            designs=_design_entries(region, alpha_sq, spec.theta_sq),
-        )
-        for rho, alpha_sq, energies, region in points
-    ]
+    designs = [()] * len(rho)
+    for design in QtmDesign:
+        bounds = alpha_bounds(design, spec.theta_sq)
+        hits = np.flatnonzero((index == _REGIONS.index(design.region))
+                              & (bounds.alpha_sq_min < alpha_sq)
+                              & (alpha_sq < bounds.alpha_sq_max))
+        carnot = carnot_efficiency(design, spec.theta_sq)
+        effs = _efficiencies(design, alpha_sq[hits])
+        for i, eff in zip(hits.tolist(), effs.tolist()):
+            designs[i] += (DesignEfficiency(design, eff, carnot),)
+
+    columns = [c.tolist() for c in (alpha_sq, e_high, e_low, e_out,
+                                    e_high / scale, e_low / scale, e_out / scale)]
+    records = list(map(SweepRecord, map(float, spec.rho_grid), *columns,
+                       map(_REGIONS.__getitem__, index.tolist()), designs))
     return records, boundary_report(spec.theta_sq)
 
 
@@ -335,18 +330,18 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     design's ``alpha_sq`` interval; only its Carnot endpoint is closed, the
     other one being a singular or degenerate limit.
     """
+    grid = np.asarray(spec.rho_grid, dtype=float)
     curves = {}
     for design in QtmDesign:
         bounds = alpha_bounds(design, spec.theta_sq)
         lo, hi, end = map(math.sqrt, (
             bounds.alpha_sq_min, bounds.alpha_sq_max, bounds.carnot_alpha_sq
         ))
-        rhos = tuple(r for r in spec.rho_grid if lo < r < hi or r == end)
-        effs = tuple(efficiency(design, r * r) for r in rhos)
+        rhos = grid[((lo < grid) & (grid < hi)) | (grid == end)]
         curves[design] = EfficiencyCurve(
             design=design,
-            rho=rhos,
-            efficiency=effs,
+            rho=tuple(rhos.tolist()),
+            efficiency=tuple(_efficiencies(design, rhos * rhos).tolist()),
             carnot=carnot_efficiency(design, spec.theta_sq),
             carnot_limit_kind=bounds.carnot_limit_kind,
         )

@@ -1,18 +1,25 @@
-"""One rule per input: every theta_sq entry point raises the same class, and
-a sweep config or constants file with a wrong type or an unknown key exits 1
-with a message that names the key."""
+"""One rule per input: every theta_sq entry point raises the same class; a
+sweep config or constants file with a wrong type or an unknown key exits 1
+with a message that names the key; a grid point whose medium leaves the
+float range raises the medium's own error, naming that point; a classifier
+tolerance must be finite and non-negative."""
 
 import json
 import math
+import re
 
 import pytest
 
 from qtmkit import (
+    DegenerateMediumError,
     ExchangeTriple,
+    InvalidRingError,
     InvalidThetaError,
     QtmDesign,
+    QuantumRing,
     RingOttoSetup,
     SweepSpec,
+    ValidationError,
     alpha_bounds,
     boundary_report,
     carnot_efficiency,
@@ -23,6 +30,8 @@ from qtmkit import (
     otto_cycle_energies,
     region_boundaries_rho,
     relation_residuals,
+    ring_levels,
+    run_sweep,
 )
 from qtmkit.cli import main
 
@@ -89,3 +98,49 @@ def test_unknown_key_in_constants_file_exits_one(tmp_path, capsys,
     )
     assert code == 1
     assert "boltzman_k" in err
+
+
+@pytest.mark.parametrize("rho_grid, bad_rho, error", [
+    ((1e-300, 0.5), "1e-300", InvalidRingError),  # radius**2 overflows
+    ((0.5, 1e300), "1e+300", InvalidRingError),  # radius**2 underflows
+    ((1e-150, 0.5), "1e-150", DegenerateMediumError),  # levels underflow
+])
+def test_extreme_rho_in_a_ring_sweep_names_the_point(rho_grid, bad_rho, error):
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=rho_grid, r_low=1e-7)
+    with pytest.raises(error, match=re.escape(f"rho={bad_rho}")):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize("rho_grid, bad_rho", [
+    ([1e-300, 0.5], "1e-300"),
+    ([0.5, 1e300], "1e+300"),
+])
+def test_extreme_rho_in_a_ring_sweep_exits_one(tmp_path, capsys, rho_grid,
+                                                bad_rho):
+    code, err = run_sweep_cli(tmp_path, capsys, {
+        "t_low": 1, "theta_sq": 5, "r_low": 1e-7, "rho_grid": rho_grid,
+    })
+    assert code == 1
+    assert err.startswith("qtmkit: error: ")
+    assert f"rho={bad_rho}" in err
+
+
+@pytest.mark.parametrize("radius", [1e200, 1e-200, 1e-160])
+def test_ring_levels_reject_a_radius_out_of_float_range(radius):
+    with pytest.raises(InvalidRingError, match=re.escape(f"radius {radius!r}")):
+        ring_levels(QuantumRing(radius))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-3])
+def test_classify_rejects_a_non_finite_or_negative_tol(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        classify_region(ExchangeTriple(2.0, -1.0), 5.0, tol=tol)
+
+
+def test_classify_cli_rejects_an_infinite_tol(capsys):
+    code = main(["classify", "--e-high", "2", "--e-low", "-1",
+                 "--theta-sq", "5", "--tol", "inf"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("qtmkit: error: tol must be finite")
