@@ -236,11 +236,12 @@ def _load_sweep_config(path: str) -> tuple[SweepSpec, PhysicalConstants]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, constants = _load_sweep_config(args.config)
     records, boundaries = run_sweep(spec, constants)
-    curves = efficiency_curves(spec)
     emit(records, format=args.format, destination=args.out)
     if args.curves_out is not None:
-        emit_curves(curves, format=args.format, destination=args.curves_out)
-    if args.out is not None:
+        emit_curves(efficiency_curves(spec), format=args.format,
+                    destination=args.curves_out)
+    # The summary goes to stdout, so only when no output does.
+    if args.out is not None and "-" not in (args.out, args.curves_out):
         print(f"wrote {len(records)} records to {args.out}")
         rhos = astuple(boundaries)[:3]
         print("boundaries (rho): " + ", ".join(f"{r:.6f}" for r in rhos))

@@ -6,18 +6,26 @@ exchanges, the operational region, and the efficiencies of the two designs
 admissible there.  Records are built last, in ascending ``rho``.  Output goes
 to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
 round-trippable).
+
+The writers work a column at a time.  Each float column is formatted by one
+``map``: ``"{:.12g}".format`` for CSV, ``float.__repr__`` for JSON (the
+encoder's own spelling when a column holds ``NaN``, an infinity or an int).
+The cells are then joined with the literals of a fixed line template: the CSV
+row, or the record and design entry of ``json.dumps(indent=2)``.  The output
+is byte for byte what ``csv.writer`` and ``json.dumps(..., indent=2)`` write;
+``tests/test_writers.py`` checks that.  Records go through in chunks, which
+bounds the text held at once.  ``parse_records`` reads with ``json.loads``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from operator import attrgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,7 +84,6 @@ CSV_COLUMNS = (
 )
 #: The float fields of a :class:`SweepRecord`, in column order.
 _FLOAT_COLUMNS = CSV_COLUMNS[:8]
-_floats = attrgetter(*_FLOAT_COLUMNS)
 
 #: Regions by kernel index, in the enum's order: the four alpha_sq intervals
 #: between the thresholds, then the boundary marker of each threshold.
@@ -348,44 +355,165 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     return curves
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _csv_floats(values) -> list[str]:
+    return list(map("{:.12g}".format, values))
 
 
-def _record_row(record: SweepRecord) -> list[str]:
-    row = [_fmt(value) for value in _floats(record)]
-    row.append(record.region.value)
-    cells = [(e.design.value, _fmt(e.efficiency), _fmt(e.carnot))
-             for e in record.designs[:2]]
-    cells += [("", "", "")] * (2 - len(cells))
-    (name1, eff1, carnot1), (name2, eff2, carnot2) = cells
-    return row + [name1, eff1, name2, eff2, carnot1, carnot2]
+def _json_floats(values) -> list[str]:
+    """Each value as ``json.dumps`` writes it: ``float.__repr__`` over a
+    column of finite floats, the encoder itself over any other column
+    (``NaN``, ``Infinity``, ``-Infinity``, ints)."""
+    try:
+        if all(map(math.isfinite, values)):
+            return list(map(float.__repr__, values))
+    except TypeError:
+        pass
+    return list(map(json.dumps, values))
 
 
-def _record_obj(record: SweepRecord) -> dict:
-    obj = dict(zip(_FLOAT_COLUMNS, _floats(record)))
-    obj["region"] = record.region.value
-    obj["designs"] = [
-        {"design": e.design.value, "efficiency": e.efficiency, "carnot": e.carnot}
-        for e in record.designs
-    ]
-    return obj
+def _fill(template: str, *columns):
+    """``template`` once per row, each ``{}`` replaced by the row's cell of
+    the next column: literals and cells joined in one C-level pass."""
+    literals = template.split("{}")
+    parts = [repeat(literals[0])]
+    for literal, column in zip(literals[1:], columns, strict=True):
+        parts += (column, repeat(literal))
+    return map("".join, zip(*parts))
 
 
-def _record_from_obj(obj: dict) -> SweepRecord:
-    return SweepRecord(
-        **{name: obj[name] for name in _FLOAT_COLUMNS},
-        region=OperationalRegion(obj["region"]),
-        designs=tuple(
-            DesignEfficiency(QtmDesign(d["design"]), d["efficiency"], d["carnot"])
-            for d in obj["designs"]
-        ),
+def _table(records, floats):
+    """The records as text columns, each formatted by one ``floats`` call.
+
+    Returns the eight float columns, the region values, every record's
+    design count, and the design value, efficiency and Carnot text of every
+    design entry in record order.  A Carnot value is formatted once per
+    float object: :func:`run_sweep` shares one per design.
+    """
+    designs = list(map(attrgetter("designs"), records))
+    entries = list(chain.from_iterable(designs))
+    carnots = list(map(attrgetter("carnot"), entries))
+    unique = dict(zip(map(id, carnots), carnots))
+    carnot_text = dict(zip(unique, floats(list(unique.values()))))
+    return (
+        [floats(list(map(attrgetter(name), records))) for name in _FLOAT_COLUMNS],
+        # ``_value_`` is the enum value without the ``value`` property's call.
+        list(map(attrgetter("region._value_"), records)),
+        list(map(len, designs)),
+        list(map(attrgetter("design._value_"), entries)),
+        floats(list(map(attrgetter("efficiency"), entries))),
+        list(map(carnot_text.__getitem__, map(id, carnots))),
     )
+
+
+#: Records formatted per pass: bounds the text columns held at once.
+_CHUNK = 256
+#: Line templates: one CSV row, and one record and one design entry in the
+#: ``json.dumps(indent=2)`` layout; ``_fill`` puts a cell at each ``{}``.
+_CSV_ROW = ",".join(["{}"] * len(CSV_COLUMNS)) + "\n"
+_JSON_RECORD = "  {\n" + "".join(
+    f'    "{name}": {{}},\n' for name in _FLOAT_COLUMNS
+) + '    "region": "{}",\n    "designs": {}\n  }'
+_JSON_ENTRY = ('      {\n        "design": "{}",\n        "efficiency": {},\n'
+               '        "carnot": {}\n      }')
+
+
+def _chunked(records, text_of, head: str, sep: str, tail: str) -> str:
+    """``head + sep.join(texts) + tail`` in one join, where the texts are
+    ``text_of`` each chunk of ``_CHUNK`` records."""
+    pieces = [head]
+    for start in range(0, len(records), _CHUNK):
+        pieces += (text_of(records[start:start + _CHUNK]), sep)
+    pieces[-1] = tail
+    return "".join(pieces)
+
+
+def _csv_rows(records) -> str:
+    columns, regions, counts, names, effs, carnots = _table(records, _csv_floats)
+    # Each record's first and second design entry by index; a missing one
+    # points past the entries, at the empty cell appended to each column.
+    counts = np.array(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    first = np.where(counts > 0, starts, len(names)).tolist()
+    second = np.where(counts > 1, starts + 1, len(names)).tolist()
+    names, effs, carnots = ([*cells, ""] for cells in (names, effs, carnots))
+    cells = [map(column.__getitem__, index) for column, index in (
+        (names, first), (effs, first), (names, second), (effs, second),
+        (carnots, first), (carnots, second))]
+    return "".join(_fill(_CSV_ROW, *columns, regions, *cells))
+
+
+def _json_records(records) -> str:
+    columns, regions, counts, names, effs, carnots = _table(records, _json_floats)
+    entries = _fill(_JSON_ENTRY, names, effs, carnots)
+    designs = ["[\n" + ",\n".join(islice(entries, k)) + "\n    ]" if k else "[]"
+               for k in counts]
+    return ",\n".join(_fill(_JSON_RECORD, *columns, regions, designs))
+
+
+def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
+    lines = ["design,rho,efficiency,carnot,carnot_limit\n"]
+    for design in QtmDesign:
+        if design in curves:
+            curve = curves[design]
+            row = (f"{design.value},{{}},{{}},{_csv_floats([curve.carnot])[0]},"
+                   f"{curve.carnot_limit_kind.value}\n")
+            lines += _fill(row, _csv_floats(curve.rho), _csv_floats(curve.efficiency))
+    return "".join(lines)
+
+
+def _json_list(values) -> str:
+    """A float list at the depth of a curve's fields, as ``indent=2``."""
+    if len(values) == 0:
+        return "[]"
+    return "[\n      " + ",\n      ".join(_json_floats(values)) + "\n    ]"
+
+
+def _curves_json(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
+    items = (
+        f'  "{design.value}": {{\n'
+        f'    "rho": {_json_list(curve.rho)},\n'
+        f'    "efficiency": {_json_list(curve.efficiency)},\n'
+        f'    "carnot": {_json_floats([curve.carnot])[0]},\n'
+        f'    "carnot_limit": "{curve.carnot_limit_kind.value}"\n  }}'
+        for design, curve in curves.items()
+    )
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+def _member_of(enum: type[Enum]):
+    """``enum(value)`` through a prebuilt value -> member map; a value
+    outside it goes to the enum call, which raises its ``ValueError``."""
+    members = {member.value: member for member in enum}
+
+    def member(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum(value)
+    return member
+
+
+_record_floats = itemgetter(*_FLOAT_COLUMNS)
+_region_of = _member_of(OperationalRegion)
+_design_of = _member_of(QtmDesign)
+
+
+def _entry_from_obj(obj: dict) -> DesignEfficiency:
+    return DesignEfficiency(_design_of(obj["design"]), obj["efficiency"],
+                            obj["carnot"])
 
 
 def parse_records(text: str) -> list[SweepRecord]:
     """Inverse of JSON :func:`emit`: rebuild records from serialized output."""
-    return [_record_from_obj(obj) for obj in json.loads(text)]
+    # Each object is popped as its record is built, so the parsed tree
+    # shrinks while the records grow.
+    end = object()
+    objs = [end, *reversed(json.loads(text))]
+    return [
+        SweepRecord(*_record_floats(obj), _region_of(obj["region"]),
+                    tuple(map(_entry_from_obj, obj["designs"])))
+        for obj in iter(objs.pop, end)
+    ]
 
 
 def _write(destination, text: str) -> None:
@@ -402,16 +530,12 @@ def _write(destination, text: str) -> None:
         raise EmitIOError(f"cannot write {destination}: {exc}") from exc
 
 
-def _emit(format: str, destination, header, rows, doc) -> None:
-    """Write ``header`` and ``rows`` as CSV, or ``doc()`` as JSON."""
+def _emit(format: str, destination, items, to_csv, to_json) -> None:
+    """Write ``to_csv(items)`` or ``to_json(items)``."""
     if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buffer.getvalue()
+        text = to_csv(items)
     elif format == "json":
-        text = json.dumps(doc(), indent=2) + "\n"
+        text = to_json(items)
     else:
         raise ValidationError(f"unknown format {format!r} (expected csv or json)")
     _write(destination, text)
@@ -432,8 +556,9 @@ def emit(
     """
     if len(records) == 0:
         raise ValidationError("no records to emit")
-    _emit(format, destination, CSV_COLUMNS, map(_record_row, records),
-          lambda: [_record_obj(r) for r in records])
+    _emit(format, destination, records,
+          lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
+          lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
 
 
 def emit_curves(
@@ -444,21 +569,4 @@ def emit_curves(
     """Serialize efficiency curves: long-format CSV or per-design JSON."""
     if len(curves) == 0:
         raise ValidationError("no curves to emit")
-    ordered = [(design, curves[design]) for design in QtmDesign if design in curves]
-    rows = (
-        (design.value, _fmt(rho), _fmt(eff), _fmt(curve.carnot),
-         curve.carnot_limit_kind.value)
-        for design, curve in ordered
-        for rho, eff in zip(curve.rho, curve.efficiency)
-    )
-    _emit(format, destination,
-          ("design", "rho", "efficiency", "carnot", "carnot_limit"), rows,
-          lambda: {
-              design.value: {
-                  "rho": list(curve.rho),
-                  "efficiency": list(curve.efficiency),
-                  "carnot": curve.carnot,
-                  "carnot_limit": curve.carnot_limit_kind.value,
-              }
-              for design, curve in curves.items()
-          })
+    _emit(format, destination, curves, _curves_csv, _curves_json)

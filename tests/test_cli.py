@@ -155,6 +155,18 @@ class TestSweep:
         assert text.startswith("design,rho,efficiency,carnot,carnot_limit")
         assert "QEN,1.5," in text
 
+    def test_curves_are_computed_only_when_written(self, ring_config, tmp_path,
+                                                   capsys, monkeypatch):
+        def unrequested(spec):
+            raise AssertionError("efficiency curves computed without --curves-out")
+
+        monkeypatch.setattr("qtmkit.cli.efficiency_curves", unrequested)
+        code, _, _ = run_cli(
+            "sweep", "--config", str(ring_config), "--out",
+            str(tmp_path / "records.csv"), capsys=capsys,
+        )
+        assert code == 0
+
     def test_default_grid_when_config_omits_it(self, tmp_path, capsys):
         config = {"t_low": 1.0, "theta_sq": 5.0, "r_low": 100e-9}
         path = tmp_path / "sweep.json"

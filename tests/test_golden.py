@@ -1,8 +1,8 @@
 """Byte-for-byte CLI outputs and the exact public name set.
 
 The files in ``tests/data`` hold the reference sweep (``t_low = 1``,
-``theta_sq = 5``, ``r_low = 100 nm``, default grid) as records CSV and curves
-CSV, and the ``bounds``/``table2`` tables at ``theta_sq = 5``.
+``theta_sq = 5``, ``r_low = 100 nm``, default grid) as records and curves, in
+CSV and in JSON, and the ``bounds``/``table2`` tables at ``theta_sq = 5``.
 """
 
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qtmkit
-from qtmkit import designs, errors, media, otto, regions, sweep
+from qtmkit import designs, errors, media, otto, parse_records, regions, sweep
 from qtmkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -70,6 +70,43 @@ def test_reference_sweep_records_and_curves(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert records.read_bytes() == (DATA / "reference_sweep.csv").read_bytes()
     assert curves.read_bytes() == (DATA / "reference_curves.csv").read_bytes()
+
+
+@pytest.fixture
+def reference_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("QTM_CONSTANTS", raising=False)
+    config = tmp_path / "ref.json"
+    config.write_text(json.dumps({"t_low": 1, "theta_sq": 5, "r_low": 1e-7}))
+    return str(config)
+
+
+def test_reference_sweep_records_and_curves_json(tmp_path, capsys,
+                                                 reference_config):
+    records, curves = tmp_path / "sweep.json", tmp_path / "curves.json"
+    assert main(["sweep", "--config", reference_config, "--format", "json",
+                 "--out", str(records), "--curves-out", str(curves)]) == 0
+    capsys.readouterr()
+    assert records.read_bytes() == (DATA / "reference_sweep.json").read_bytes()
+    assert curves.read_bytes() == (DATA / "reference_curves.json").read_bytes()
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_records_to_stdout_come_without_the_summary(capsys, reference_config,
+                                                    format):
+    assert main(["sweep", "--config", reference_config, "--format", format,
+                 "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (DATA / f"reference_sweep.{format}").read_bytes()
+    if format == "json":
+        assert len(parse_records(out)) == 603
+
+
+def test_curves_to_stdout_come_without_the_summary(tmp_path, capsys,
+                                                   reference_config):
+    assert main(["sweep", "--config", reference_config, "--out",
+                 str(tmp_path / "sweep.csv"), "--curves-out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (DATA / "reference_curves.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command, expected", [
