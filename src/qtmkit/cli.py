@@ -234,6 +234,10 @@ def _load_sweep_config(path: str) -> tuple[SweepSpec, PhysicalConstants]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.curves_out == "-" and args.out in (None, "-"):
+        raise ValidationError(
+            "--out and --curves-out cannot both write to standard output; "
+            "give one of them a file")
     spec, constants = _load_sweep_config(args.config)
     records, boundaries = run_sweep(spec, constants)
     emit(records, format=args.format, destination=args.out)

@@ -7,6 +7,11 @@ admissible there.  Records are built last, in ascending ``rho``.  Output goes
 to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
 round-trippable).
 
+Records are built a column at a time by ``_build``, in :func:`run_sweep` and
+in :func:`parse_records`, with the cyclic garbage collector paused: the
+builds make no reference cycles.  A program that toggles :mod:`gc` from
+another thread during either call may find it re-enabled afterwards.
+
 The writers work a column at a time.  Each float column is formatted by one
 ``map``: ``"{:.12g}".format`` for CSV, ``float.__repr__`` for JSON (the
 encoder's own spelling when a column holds ``NaN``, an infinity or an int).
@@ -14,14 +19,17 @@ The cells are then joined with the literals of a fixed line template: the CSV
 row, or the record and design entry of ``json.dumps(indent=2)``.  The output
 is byte for byte what ``csv.writer`` and ``json.dumps(..., indent=2)`` write;
 ``tests/test_writers.py`` checks that.  Records go through in chunks, which
-bounds the text held at once.  ``parse_records`` reads with ``json.loads``.
+bounds the text held at once.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from itertools import chain, islice, repeat
@@ -88,6 +96,7 @@ _FLOAT_COLUMNS = CSV_COLUMNS[:8]
 #: Regions by kernel index, in the enum's order: the four alpha_sq intervals
 #: between the thresholds, then the boundary marker of each threshold.
 _REGIONS = tuple(OperationalRegion)
+_DESIGNS = tuple(QtmDesign)
 
 
 @unique
@@ -141,7 +150,7 @@ class SweepSpec:
         require_finite(key, value, ValidationError, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignEfficiency:
     """Efficiency and Carnot value of one admissible design at one point."""
 
@@ -150,7 +159,7 @@ class DesignEfficiency:
     carnot: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One sweep grid point: energies, region, admissible-design metrics."""
 
@@ -164,6 +173,31 @@ class SweepRecord:
     e_out_norm: float
     region: OperationalRegion
     designs: tuple[DesignEfficiency, ...] = field(default_factory=tuple)
+
+
+def _build(cls, n: int, *columns) -> list:
+    """``n`` instances of the slotted ``cls``, the k-th field of each set
+    from ``columns[k]`` in one C-level pass of its slot descriptor.  Skipping
+    ``__init__`` is sound only because neither record class has a
+    ``__post_init__`` or converts a field."""
+    objs = list(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(cls.__slots__, columns, strict=True):
+        deque(map(getattr(cls, name).__set__, objs, column), 0)
+    return objs
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for a bulk build that makes no
+    reference cycles.  If it was enabled, it is re-enabled afterwards, also
+    when the build raises; a caller that disabled it keeps it disabled."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -277,6 +311,7 @@ def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
     return index
 
 
+@_gc_paused()
 def run_sweep(
     spec: SweepSpec, constants: PhysicalConstants = CODATA
 ) -> tuple[list[SweepRecord], BoundaryReport]:
@@ -298,21 +333,30 @@ def run_sweep(
     if spec.normalization is Normalization.MAX_ABS_ENERGY:
         scale = max(float(np.abs(e).max()) for e in (e_high, e_low, e_out)) or 1.0
 
-    designs = [()] * len(rho)
+    # Each design's entries as columns, ordered by record with a stable sort
+    # so that a record keeps its entries in QtmDesign order.
+    hits, effs, carnots = [], [], []
     for design in QtmDesign:
         bounds = alpha_bounds(design, spec.theta_sq)
-        hits = np.flatnonzero((index == _REGIONS.index(design.region))
-                              & (bounds.alpha_sq_min < alpha_sq)
-                              & (alpha_sq < bounds.alpha_sq_max))
-        carnot = carnot_efficiency(design, spec.theta_sq)
-        effs = _efficiencies(design, alpha_sq[hits])
-        for i, eff in zip(hits.tolist(), effs.tolist()):
-            designs[i] += (DesignEfficiency(design, eff, carnot),)
+        hits.append(np.flatnonzero((index == _REGIONS.index(design.region))
+                                   & (bounds.alpha_sq_min < alpha_sq)
+                                   & (alpha_sq < bounds.alpha_sq_max)))
+        effs.append(_efficiencies(design, alpha_sq[hits[-1]]))
+        carnots.append(carnot_efficiency(design, spec.theta_sq))
+    owner = np.concatenate(hits)
+    order = np.argsort(owner, kind="stable")
+    kinds = np.repeat(np.arange(len(_DESIGNS)), list(map(len, hits)))[order].tolist()
+    entries = _build(DesignEfficiency, len(order),
+                     map(_DESIGNS.__getitem__, kinds),
+                     np.concatenate(effs)[order].tolist(),
+                     map(carnots.__getitem__, kinds))
+    counts = np.bincount(owner, minlength=len(rho)).tolist()
 
     columns = [c.tolist() for c in (alpha_sq, e_high, e_low, e_out,
                                     e_high / scale, e_low / scale, e_out / scale)]
-    records = list(map(SweepRecord, map(float, spec.rho_grid), *columns,
-                       map(_REGIONS.__getitem__, index.tolist()), designs))
+    records = _build(SweepRecord, len(rho), map(float, spec.rho_grid), *columns,
+                     map(_REGIONS.__getitem__, index.tolist()),
+                     map(tuple, map(islice, repeat(iter(entries)), counts)))
     return records, boundary_report(spec.theta_sq)
 
 
@@ -493,27 +537,69 @@ def _member_of(enum: type[Enum]):
     return member
 
 
-_record_floats = itemgetter(*_FLOAT_COLUMNS)
 _region_of = _member_of(OperationalRegion)
 _design_of = _member_of(QtmDesign)
 
 
-def _entry_from_obj(obj: dict) -> DesignEfficiency:
-    return DesignEfficiency(_design_of(obj["design"]), obj["efficiency"],
-                            obj["carnot"])
+def _records_of(objs: list) -> list[SweepRecord]:
+    """The records of parsed JSON record objects, built column-wise."""
+    lists = list(map(itemgetter("designs"), objs))
+    flat = list(chain.from_iterable(lists))
+    entries = _build(DesignEfficiency, len(flat),
+                     map(_design_of, map(itemgetter("design"), flat)),
+                     map(itemgetter("efficiency"), flat),
+                     map(itemgetter("carnot"), flat))
+    return _build(SweepRecord, len(objs),
+                  *(map(itemgetter(name), objs) for name in _FLOAT_COLUMNS),
+                  map(_region_of, map(itemgetter("region"), objs)),
+                  map(tuple, map(islice, repeat(iter(entries)), map(len, lists))))
 
 
+def _require_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} is not an object")
+    for key in keys:
+        if key not in obj:
+            raise ValidationError(f"{what} lacks key {key!r}")
+
+
+def _check_records(objs: list, start: int) -> None:
+    """Raise a :class:`ValidationError` naming the first malformed record
+    object in ``objs``, numbered from ``start``."""
+    for i, obj in enumerate(objs, start):
+        _require_keys(obj, SweepRecord.__slots__, f"record {i}")
+        if not isinstance(obj["designs"], list):
+            raise ValidationError(f"record {i}: designs is not a list")
+        for j, entry in enumerate(obj["designs"]):
+            _require_keys(entry, DesignEfficiency.__slots__,
+                          f"record {i} design {j}")
+
+
+@_gc_paused()
 def parse_records(text: str) -> list[SweepRecord]:
-    """Inverse of JSON :func:`emit`: rebuild records from serialized output."""
-    # Each object is popped as its record is built, so the parsed tree
-    # shrinks while the records grow.
-    end = object()
-    objs = [end, *reversed(json.loads(text))]
-    return [
-        SweepRecord(*_record_floats(obj), _region_of(obj["region"]),
-                    tuple(map(_entry_from_obj, obj["designs"])))
-        for obj in iter(objs.pop, end)
-    ]
+    """Inverse of JSON :func:`emit`: rebuild records from serialized output.
+
+    A document that is not a list of record objects with every key raises
+    :class:`ValidationError` naming the first fault; an unknown region or
+    design value raises the enum's ``ValueError``.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise ValidationError(
+            f"records JSON must be a list at the top level, not {type(doc).__name__}")
+    # Chunks leave the parsed tree as their records are built.
+    doc.reverse()
+    records = []
+    while doc:
+        chunk = doc[-_CHUNK:][::-1]
+        del doc[-_CHUNK:]
+        try:
+            records += _records_of(chunk)
+        except (KeyError, TypeError):
+            # Only a failed build pays for the check that names the fault.
+            _check_records(chunk, len(records))
+            raise
+    return records
 
 
 def _write(destination, text: str) -> None:

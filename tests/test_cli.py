@@ -155,6 +155,39 @@ class TestSweep:
         assert text.startswith("design,rho,efficiency,carnot,carnot_limit")
         assert "QEN,1.5," in text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]])
+    def test_records_and_curves_cannot_share_stdout(self, ring_config, fmt,
+                                                    out, capsys, monkeypatch):
+        def unrequested(spec, constants):
+            raise AssertionError("sweep ran although its outputs collide")
+
+        monkeypatch.setattr("qtmkit.cli.run_sweep", unrequested)
+        code, stdout, err = run_cli(
+            "sweep", "--config", str(ring_config), "--format", fmt, *out,
+            "--curves-out", "-", capsys=capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("qtmkit: error:")
+        assert "--out" in err and "--curves-out" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_curves_to_stdout_with_records_to_file(self, ring_config, fmt,
+                                                   tmp_path, capsys):
+        out_path = tmp_path / f"records.{fmt}"
+        code, out, _ = run_cli(
+            "sweep", "--config", str(ring_config), "--format", fmt,
+            "--out", str(out_path), "--curves-out", "-", capsys=capsys,
+        )
+        assert code == 0
+        if fmt == "json":
+            assert len(parse_records(out_path.read_text())) == 4
+            assert "QEN" in json.loads(out)
+        else:
+            assert len(out_path.read_text().splitlines()) == 5
+            assert out.startswith("design,rho,efficiency,carnot,carnot_limit")
+
     def test_curves_are_computed_only_when_written(self, ring_config, tmp_path,
                                                    capsys, monkeypatch):
         def unrequested(spec):

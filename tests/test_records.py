@@ -1,0 +1,216 @@
+"""Records assembled column-wise behave like records built by their
+constructors.
+
+``run_sweep`` and ``parse_records`` fill whole columns of slotted
+``SweepRecord``s and ``DesignEfficiency``s without calling ``__init__``, with
+the cyclic garbage collector paused.  These tests rebuild every record field
+by field through the public constructors and compare; they check the
+dataclass protocol (``replace``, ``asdict``, pickle, deep copy, frozen
+fields), that the collector's state is restored, and that malformed JSON
+documents are reported as such.
+"""
+
+import copy
+import dataclasses
+import gc
+import io
+import json
+import pickle
+
+import pytest
+
+from qtmkit import (
+    DesignEfficiency,
+    InvalidRingError,
+    OperationalRegion,
+    QtmDesign,
+    SweepRecord,
+    SweepSpec,
+    ValidationError,
+    default_rho_grid,
+    emit,
+    parse_records,
+    run_sweep,
+    sweep,
+)
+
+#: The paper's ring case, as ``qtmkit sweep`` runs it by default.
+REFERENCE = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=default_rho_grid(5.0),
+                      r_low=1e-7)
+
+
+@pytest.fixture(scope="module")
+def swept():
+    return run_sweep(REFERENCE)[0]
+
+
+@pytest.fixture(scope="module")
+def parsed(swept):
+    buffer = io.StringIO()
+    emit(swept, "json", buffer)
+    return parse_records(buffer.getvalue())
+
+
+@pytest.fixture(params=["swept", "parsed"])
+def records(request):
+    return request.getfixturevalue(request.param)
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def constructed(record):
+    """``record`` rebuilt field by field: entries positionally, the record by
+    keyword."""
+    entries = tuple(DesignEfficiency(e.design, e.efficiency, e.carnot)
+                    for e in record.designs)
+    values = {f.name: getattr(record, f.name)
+              for f in dataclasses.fields(SweepRecord)}
+    return SweepRecord(**{**values, "designs": entries})
+
+
+def test_matches_records_built_by_the_constructors(records):
+    assert len(records) == len(REFERENCE.rho_grid)
+    assert any(len(r.designs) == 2 for r in records)
+    for record in records:
+        rebuilt = constructed(record)
+        assert record == rebuilt
+        assert hash(record) == hash(rebuilt)
+        assert repr(record) == repr(rebuilt)
+        for entry, built in zip(record.designs, rebuilt.designs):
+            assert (entry, hash(entry), repr(entry)) == (
+                built, hash(built), repr(built))
+
+
+def test_records_are_slotted(records):
+    record = next(r for r in records if r.designs)
+    assert not hasattr(record, "__dict__")
+    assert not hasattr(record.designs[0], "__dict__")
+
+
+def test_replace_and_asdict_round_trip(records):
+    for record in records[::50]:
+        assert dataclasses.replace(record) == record
+        assert dataclasses.replace(record, rho=-1.0).rho == -1.0
+        obj = dataclasses.asdict(record)
+        designs = tuple(DesignEfficiency(**e) for e in obj.pop("designs"))
+        assert SweepRecord(**obj, designs=designs) == record
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trip(records, protocol):
+    assert pickle.loads(pickle.dumps(records, protocol)) == records
+
+
+def test_deepcopy_round_trip(records):
+    copied = copy.deepcopy(records)
+    assert copied == records
+    assert copied[0] is not records[0]
+
+
+def test_fields_are_frozen(records):
+    record = next(r for r in records if r.designs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.rho = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.designs[0].efficiency = 0.0
+
+
+def test_entries_keep_the_design_order(swept):
+    order = list(QtmDesign)
+    for record in swept:
+        designs = [e.design for e in record.designs]
+        assert designs == sorted(designs, key=order.index)
+
+
+def json_text(records) -> str:
+    buffer = io.StringIO()
+    emit(records, "json", buffer)
+    return buffer.getvalue()
+
+
+def bad_region_text() -> str:
+    record = SweepRecord(*[1.5] * 8, OperationalRegion.OUT_TRANSFERS)
+    doc = json.loads(json_text([record]))
+    doc[0]["region"] = "NoSuchRegion"
+    return json.dumps(doc)
+
+
+#: Each bulk build and a call that makes it raise.
+BUILDS = {
+    "run_sweep": (lambda: run_sweep(REFERENCE),
+                  lambda: run_sweep(SweepSpec(t_low=1.0, theta_sq=5.0,
+                                              rho_grid=(1e-300, 0.5),
+                                              r_low=1e-7)),
+                  InvalidRingError),
+    "parse_records": (lambda: parse_records(json_text(run_sweep(REFERENCE)[0])),
+                      lambda: parse_records(bad_region_text()),
+                      ValueError),
+}
+
+
+@pytest.mark.parametrize("name", BUILDS)
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored(name, enabled, gc_state):
+    succeeding, failing, error = BUILDS[name]
+    (gc.enable if enabled else gc.disable)()
+    succeeding()
+    assert gc.isenabled() is enabled
+    with pytest.raises(error):
+        failing()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_collector_is_paused_during_the_build(name, gc_state, monkeypatch):
+    states = []
+    build = sweep._build
+
+    def recording(*args):
+        states.append(gc.isenabled())
+        return build(*args)
+
+    monkeypatch.setattr(sweep, "_build", recording)
+    gc.enable()
+    BUILDS[name][0]()
+    assert states and not any(states)
+    assert gc.isenabled()
+
+
+RECORD = {"rho": 1.5, "alpha_sq": 2.25, "e_high": 1.0, "e_low": -0.5,
+          "e_out": 0.5, "e_high_norm": 1.0, "e_low_norm": -0.5,
+          "e_out_norm": 0.5, "region": "OutTransfers",
+          "designs": [{"design": "QEN", "efficiency": 0.5, "carnot": 0.8}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "must be a list"),
+    ({"a": 1}, "must be a list"),
+    ("x", "must be a list"),
+    (1.5, "must be a list"),
+    ([1], "record 0 is not an object"),
+    ([{}], "record 0 lacks key 'rho'"),
+    ([RECORD, {k: v for k, v in RECORD.items() if k != "region"}],
+     "record 1 lacks key 'region'"),
+    ([RECORD, {**RECORD, "designs": None}], "record 1: designs is not a list"),
+    ([{**RECORD, "designs": [RECORD["designs"][0], ["QEN"]]}],
+     "record 0 design 1 is not an object"),
+    ([{**RECORD, "designs": [{"design": "QEN", "efficiency": 0.5}]}],
+     "record 0 design 0 lacks key 'carnot'"),
+])
+def test_malformed_documents_raise_validation_error(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_records(json.dumps(doc))
+
+
+def test_malformed_record_is_numbered_across_chunks(monkeypatch):
+    monkeypatch.setattr(sweep, "_CHUNK", 2)
+    doc = [RECORD] * 5 + [{**RECORD, "designs": [{}]}]
+    with pytest.raises(ValidationError, match="record 5 design 0 lacks key"):
+        parse_records(json.dumps(doc))
+    assert len(parse_records(json.dumps([RECORD] * 5))) == 5
