@@ -120,7 +120,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     region = classify_region(triple, args.theta_sq, args.tol)
     ratio = alpha_squared(triple)
     print(f"region: {region.value}")
-    print(f"alpha_sq: {ratio.value:.12g}")
+    print(f"alpha_sq: {ratio:.12g}")
     print(f"e_out: {triple.e_out:.12g}")
     if region.is_boundary:
         print("designs: (boundary; none admissible)")

@@ -27,7 +27,7 @@ design except QLL, where it is a floor.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable, NamedTuple, Optional
 
@@ -40,20 +40,18 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .regions import OperationalRegion
+from .regions import OperationalRegion, _edges
 
 __all__ = [
     "QtmDesign",
     "EnergyRole",
     "CarnotLimitKind",
     "AlphaBounds",
-    "IntersectionSet",
     "RelationResiduals",
     "admissible_designs",
     "efficiency",
     "carnot_efficiency",
     "alpha_bounds",
-    "intersections",
     "relation_residuals",
     "classical_otto_efficiency",
 ]
@@ -106,11 +104,6 @@ class CarnotLimitKind(Enum):
 
     MAXIMUM = "maximum"
     MINIMUM = "minimum"
-
-
-def _edges(theta_sq: float) -> tuple[float, ...]:
-    """The ``alpha_sq`` region edges ``(0, 1/theta_sq, 1, theta_sq, inf)``."""
-    return (0.0, 1.0 / theta_sq, 1.0, theta_sq, math.inf)
 
 
 class DesignRow(NamedTuple):
@@ -257,32 +250,6 @@ def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
     )
 
 
-@dataclass(frozen=True)
-class IntersectionSet:
-    """The three ``alpha_sq`` thresholds separating adjacent (sub)regions."""
-
-    alpha_sq_subregion: float
-    alpha_sq_2acq_outt: float
-    alpha_sq_outt_pump: float
-
-    def __post_init__(self) -> None:
-        if not (
-            self.alpha_sq_subregion
-            < self.alpha_sq_2acq_outt
-            < self.alpha_sq_outt_pump
-        ):
-            raise ValidationError("intersection thresholds must be increasing")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return astuple(self)
-
-
-def intersections(theta_sq: float) -> IntersectionSet:
-    """Region-boundary ratios ``(1/theta_sq, 1, theta_sq)``."""
-    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    return IntersectionSet(*_edges(theta_sq)[1:4])
-
-
 class RelationResiduals(NamedTuple):
     """Residuals of the four in-region pairwise identities, each zero to
     machine precision where its pair is defined and ``None`` elsewhere."""
@@ -293,17 +260,9 @@ class RelationResiduals(NamedTuple):
     qhp_minus_qre: Optional[float]  # QHP - QRE - 1 on (1, inf)
 
 
-def relation_residuals(
-    alpha_sq: float, theta_sq: Optional[float] = None
-) -> RelationResiduals:
-    """Evaluate the pairwise efficiency identities at one energy ratio.
-
-    The identities are independent of the temperature ratio; ``theta_sq`` is
-    accepted (and validated) for signature symmetry with the rest of the
-    catalog but does not influence applicability.
-    """
-    if theta_sq is not None:
-        require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+def relation_residuals(alpha_sq: float) -> RelationResiduals:
+    """Evaluate the pairwise efficiency identities at one energy ratio; they
+    are independent of the temperature ratio."""
     low = high = (None, None)
     if 0.0 < alpha_sq < 1.0:
         low = (

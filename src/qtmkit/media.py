@@ -97,13 +97,15 @@ def ring_levels(
     )
     require_finite(f"2 * mass * radius**2 at radius {ring.radius!r}",
                    2.0 * mass * (ring.radius * ring.radius), InvalidRingError, 0.0)
-    e_ground = _ground_level(ring.radius, mass, constants)
-    return (e_ground, 4.0 * e_ground)
+    return _ring_levels(ring.radius, mass, constants)
 
 
-def _ground_level(radius, mass: float, constants: PhysicalConstants):
-    """Ring ground level ``hbar^2 / (2 mass r^2)``; elementwise on arrays."""
-    return constants.hbar**2 / (2.0 * mass * (radius * radius))
+def _ring_levels(radius, mass: float, constants: PhysicalConstants):
+    """Ground and excited levels ``hbar^2 m^2 / (2 mass r^2)`` at
+    ``m = M_GROUND, M_EXCITED``; elementwise on arrays of radii."""
+    m_ground, m_excited = QuantumRing.M_GROUND, QuantumRing.M_EXCITED
+    ground = m_ground**2 * constants.hbar**2 / (2.0 * mass * (radius * radius))
+    return ground, (m_excited / m_ground) ** 2 * ground
 
 
 @dataclass(frozen=True)

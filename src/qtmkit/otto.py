@@ -55,8 +55,6 @@ from .regions import ExchangeTriple
 __all__ = [
     "LevelSpectrum",
     "TwoLevelMedium",
-    "OccupationPair",
-    "CycleEnergies",
     "occupation",
     "otto_cycle_energies",
     "multilevel_exchange",
@@ -130,30 +128,6 @@ class TwoLevelMedium:
         return self.gap_high / self.gap_low
 
 
-@dataclass(frozen=True)
-class OccupationPair:
-    """Thermal two-level occupations: normalized, Boltzmann-ordered."""
-
-    p_ground: float
-    p_excited: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p_ground <= 1.0 and 0.0 <= self.p_excited <= 1.0):
-            raise ValidationError(
-                f"occupations must lie in [0, 1], got "
-                f"({self.p_ground!r}, {self.p_excited!r})"
-            )
-        if abs(self.p_ground + self.p_excited - 1.0) > 1e-14:
-            raise ValidationError(
-                f"occupations must sum to 1, got "
-                f"{self.p_ground!r} + {self.p_excited!r}"
-            )
-        if self.p_ground < self.p_excited:
-            raise ValidationError(
-                "inverted populations are outside the thermal-cycle framework"
-            )
-
-
 def occupation(
     spectrum: LevelSpectrum, temperature: float, boltzmann_k: float
 ) -> np.ndarray:
@@ -185,26 +159,6 @@ def occupation(
     return weights / weights.sum()
 
 
-@dataclass(frozen=True)
-class CycleEnergies:
-    """Signed per-cycle energy exchanges of a two-level Otto cycle.
-
-    Only the two reservoir exchanges are stored; the outside exchange is
-    their sum by construction.
-    """
-
-    e_high_gamma: float
-    e_low_gamma: float
-
-    @property
-    def e_out(self) -> float:
-        return self.e_high_gamma + self.e_low_gamma
-
-    def as_exchange_triple(self) -> ExchangeTriple:
-        """View the cycle energies as a classifiable exchange triple."""
-        return ExchangeTriple(self.e_high_gamma, self.e_low_gamma)
-
-
 def _exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
     """``(e_high_gamma, e_low_gamma)`` of the cycle, by the module docstring's
     ``x``, after checking its temperatures; elementwise over gap arrays."""
@@ -227,11 +181,11 @@ def otto_cycle_energies(
     t_low: float,
     theta_sq: float,
     boltzmann_k: float,
-) -> CycleEnergies:
+) -> ExchangeTriple:
     """Per-cycle reservoir exchanges of a two-level Otto cycle: the hot
     stroke thermalizes the high gap at ``t_high = theta_sq * t_low``, the cold
     stroke the low gap at ``t_low``; each exchange is its gap times ``x``."""
-    return CycleEnergies(*map(float, _exchanges(
+    return ExchangeTriple(*map(float, _exchanges(
         medium.gap_low, medium.gap_high, t_low, theta_sq, boltzmann_k)))
 
 

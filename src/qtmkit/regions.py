@@ -17,8 +17,10 @@ This module holds the value types and the classifier.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, unique
+from operator import attrgetter
 
 from .errors import (
     DegenerateExchangeError,
@@ -34,7 +36,6 @@ __all__ = [
     "ReservoirPair",
     "ExchangeTriple",
     "OperationalRegion",
-    "AlphaSquared",
     "theta_squared",
     "alpha_squared",
     "classify_region",
@@ -46,11 +47,16 @@ __all__ = [
 DEFAULT_CLASSIFY_TOL = 1e-9
 
 
-def in_boundary_band(
-    alpha_sq: float, threshold: float, tol: float = DEFAULT_CLASSIFY_TOL
-) -> bool:
-    """Whether ``alpha_sq`` lies within ``tol * alpha_sq`` of a threshold."""
-    return abs(alpha_sq - threshold) <= tol * alpha_sq
+def in_boundary_band(alpha_sq, threshold: float, tol: float = DEFAULT_CLASSIFY_TOL):
+    """Whether a finite ``alpha_sq`` lies within ``tol * alpha_sq`` of a
+    threshold; elementwise on arrays."""
+    return (abs(alpha_sq - threshold) <= tol * alpha_sq) & (alpha_sq < math.inf)
+
+
+def _edges(theta_sq: float) -> tuple[float, ...]:
+    """The ``alpha_sq`` region edges ``(0, 1/theta_sq, 1, theta_sq, inf)``;
+    the inner three are the thresholds of :data:`_BANDS`."""
+    return (0.0, 1.0 / theta_sq, 1.0, theta_sq, math.inf)
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,13 @@ class ExchangeTriple:
         """Energy exchanged with the outside, ``e_high + e_low``."""
         return self.e_high + self.e_low
 
+    # The names :func:`qtmkit.otto.otto_cycle_energies` gives the exchanges.
+    e_high_gamma = property(attrgetter("e_high"))
+    e_low_gamma = property(attrgetter("e_low"))
+
+    def as_exchange_triple(self) -> "ExchangeTriple":
+        return self
+
 
 @unique
 class OperationalRegion(Enum):
@@ -121,31 +134,32 @@ class OperationalRegion(Enum):
 
     @property
     def is_boundary(self) -> bool:
-        return self in (
-            OperationalRegion.BOUNDARY_2ACQ_SUBREGIONS,
-            OperationalRegion.BOUNDARY_2ACQ_OUTT,
-            OperationalRegion.BOUNDARY_OUTT_PUMP,
-        )
+        return self in _MARKERS
 
 
-@dataclass(frozen=True)
-class AlphaSquared:
-    """Thermal high-low energy ratio ``-e_high/e_low`` of a valid triple."""
+#: Regions by classifier index, in the enum's order: the four ``alpha_sq``
+#: intervals between the thresholds, then the boundary marker of each.
+_REGIONS = tuple(OperationalRegion)
+#: Per threshold of ``_edges(theta_sq)[1:4]``: its boundary marker, and
+#: whether its band applies to forward (absorb-hot) triples only.  Outside
+#: the bands a ratio lies in interval ``bisect_right(thresholds, a)``; the
+#: forward orientation is admissible below ``theta_sq``, the reversed one
+#: only above it.
+_BANDS = (
+    (OperationalRegion.BOUNDARY_2ACQ_SUBREGIONS, True),
+    (OperationalRegion.BOUNDARY_2ACQ_OUTT, True),
+    # Reversible Carnot limit: both orientations degenerate here.
+    (OperationalRegion.BOUNDARY_OUTT_PUMP, False),
+)
+_MARKERS = tuple(marker for marker, _ in _BANDS)
 
-    value: float
 
-    def __post_init__(self) -> None:
-        require_finite("alpha_sq", self.value, ValidationError, 0.0)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def alpha_squared(ex: ExchangeTriple) -> AlphaSquared:
-    """Thermal high-low energy ratio of a triple.
+def alpha_squared(ex: ExchangeTriple) -> float:
+    """Thermal high-low energy ratio ``-e_high/e_low`` of a triple.
 
     Requires both reservoir exchanges nonzero and of opposite sign, which
-    makes the ratio positive in every operational region.
+    makes the ratio positive in every operational region, and the ratio
+    finite and nonzero in floating point.
     """
     if ex.e_high == 0.0 or ex.e_low == 0.0:
         raise DegenerateExchangeError(
@@ -157,7 +171,9 @@ def alpha_squared(ex: ExchangeTriple) -> AlphaSquared:
             f"reservoir exchanges must have opposite signs, got "
             f"e_high={ex.e_high!r}, e_low={ex.e_low!r}"
         )
-    return AlphaSquared(-ex.e_high / ex.e_low)
+    ratio = -ex.e_high / ex.e_low
+    require_finite("alpha_sq", ratio, ValidationError, 0.0)
+    return ratio
 
 
 def classify_region(
@@ -171,22 +187,9 @@ def classify_region(
     reversed orientation (release hot, absorb cold) is admissible only above
     ``theta_sq``, where it is the Pumpers region.  Anything else -- equal
     signs, or an orientation whose ratio would beat the Carnot bound -- is
-    rejected as physically inadmissible.
-
-    Parameters
-    ----------
-    ex : ExchangeTriple
-        The per-cycle energies.
-    theta_sq : float
-        Reservoir temperature ratio, > 1.
-    tol : float, optional
-        Relative half-width (w.r.t. ``alpha_sq``) of the band around each
-        threshold that maps to a boundary marker.
-
-    Returns
-    -------
-    OperationalRegion
-        A region, subregion, or boundary marker.
+    rejected as physically inadmissible.  A finite ratio within
+    ``tol * alpha_sq`` of a threshold whose band applies to the triple's
+    orientation (:data:`_BANDS`) gives that boundary's marker instead.
     """
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     if not 0.0 <= tol < math.inf:
@@ -204,23 +207,13 @@ def classify_region(
         )
 
     a = -ex.e_high / ex.e_low
-    if forward and in_boundary_band(a, 1.0 / theta_sq, tol):
-        return OperationalRegion.BOUNDARY_2ACQ_SUBREGIONS
-    if forward and in_boundary_band(a, 1.0, tol):
-        return OperationalRegion.BOUNDARY_2ACQ_OUTT
-    if in_boundary_band(a, theta_sq, tol):
-        # Reversible Carnot limit: both orientations degenerate here.
-        return OperationalRegion.BOUNDARY_OUTT_PUMP
-
-    if forward:
-        if a < 1.0 / theta_sq:
-            return OperationalRegion.TWO_ACQUIRERS_OUT
-        if a < 1.0:
-            return OperationalRegion.TWO_ACQUIRERS_HIGH
-        if a < theta_sq:
-            return OperationalRegion.OUT_TRANSFERS
-    elif a > theta_sq:
-        return OperationalRegion.PUMPERS
+    thresholds = _edges(theta_sq)[1:4]
+    for threshold, (marker, forward_only) in zip(thresholds, _BANDS):
+        if (forward or not forward_only) and in_boundary_band(a, threshold, tol):
+            return marker
+    side = bisect_right(thresholds, a)
+    if forward == (side < 3):
+        return _REGIONS[side]
     side, kind = (
         ("exceeds", "an absorb-hot/release-cold")
         if forward

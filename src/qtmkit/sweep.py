@@ -30,7 +30,7 @@ import math
 import sys
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum, unique
 from itertools import chain, islice, repeat
 from operator import attrgetter, itemgetter
@@ -39,17 +39,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .designs import (  # noqa: F401  (admissible_designs, efficiency: see below)
-    CarnotLimitKind, QtmDesign, _edges, _efficiencies, admissible_designs,
-    alpha_bounds, carnot_efficiency, efficiency, intersections,
+    CarnotLimitKind, QtmDesign, _efficiencies, admissible_designs,
+    alpha_bounds, carnot_efficiency, efficiency,
 )
 from .errors import (DegenerateExchangeError, EmitIOError, EmptyGridError,
                      InvalidTemperatureError, InvalidThetaError,
                      ValidationError, require_finite)
-from .media import (CODATA, PhysicalConstants, RingOttoSetup, _ground_level,
+from .media import (CODATA, PhysicalConstants, RingOttoSetup, _ring_levels,
                     gap_medium, ring_medium)
 from .otto import _exchanges, otto_cycle_energies  # noqa: F401  (see below)
-from .regions import (ExchangeTriple, OperationalRegion, classify_region,
-                      in_boundary_band)
+from .regions import (_BANDS, _REGIONS, ExchangeTriple, OperationalRegion,
+                      _edges, classify_region, in_boundary_band)
 
 # The kernel evaluates on arrays what the scalar API does point by point; the
 # scalar API stays bound here for the spans perfbench/tracing.py wraps.
@@ -63,7 +63,6 @@ __all__ = [
     "BoundaryReport",
     "EfficiencyCurve",
     "CSV_COLUMNS",
-    "region_boundaries_rho",
     "default_rho_grid",
     "boundary_report",
     "run_sweep",
@@ -92,10 +91,8 @@ CSV_COLUMNS = (
 )
 #: The float fields of a :class:`SweepRecord`, in column order.
 _FLOAT_COLUMNS = CSV_COLUMNS[:8]
-
-#: Regions by kernel index, in the enum's order: the four alpha_sq intervals
-#: between the thresholds, then the boundary marker of each threshold.
-_REGIONS = tuple(OperationalRegion)
+#: The JSON value types a float field accepts (``bool`` is not one).
+_NUMBERS = frozenset((float, int))
 _DESIGNS = tuple(QtmDesign)
 
 
@@ -212,21 +209,17 @@ class BoundaryReport:
     alpha_sq_outt_pump: float
 
 
-def region_boundaries_rho(theta_sq: float) -> tuple[float, float, float]:
-    """Boundary compression ratios ``(1/theta, 1, theta)``.
+def boundary_report(theta_sq: float) -> BoundaryReport:
+    """The ``alpha_sq`` thresholds ``(1/theta_sq, 1, theta_sq)`` and their
+    compression ratios ``(1/theta, 1, theta)``.
 
-    Each is the square root of its ``alpha_sq`` threshold, as is every rho
+    Each rho is the square root of its ``alpha_sq`` threshold, as is every rho
     endpoint of the efficiency curves, so injected grid points, reports and
     curve clipping agree bitwise.
     """
-    return tuple(math.sqrt(a) for a in intersections(theta_sq).as_tuple())
-
-
-def boundary_report(theta_sq: float) -> BoundaryReport:
-    """Boundary ratios for the given temperature ratio."""
-    return BoundaryReport(
-        *region_boundaries_rho(theta_sq), *intersections(theta_sq).as_tuple()
-    )
+    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    thresholds = _edges(theta_sq)[1:4]
+    return BoundaryReport(*map(math.sqrt, thresholds), *thresholds)
 
 
 def default_rho_grid(
@@ -246,7 +239,8 @@ def default_rho_grid(
             f"need num >= 2 and 0 < rho_min < rho_max, got "
             f"num={num!r}, rho_min={rho_min!r}, rho_max={rho_max!r}"
         )
-    inject = [r for r in region_boundaries_rho(theta_sq) if rho_min <= r <= rho_max]
+    inject = [r for r in astuple(boundary_report(theta_sq))[:3]
+              if rho_min <= r <= rho_max]
     # Sort and drop repeats by hand: np.unique would import numpy.ma.
     grid = np.sort(np.concatenate([np.linspace(rho_min, rho_max, num), inject]))
     return tuple(grid[np.append(True, grid[1:] != grid[:-1])].tolist())
@@ -267,8 +261,9 @@ def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
     gap_low = medium(1.0).gap_low  # at rho = 1 both configurations are low
     with np.errstate(all="ignore"):  # what leaves the float range is caught below
         if ring:
-            ground = _ground_level(spec.r_low / rho, constants.electron_mass, constants)
-            gap_high = 4.0 * ground - ground
+            ground, excited = _ring_levels(spec.r_low / rho, constants.electron_mass,
+                                           constants)
+            gap_high = excited - ground
         else:
             gap_high = rho * rho * gap_low
     for r in rho[~((0.0 < gap_high) & (gap_high < math.inf))][:1].tolist():
@@ -280,20 +275,24 @@ def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
 
 
 def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
-    """:func:`classify_region` of every point, as indices into ``_REGIONS``.
+    """:func:`classify_region` of every point, as indices into ``_REGIONS``,
+    by the same ``_BANDS`` table and side rule.
 
-    A zero exchange, or a ratio past the Carnot bound of its orientation,
-    makes :func:`classify_region` itself raise; only an exactly reversible
-    point is kept, as the boundary that its gap ratio identifies.
+    A zero exchange, two of one sign, or a ratio past the Carnot bound of
+    its orientation makes :func:`classify_region` itself raise; only an
+    exactly reversible point is kept, as the boundary that its gap ratio
+    identifies.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):  # zeros are redone below
+    with np.errstate(all="ignore"):  # zeros are redone below; inf is in no band
         a = -e_high / e_low
     thresholds = _edges(theta_sq)[1:4]
     forward = e_high > 0.0
     side = np.searchsorted(thresholds, a, side="right")
-    band = [in_boundary_band(a, t) for t in thresholds]
-    index = np.select([forward & band[0], forward & band[1], band[2]], [4, 5, 6], side)
-    redo = (~(np.abs(e_high) > 0.0) | ~(np.abs(e_low) > 0.0)
+    index = np.select(
+        [in_boundary_band(a, t) & (forward if forward_only else True)
+         for t, (_, forward_only) in zip(thresholds, _BANDS)],
+        [_REGIONS.index(marker) for marker, _ in _BANDS], side)
+    redo = ((np.sign(e_high) * np.sign(e_low) != -1.0)
             | ((index < 4) & (forward == (side == 3))))
     for i in np.flatnonzero(redo).tolist():
         try:
@@ -545,43 +544,53 @@ def _records_of(objs: list) -> list[SweepRecord]:
     """The records of parsed JSON record objects, built column-wise."""
     lists = list(map(itemgetter("designs"), objs))
     flat = list(chain.from_iterable(lists))
+    floats = [list(map(itemgetter(name), objs)) for name in _FLOAT_COLUMNS]
+    effs, carnots = (list(map(itemgetter(name), flat))
+                     for name in ("efficiency", "carnot"))
+    if not ({list}.issuperset(map(type, lists))
+            and _NUMBERS.issuperset(map(type, chain(*floats, effs, carnots)))):
+        raise TypeError("a record holds a value of the wrong type")
     entries = _build(DesignEfficiency, len(flat),
                      map(_design_of, map(itemgetter("design"), flat)),
-                     map(itemgetter("efficiency"), flat),
-                     map(itemgetter("carnot"), flat))
-    return _build(SweepRecord, len(objs),
-                  *(map(itemgetter(name), objs) for name in _FLOAT_COLUMNS),
+                     effs, carnots)
+    return _build(SweepRecord, len(objs), *floats,
                   map(_region_of, map(itemgetter("region"), objs)),
                   map(tuple, map(islice, repeat(iter(entries)), map(len, lists))))
 
 
-def _require_keys(obj, keys, what: str) -> None:
+def _require_keys(obj, keys, numbers, what: str) -> None:
+    """Raise unless ``obj`` is an object with ``keys``, each of ``numbers``
+    a JSON number."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} is not an object")
     for key in keys:
         if key not in obj:
             raise ValidationError(f"{what} lacks key {key!r}")
+    for key in numbers:
+        if type(obj[key]) not in _NUMBERS:
+            raise ValidationError(f"{what}: {key} is not a number, got {obj[key]!r}")
 
 
 def _check_records(objs: list, start: int) -> None:
     """Raise a :class:`ValidationError` naming the first malformed record
     object in ``objs``, numbered from ``start``."""
     for i, obj in enumerate(objs, start):
-        _require_keys(obj, SweepRecord.__slots__, f"record {i}")
+        _require_keys(obj, SweepRecord.__slots__, _FLOAT_COLUMNS, f"record {i}")
         if not isinstance(obj["designs"], list):
             raise ValidationError(f"record {i}: designs is not a list")
         for j, entry in enumerate(obj["designs"]):
             _require_keys(entry, DesignEfficiency.__slots__,
-                          f"record {i} design {j}")
+                          ("efficiency", "carnot"), f"record {i} design {j}")
 
 
 @_gc_paused()
 def parse_records(text: str) -> list[SweepRecord]:
     """Inverse of JSON :func:`emit`: rebuild records from serialized output.
 
-    A document that is not a list of record objects with every key raises
-    :class:`ValidationError` naming the first fault; an unknown region or
-    design value raises the enum's ``ValueError``.
+    A document that is not a list of record objects with every key, each
+    float field a JSON number, raises :class:`ValidationError` naming the
+    first fault; an unknown region or design value raises the enum's
+    ``ValueError``.
     """
     doc = json.loads(text)
     if not isinstance(doc, list):

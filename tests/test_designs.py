@@ -13,10 +13,10 @@ from qtmkit import (
     QtmDesign,
     SingularEfficiencyError,
     alpha_bounds,
+    boundary_report,
     carnot_efficiency,
     classical_otto_efficiency,
     efficiency,
-    intersections,
     relation_residuals,
 )
 
@@ -203,7 +203,7 @@ class TestAlphaBounds:
 
     @given(theta_sq=thetas)
     def test_intersections_are_shared_endpoints(self, theta_sq):
-        thresholds = intersections(theta_sq)
+        thresholds = boundary_report(theta_sq)
         assert alpha_bounds(QtmDesign.QCO, theta_sq).alpha_sq_max == (
             thresholds.alpha_sq_subregion
         )
@@ -224,10 +224,16 @@ class TestAlphaBounds:
         )
 
 
+def alpha_sq_thresholds(theta_sq):
+    report = boundary_report(theta_sq)
+    return (report.alpha_sq_subregion, report.alpha_sq_2acq_outt,
+            report.alpha_sq_outt_pump)
+
+
 class TestIntersections:
     def test_theta_five(self):
-        thresholds = intersections(5.0)
-        assert thresholds.as_tuple() == (0.2, 1.0, 5.0)
+        thresholds = boundary_report(5.0)
+        assert alpha_sq_thresholds(5.0) == (0.2, 1.0, 5.0)
         # as compression ratios these are the published crossing points
         assert math.sqrt(thresholds.alpha_sq_subregion) == pytest.approx(
             0.447, abs=5e-4
@@ -237,16 +243,15 @@ class TestIntersections:
         )
 
     def test_theta_four(self):
-        assert intersections(4.0).as_tuple() == (0.25, 1.0, 4.0)
+        assert alpha_sq_thresholds(4.0) == (0.25, 1.0, 4.0)
 
     def test_collapse_toward_degenerate_reservoirs(self):
-        thresholds = intersections(1.0 + 1e-9)
-        for value in thresholds.as_tuple():
+        for value in alpha_sq_thresholds(1.0 + 1e-9):
             assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_invalid_theta(self):
         with pytest.raises(InvalidThetaError):
-            intersections(1.0)
+            boundary_report(1.0)
 
 
 class TestRelationResiduals:
@@ -258,24 +263,20 @@ class TestRelationResiduals:
         assert res.qhp_minus_qre is None
 
     def test_above_one_only_second_pair_applies(self):
-        res = relation_residuals(2.0, theta_sq=5.0)
+        res = relation_residuals(2.0)
         assert res.qht_minus_qco is None
         assert res.qho_minus_qdp is None
         assert res.qen_plus_qll == pytest.approx(0.0, abs=1e-14)
         assert res.qhp_minus_qre == pytest.approx(0.0, abs=1e-14)
 
     def test_pumpers_side_value(self):
-        res = relation_residuals(3.0, theta_sq=2.5)
+        res = relation_residuals(3.0)
         assert res.qhp_minus_qre == pytest.approx(0.0, abs=1e-14)
 
     def test_thresholds_yield_no_applicable_pairs(self):
         for alpha_sq in (1.0, 0.0, -2.0):
             res = relation_residuals(alpha_sq)
             assert all(value is None for value in res)
-
-    def test_validates_theta_when_given(self):
-        with pytest.raises(InvalidThetaError):
-            relation_residuals(2.0, theta_sq=0.5)
 
 
 class TestClassicalOtto:

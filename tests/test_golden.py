@@ -5,6 +5,7 @@ The files in ``tests/data`` hold the reference sweep (``t_low = 1``,
 CSV and in JSON, and the ``bounds``/``table2`` tables at ``theta_sq = 5``.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -19,25 +20,23 @@ DATA = Path(__file__).parent / "data"
 PUBLIC_NAMES = {
     "__version__",
     # regions
-    "ReservoirPair", "ExchangeTriple", "OperationalRegion", "AlphaSquared",
-    "theta_squared", "alpha_squared", "classify_region",
-    "DEFAULT_CLASSIFY_TOL",
+    "ReservoirPair", "ExchangeTriple", "OperationalRegion", "theta_squared",
+    "alpha_squared", "classify_region", "DEFAULT_CLASSIFY_TOL",
     # designs
     "QtmDesign", "EnergyRole", "CarnotLimitKind", "AlphaBounds",
-    "IntersectionSet", "RelationResiduals", "admissible_designs",
-    "efficiency", "carnot_efficiency", "alpha_bounds", "intersections",
-    "relation_residuals", "classical_otto_efficiency",
+    "RelationResiduals", "admissible_designs", "efficiency",
+    "carnot_efficiency", "alpha_bounds", "relation_residuals",
+    "classical_otto_efficiency",
     # otto
-    "LevelSpectrum", "TwoLevelMedium", "OccupationPair", "CycleEnergies",
-    "occupation", "otto_cycle_energies", "multilevel_exchange",
-    "work_exchange",
+    "LevelSpectrum", "TwoLevelMedium", "occupation", "otto_cycle_energies",
+    "multilevel_exchange", "work_exchange",
     # media
     "PhysicalConstants", "CODATA", "QuantumRing", "RingOttoSetup",
     "ring_levels", "ring_medium", "gap_medium",
     # sweep
     "MediumKind", "Normalization", "SweepSpec", "SweepRecord",
     "DesignEfficiency", "BoundaryReport", "EfficiencyCurve", "CSV_COLUMNS",
-    "region_boundaries_rho", "default_rho_grid", "boundary_report",
+    "default_rho_grid", "boundary_report",
     "run_sweep", "efficiency_curves", "emit", "emit_curves",
     "parse_records",
     # errors
@@ -54,10 +53,20 @@ PUBLIC_NAMES = {
 def test_package_exports_exactly_the_module_lists():
     modules = (regions, designs, otto, media, sweep, errors)
     union = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 72
+    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 66
     assert set(qtmkit.__all__) == union == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qtmkit, name)
+
+
+def test_every_benchmark_trace_binding_resolves():
+    # perfbench/tracing.py wraps these module attributes by name.
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _ in tracing.BINDINGS:
+        assert callable(getattr(importlib.import_module(module_name), attr))
 
 
 def test_reference_sweep_records_and_curves(tmp_path, capsys, monkeypatch):

@@ -11,8 +11,10 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,14 +25,17 @@ from qtmkit import (
     CODATA,
     DEFAULT_CLASSIFY_TOL,
     DegenerateExchangeError,
+    ExchangeTriple,
     MediumKind,
     OperationalRegion,
     PhysicalConstants,
     QtmDesign,
     SingularEfficiencyError,
     SweepSpec,
+    ValidationError,
     admissible_designs,
     alpha_bounds,
+    boundary_report,
     carnot_efficiency,
     classify_region,
     default_rho_grid,
@@ -38,9 +43,11 @@ from qtmkit import (
     efficiency_curves,
     gap_medium,
     otto_cycle_energies,
-    region_boundaries_rho,
     run_sweep,
 )
+
+from qtmkit.regions import _REGIONS
+from qtmkit.sweep import _classify
 
 REDUCED = PhysicalConstants.reduced()
 
@@ -136,7 +143,9 @@ def test_sweep_records_match_the_scalar_api(
     theta_sq, gap_low, t_low, rhos, with_boundaries
 ):
     if with_boundaries:
-        rhos = rhos + list(region_boundaries_rho(theta_sq))
+        report = boundary_report(theta_sq)
+        rhos = rhos + [report.rho_subregion, report.rho_2acq_outt,
+                       report.rho_outt_pump]
     spec = SweepSpec(t_low=t_low, theta_sq=theta_sq,
                      rho_grid=tuple(sorted(set(rhos))),
                      medium_kind=MediumKind.GENERIC_GAP, gap_low=gap_low)
@@ -161,6 +170,44 @@ def test_sweep_records_match_the_scalar_api(
         for entry, (_, eff, carnot) in zip(record.designs, designs):
             pairs += [(entry.efficiency, eff), (entry.carnot, carnot)]
         assert all(within_ulps(a, b) for a, b in pairs), pairs
+
+
+def classified(classify):
+    """The region ``classify()`` returns, or the class of what it raises."""
+    try:
+        return classify()
+    except ValidationError as exc:
+        return type(exc)
+
+
+@given(
+    theta_sq=st.floats(1.0, 50.0, exclude_min=True),
+    threshold=st.sampled_from([None, 0, 1, 2]),
+    k=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    sizes=st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
+    signs=st.sampled_from([(1.0, -1.0), (-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_and_array_classifiers_agree(
+    theta_sq, threshold, k, sign, sizes, signs
+):
+    # Forward and reversed triples, and the inadmissible ones of one sign.
+    # Their ratio lies on a threshold or k band half-widths to either side
+    # of it, or it is the ratio of two free sizes, which may over- or
+    # underflow.
+    high, low = sizes
+    if threshold is not None:
+        high = (astuple(boundary_report(theta_sq))[3 + threshold]
+                * (1.0 + sign * k * DEFAULT_CLASSIFY_TOL)) * low
+    assume(high < math.inf)
+    e_high, e_low = signs[0] * high, signs[1] * low
+    scalar = classified(lambda: classify_region(
+        ExchangeTriple(e_high, e_low), theta_sq))
+    array = classified(lambda: _REGIONS[_classify(
+        np.ones(1), np.array([e_high]), np.array([e_low]),
+        np.array([math.nan]), theta_sq)[0]])
+    assert scalar is array
 
 
 @pytest.mark.parametrize("rho", [1.5, 3.0])

@@ -12,7 +12,6 @@ from qtmkit import (
     InvalidThetaError,
     LevelSpectrum,
     OccupationMismatchError,
-    OccupationPair,
     OperationalRegion,
     RingOttoSetup,
     SpectrumMismatchError,
@@ -123,24 +122,6 @@ class TestTwoLevelMedium:
     def test_rejects_non_positive_gap(self, low, high):
         with pytest.raises(DegenerateMediumError):
             TwoLevelMedium(low, high)
-
-
-class TestOccupationPair:
-    def test_valid(self):
-        pair = OccupationPair(0.75, 0.25)
-        assert pair.p_ground + pair.p_excited == 1.0
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            OccupationPair(0.7, 0.2)
-
-    def test_rejects_inversion(self):
-        with pytest.raises(ValidationError):
-            OccupationPair(0.25, 0.75)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            OccupationPair(1.5, -0.5)
 
 
 class TestOttoCycleEnergies:

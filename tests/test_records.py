@@ -214,3 +214,30 @@ def test_malformed_record_is_numbered_across_chunks(monkeypatch):
     with pytest.raises(ValidationError, match="record 5 design 0 lacks key"):
         parse_records(json.dumps(doc))
     assert len(parse_records(json.dumps([RECORD] * 5))) == 5
+
+
+ENTRY = RECORD["designs"][0]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{**RECORD, "rho": "x"}], "record 0: rho is not a number"),
+    ([RECORD, {**RECORD, "e_high": None}], "record 1: e_high is not a number"),
+    ([{**RECORD, "e_out_norm": True}], "record 0: e_out_norm is not a number"),
+    ([{**RECORD, "alpha_sq": [2.25]}], "record 0: alpha_sq is not a number"),
+    ([{**RECORD, "designs": [{**ENTRY, "efficiency": True}]}],
+     "record 0 design 0: efficiency is not a number"),
+    ([{**RECORD, "designs": [ENTRY, {**ENTRY, "carnot": "0.8"}]}],
+     "record 0 design 1: carnot is not a number"),
+    ([{**RECORD, "designs": ""}], "record 0: designs is not a list"),
+])
+def test_wrong_value_types_raise_validation_error(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_records(json.dumps(doc))
+
+
+def test_integer_values_parse_as_before():
+    doc = [{**RECORD, "rho": 2, "designs": [{**ENTRY, "carnot": 1}]}]
+    (record,) = parse_records(json.dumps(doc))
+    assert record.rho == 2 and type(record.rho) is int
+    assert record.designs[0].carnot == 1
+    emit([record], "csv", io.StringIO())

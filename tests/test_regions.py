@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtmkit import (
-    AlphaSquared,
     BoundaryRegionError,
     DegenerateExchangeError,
     ExchangeTriple,
@@ -75,9 +74,7 @@ class TestAlphaSquared:
         [(1.0, -2.0, 0.5), (2.0, -1.0, 2.0), (-5.0, 1.0, 5.0)],
     )
     def test_values(self, e_high, e_low, expected):
-        ratio = alpha_squared(ExchangeTriple(e_high, e_low))
-        assert ratio.value == expected
-        assert float(ratio) == expected
+        assert alpha_squared(ExchangeTriple(e_high, e_low)) == expected
 
     @pytest.mark.parametrize("e_high, e_low", [(0.0, -1.0), (1.0, 0.0), (0.0, 0.0)])
     def test_degenerate(self, e_high, e_low):
@@ -90,10 +87,11 @@ class TestAlphaSquared:
             alpha_squared(ExchangeTriple(e_high, e_low))
 
     def test_wrapper_requires_positive(self):
+        # valid exchanges whose ratio underflows to 0 or overflows
         with pytest.raises(ValidationError):
-            AlphaSquared(-0.5)
+            alpha_squared(ExchangeTriple(1e-300, -1e300))
         with pytest.raises(ValidationError):
-            AlphaSquared(0.0)
+            alpha_squared(ExchangeTriple(1e300, -1e-300))
 
 
 class TestClassifyRegion:
@@ -141,6 +139,15 @@ class TestClassifyRegion:
         with pytest.raises(DegenerateExchangeError):
             classify_region(ExchangeTriple(1.0, 0.0), 5.0)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+    def test_an_infinite_ratio_lies_in_no_boundary_band(self, tol):
+        # -e_high/e_low overflows: past the Carnot ratio of a forward
+        # triple, deep in the Pumpers region of a reversed one
+        with pytest.raises(UnclassifiableExchangeError):
+            classify_region(ExchangeTriple(1e300, -1e-300), 5.0, tol)
+        reversed_ = ExchangeTriple(-1e300, 1e-300)
+        assert classify_region(reversed_, 5.0, tol) is OperationalRegion.PUMPERS
+
     def test_tolerance_band_is_relative(self):
         # 2e-10 off the subregion threshold: inside the default 1e-9 band
         near = ExchangeTriple(0.2 * (1 + 2e-10), -1.0)
@@ -178,9 +185,7 @@ class TestClassifyRegion:
                 classify_region(scaled, theta_sq)
             return
         assert classify_region(scaled, theta_sq) is region
-        assert alpha_squared(scaled).value == pytest.approx(
-            alpha_squared(ex).value, rel=1e-12
-        )
+        assert alpha_squared(scaled) == pytest.approx(alpha_squared(ex), rel=1e-12)
 
     @given(
         alpha_sq=st.floats(1e-3, 1e3),
@@ -212,7 +217,7 @@ class TestClassifyRegion:
         assert classify_region(pump, 4.0) is OperationalRegion.PUMPERS
         mirrored = ExchangeTriple(-pump.e_high, -pump.e_low)
         assert mirrored.e_high > 0 and mirrored.e_low < 0 and mirrored.e_out > 0
-        assert alpha_squared(mirrored).value == alpha_squared(pump).value
+        assert alpha_squared(mirrored) == alpha_squared(pump)
         # same ratio, other orientation: now super-Carnot, hence rejected
         with pytest.raises(UnclassifiableExchangeError):
             classify_region(mirrored, 4.0)

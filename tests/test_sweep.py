@@ -23,11 +23,12 @@ from qtmkit import (
     emit,
     emit_curves,
     parse_records,
-    region_boundaries_rho,
     run_sweep,
 )
 
-RHO_SUB, RHO_MID, RHO_PUMP = region_boundaries_rho(5.0)
+REPORT = boundary_report(5.0)
+RHO_SUB, RHO_MID, RHO_PUMP = (REPORT.rho_subregion, REPORT.rho_2acq_outt,
+                              REPORT.rho_outt_pump)
 
 
 def ring_spec(**overrides):

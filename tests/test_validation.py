@@ -26,10 +26,7 @@ from qtmkit import (
     classify_region,
     default_rho_grid,
     gap_medium,
-    intersections,
     otto_cycle_energies,
-    region_boundaries_rho,
-    relation_residuals,
     ring_levels,
     run_sweep,
 )
@@ -39,8 +36,6 @@ THETA_ENTRY_POINTS = {
     "classify_region": lambda t: classify_region(ExchangeTriple(2.0, -1.0), t),
     "carnot_efficiency": lambda t: carnot_efficiency(QtmDesign.QEN, t),
     "alpha_bounds": lambda t: alpha_bounds(QtmDesign.QEN, t),
-    "intersections": intersections,
-    "relation_residuals": lambda t: relation_residuals(2.0, t),
     "otto_cycle_energies": lambda t: otto_cycle_energies(
         gap_medium(1.0, 2.0), 1.0, t, 1.0
     ),
@@ -48,7 +43,6 @@ THETA_ENTRY_POINTS = {
     "SweepSpec": lambda t: SweepSpec(
         t_low=1.0, theta_sq=t, rho_grid=(1.0,), r_low=1e-7
     ),
-    "region_boundaries_rho": region_boundaries_rho,
     "boundary_report": boundary_report,
     "default_rho_grid": default_rho_grid,
 }
