@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import astuple, fields, replace
 from typing import Optional, Sequence
@@ -30,7 +31,6 @@ from .media import PhysicalConstants
 from .regions import (
     DEFAULT_CLASSIFY_TOL,
     ExchangeTriple,
-    alpha_squared,
     classify_region,
 )
 from .sweep import (
@@ -53,12 +53,16 @@ _SPEC_KEYS = tuple(f.name for f in fields(SweepSpec))
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit status 1 and no flag
-    abbreviation (subcommands inherit both via parser_class)."""
+    """argparse with usage errors mapped to exit status 1, no flag
+    abbreviation, and negative numbers in exponent notation (``-1e-3``)
+    taken as values, not flags (subcommands inherit all three via
+    parser_class)."""
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -118,9 +122,9 @@ def _build_parser() -> _Parser:
 def _cmd_classify(args: argparse.Namespace) -> int:
     triple = ExchangeTriple(args.e_high, args.e_low)
     region = classify_region(triple, args.theta_sq, args.tol)
-    ratio = alpha_squared(triple)
     print(f"region: {region.value}")
-    print(f"alpha_sq: {ratio:.12g}")
+    # The ratio the classifier accepted; it may overflow to inf.
+    print(f"alpha_sq: {-triple.e_high / triple.e_low:.12g}")
     print(f"e_out: {triple.e_out:.12g}")
     if region.is_boundary:
         print("designs: (boundary; none admissible)")

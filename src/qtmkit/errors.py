@@ -10,7 +10,7 @@ be finite, or finite and above a floor, is checked by :func:`require_finite`.
 import math
 
 __all__ = [
-    "QtmError", "ValidationError", "InvalidReservoirError", "InvalidThetaError",
+    "QtmError", "ValidationError", "InvalidThetaError",
     "InvalidTemperatureError", "InvalidRhoError", "DegenerateExchangeError",
     "InvalidSignsError", "UnclassifiableExchangeError", "BoundaryRegionError",
     "OutOfRegionError", "SingularEfficiencyError", "DegenerateMediumError",
@@ -25,10 +25,6 @@ class QtmError(Exception):
 
 class ValidationError(QtmError, ValueError):
     """Invalid argument or physically inadmissible input."""
-
-
-class InvalidReservoirError(ValidationError):
-    """Reservoir temperatures violate 0 < t_low < t_high."""
 
 
 class InvalidThetaError(ValidationError):

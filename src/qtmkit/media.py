@@ -16,8 +16,6 @@ from typing import ClassVar, Optional
 from .errors import (
     InvalidGapError,
     InvalidRingError,
-    InvalidTemperatureError,
-    InvalidThetaError,
     ValidationError,
     require_finite,
 )
@@ -27,7 +25,6 @@ __all__ = [
     "PhysicalConstants",
     "CODATA",
     "QuantumRing",
-    "RingOttoSetup",
     "ring_levels",
     "ring_medium",
     "gap_medium",
@@ -108,40 +105,19 @@ def _ring_levels(radius, mass: float, constants: PhysicalConstants):
     return ground, (m_excited / m_ground) ** 2 * ground
 
 
-@dataclass(frozen=True)
-class RingOttoSetup:
-    """Full parameter set of a ring-based Otto cycle.
+def ring_medium(
+    r_low: float, r_high: float, constants: PhysicalConstants = CODATA
+) -> TwoLevelMedium:
+    """Two-level medium of a ring Otto cycle, one configuration per radius.
 
     ``r_low`` is the radius in the small-gap configuration and ``r_high`` the
     radius in the large-gap configuration, so the compression ratio
     ``rho = r_low / r_high`` satisfies ``alpha_sq = rho**2`` (the naming
     follows the gaps, not which radius is larger).
     """
-
-    r_low: float
-    r_high: float
-    t_low: float
-    theta_sq: float
-
-    def __post_init__(self) -> None:
-        require_finite("r_low", self.r_low, InvalidRingError, 0.0)
-        require_finite("r_high", self.r_high, InvalidRingError, 0.0)
-        require_finite("t_low", self.t_low, InvalidTemperatureError, 0.0)
-        require_finite("theta_sq", self.theta_sq, InvalidThetaError, 1.0)
-
-    @property
-    def rho(self) -> float:
-        """Compression ratio ``r_low / r_high``."""
-        return self.r_low / self.r_high
-
-
-def ring_medium(
-    setup: RingOttoSetup, constants: PhysicalConstants = CODATA
-) -> TwoLevelMedium:
-    """Two-level medium of a ring Otto cycle, one configuration per radius."""
     return TwoLevelMedium(
-        low_config=ring_levels(QuantumRing(setup.r_low), constants),
-        high_config=ring_levels(QuantumRing(setup.r_high), constants),
+        low_config=ring_levels(QuantumRing(r_low), constants),
+        high_config=ring_levels(QuantumRing(r_high), constants),
     )
 
 

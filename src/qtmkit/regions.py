@@ -24,7 +24,6 @@ from operator import attrgetter
 
 from .errors import (
     DegenerateExchangeError,
-    InvalidReservoirError,
     InvalidSignsError,
     InvalidThetaError,
     UnclassifiableExchangeError,
@@ -33,10 +32,8 @@ from .errors import (
 )
 
 __all__ = [
-    "ReservoirPair",
     "ExchangeTriple",
     "OperationalRegion",
-    "theta_squared",
     "alpha_squared",
     "classify_region",
     "DEFAULT_CLASSIFY_TOL",
@@ -57,34 +54,6 @@ def _edges(theta_sq: float) -> tuple[float, ...]:
     """The ``alpha_sq`` region edges ``(0, 1/theta_sq, 1, theta_sq, inf)``;
     the inner three are the thresholds of :data:`_BANDS`."""
     return (0.0, 1.0 / theta_sq, 1.0, theta_sq, math.inf)
-
-
-@dataclass(frozen=True)
-class ReservoirPair:
-    """Hot/cold reservoir temperatures, ``0 < t_low < t_high``.
-
-    Units are the caller's choice (kelvin or reduced); only the ratio matters
-    downstream.
-    """
-
-    t_low: float
-    t_high: float
-
-    def __post_init__(self) -> None:
-        require_finite("t_low", self.t_low, ValidationError)
-        require_finite("t_high", self.t_high, ValidationError)
-        if self.t_low <= 0.0:
-            raise InvalidReservoirError(f"t_low must be positive, got {self.t_low!r}")
-        if self.t_high <= self.t_low:
-            raise InvalidReservoirError(
-                f"t_high must exceed t_low, got t_low={self.t_low!r}, "
-                f"t_high={self.t_high!r}"
-            )
-
-
-def theta_squared(res: ReservoirPair) -> float:
-    """High-low temperature ratio ``t_high / t_low`` (always > 1)."""
-    return res.t_high / res.t_low
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ from .designs import (  # noqa: F401  (admissible_designs, efficiency: see below
 from .errors import (DegenerateExchangeError, EmitIOError, EmptyGridError,
                      InvalidTemperatureError, InvalidThetaError,
                      ValidationError, require_finite)
-from .media import (CODATA, PhysicalConstants, RingOttoSetup, _ring_levels,
-                    gap_medium, ring_medium)
+from .media import (CODATA, PhysicalConstants, _ring_levels, gap_medium,
+                    ring_medium)
 from .otto import _exchanges, otto_cycle_energies  # noqa: F401  (see below)
 from .regions import (_BANDS, _REGIONS, ExchangeTriple, OperationalRegion,
                       _edges, classify_region, in_boundary_band)
@@ -140,10 +140,14 @@ class SweepSpec:
                 "rho_grid values must be positive, finite and strictly "
                 "increasing"
             )
-        key = "r_low" if self.medium_kind is MediumKind.QUANTUM_RING else "gap_low"
+        ring = self.medium_kind is MediumKind.QUANTUM_RING
+        key, other = ("r_low", "gap_low") if ring else ("gap_low", "r_low")
         value = getattr(self, key)
         if value is None:
             raise ValidationError(f"{self.medium_kind.value} sweeps require {key}")
+        if getattr(self, other) is not None:
+            raise ValidationError(f"{self.medium_kind.value} sweeps take {key}, "
+                                  f"not {other}: set exactly one of r_low or gap_low")
         require_finite(key, value, ValidationError, 0.0)
 
 
@@ -254,8 +258,7 @@ def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
 
     def medium(r: float):
         if ring:
-            return ring_medium(RingOttoSetup(
-                spec.r_low, spec.r_low / r, spec.t_low, spec.theta_sq), constants)
+            return ring_medium(spec.r_low, spec.r_low / r, constants)
         return gap_medium(spec.gap_low, r * r)
 
     gap_low = medium(1.0).gap_low  # at rho = 1 both configurations are low
@@ -504,23 +507,11 @@ def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
     return "".join(lines)
 
 
-def _json_list(values) -> str:
-    """A float list at the depth of a curve's fields, as ``indent=2``."""
-    if len(values) == 0:
-        return "[]"
-    return "[\n      " + ",\n      ".join(_json_floats(values)) + "\n    ]"
-
-
 def _curves_json(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
-    items = (
-        f'  "{design.value}": {{\n'
-        f'    "rho": {_json_list(curve.rho)},\n'
-        f'    "efficiency": {_json_list(curve.efficiency)},\n'
-        f'    "carnot": {_json_floats([curve.carnot])[0]},\n'
-        f'    "carnot_limit": "{curve.carnot_limit_kind.value}"\n  }}'
-        for design, curve in curves.items()
-    )
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    return json.dumps({design.value: {
+        "rho": curve.rho, "efficiency": curve.efficiency, "carnot": curve.carnot,
+        "carnot_limit": curve.carnot_limit_kind.value,
+    } for design, curve in curves.items()}, indent=2) + "\n"
 
 
 def _member_of(enum: type[Enum]):

@@ -21,7 +21,6 @@ from qtmkit import (
     OperationalRegion,
     QtmDesign,
     QuantumRing,
-    RingOttoSetup,
     SweepSpec,
     alpha_bounds,
     boundary_report,
@@ -266,8 +265,7 @@ def test_c8_ring_spectrum():
         assert e_excited == 4.0 * e_ground
 
     for rho in rng.uniform(0.05, 4.0, size=200):
-        setup = RingOttoSetup(100e-9, 100e-9 / rho, 1.0, THETA_SQ)
-        medium = ring_medium(setup, CODATA)
+        medium = ring_medium(100e-9, 100e-9 / rho, CODATA)
         assert abs(medium.alpha_sq - rho * rho) <= 1e-14 * (rho * rho)
 
     e_ground, _ = ring_levels(QuantumRing(100e-9), CODATA)
@@ -289,9 +287,7 @@ def test_c9_classification_consistency():
             continue
         r_low = rng.uniform(30e-9, 300e-9)
         t_low = rng.uniform(0.5, 5.0)
-        medium = ring_medium(
-            RingOttoSetup(r_low, r_low / rho, t_low, theta_sq), CODATA
-        )
+        medium = ring_medium(r_low, r_low / rho, CODATA)
         energies = otto_cycle_energies(medium, t_low, theta_sq,
                                        CODATA.boltzmann_k)
         got = classify_region(

@@ -32,6 +32,31 @@ class TestClassify:
         assert "Boundary2AcqOutT" in out
         assert "boundary" in out
 
+    @pytest.mark.parametrize("e_high, e_low, theta_sq, region, alpha_sq", [
+        ("2", "-1e-3", "5e3", "OutTransfers", "2000"),
+        ("-2E+1", "1", "5", "Pumpers", "20"),
+        ("2", "-.5e0", "5", "OutTransfers", "4"),
+    ])
+    def test_negative_exponent_notation_is_a_value(self, capsys, e_high, e_low,
+                                                   theta_sq, region, alpha_sq):
+        code, out, _ = run_cli(
+            "classify", "--e-high", e_high, "--e-low", e_low,
+            "--theta-sq", theta_sq, capsys=capsys,
+        )
+        assert code == 0
+        assert f"region: {region}\n" in out
+        assert f"alpha_sq: {alpha_sq}\n" in out
+
+    def test_overflowing_ratio_prints_its_region(self, capsys):
+        code, out, err = run_cli(
+            "classify", "--e-high=-1e300", "--e-low", "1e-300", "--theta-sq",
+            "5", capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        assert "region: Pumpers\n" in out
+        assert "alpha_sq: inf\n" in out
+        assert "designs: QRE, QHP" in out
+
     def test_inadmissible_pattern_exits_one(self, capsys):
         code, _, err = run_cli(
             "classify", "--e-high", "1", "--e-low", "2", "--theta-sq", "5",

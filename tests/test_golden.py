@@ -20,7 +20,7 @@ DATA = Path(__file__).parent / "data"
 PUBLIC_NAMES = {
     "__version__",
     # regions
-    "ReservoirPair", "ExchangeTriple", "OperationalRegion", "theta_squared",
+    "ExchangeTriple", "OperationalRegion",
     "alpha_squared", "classify_region", "DEFAULT_CLASSIFY_TOL",
     # designs
     "QtmDesign", "EnergyRole", "CarnotLimitKind", "AlphaBounds",
@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
     "LevelSpectrum", "TwoLevelMedium", "occupation", "otto_cycle_energies",
     "multilevel_exchange", "work_exchange",
     # media
-    "PhysicalConstants", "CODATA", "QuantumRing", "RingOttoSetup",
+    "PhysicalConstants", "CODATA", "QuantumRing",
     "ring_levels", "ring_medium", "gap_medium",
     # sweep
     "MediumKind", "Normalization", "SweepSpec", "SweepRecord",
@@ -40,7 +40,7 @@ PUBLIC_NAMES = {
     "run_sweep", "efficiency_curves", "emit", "emit_curves",
     "parse_records",
     # errors
-    "QtmError", "ValidationError", "InvalidReservoirError",
+    "QtmError", "ValidationError",
     "InvalidThetaError", "InvalidTemperatureError", "InvalidRhoError",
     "DegenerateExchangeError", "InvalidSignsError",
     "UnclassifiableExchangeError", "BoundaryRegionError", "OutOfRegionError",
@@ -53,7 +53,7 @@ PUBLIC_NAMES = {
 def test_package_exports_exactly_the_module_lists():
     modules = (regions, designs, otto, media, sweep, errors)
     union = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 66
+    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 62
     assert set(qtmkit.__all__) == union == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qtmkit, name)

@@ -7,11 +7,8 @@ from qtmkit import (
     CODATA,
     InvalidGapError,
     InvalidRingError,
-    InvalidTemperatureError,
-    InvalidThetaError,
     PhysicalConstants,
     QuantumRing,
-    RingOttoSetup,
     ValidationError,
     gap_medium,
     otto_cycle_energies,
@@ -96,45 +93,25 @@ class TestRingLevels:
             QuantumRing(1e-7, effective_mass=0.0)
 
 
-class TestRingOttoSetup:
-    def test_rho(self):
-        setup = RingOttoSetup(100e-9, 50e-9, 1.0, 5.0)
-        assert setup.rho == 2.0
-
-    @pytest.mark.parametrize(
-        "kwargs, exc",
-        [
-            (dict(r_low=0.0, r_high=1e-7, t_low=1.0, theta_sq=5.0),
-             InvalidRingError),
-            (dict(r_low=1e-7, r_high=-1e-7, t_low=1.0, theta_sq=5.0),
-             InvalidRingError),
-            (dict(r_low=1e-7, r_high=1e-7, t_low=0.0, theta_sq=5.0),
-             InvalidTemperatureError),
-            (dict(r_low=1e-7, r_high=1e-7, t_low=1.0, theta_sq=1.0),
-             InvalidThetaError),
-        ],
-    )
-    def test_validation(self, kwargs, exc):
-        with pytest.raises(exc):
-            RingOttoSetup(**kwargs)
-
-
 class TestRingMedium:
+    @pytest.mark.parametrize("r_low, r_high", [(0.0, 1e-7), (1e-7, -1e-7)],
+                             ids=["r_low", "r_high"])
+    def test_bad_radius_raises_invalid_ring(self, r_low, r_high):
+        with pytest.raises(InvalidRingError):
+            ring_medium(r_low, r_high, CODATA)
+
     def test_equal_radii_give_unit_gap_ratio(self):
-        setup = RingOttoSetup(100e-9, 100e-9, 1.0, 5.0)
-        medium = ring_medium(setup, CODATA)
+        medium = ring_medium(100e-9, 100e-9, CODATA)
         assert medium.alpha_sq == 1.0
         energies = otto_cycle_energies(medium, 1.0, 5.0, CODATA.boltzmann_k)
         assert energies.e_out == 0.0
 
     def test_sqrt_five_compression_hits_the_carnot_ratio(self):
-        setup = RingOttoSetup(100e-9, 100e-9 / math.sqrt(5.0), 1.0, 5.0)
-        medium = ring_medium(setup, CODATA)
+        medium = ring_medium(100e-9, 100e-9 / math.sqrt(5.0), CODATA)
         assert medium.alpha_sq == pytest.approx(5.0, rel=1e-14)
 
     def test_expansion_lands_in_two_acquirers(self):
-        setup = RingOttoSetup(100e-9, 200e-9, 1.0, 5.0)
-        medium = ring_medium(setup, CODATA)
+        medium = ring_medium(100e-9, 200e-9, CODATA)
         assert medium.alpha_sq == pytest.approx(0.25, rel=1e-14)
 
     @given(
@@ -142,15 +119,13 @@ class TestRingMedium:
         rho=st.floats(0.05, 5.0),
     )
     def test_gap_ratio_is_rho_squared(self, r_low, rho):
-        setup = RingOttoSetup(r_low, r_low / rho, 1.0, 5.0)
-        medium = ring_medium(setup, CODATA)
+        medium = ring_medium(r_low, r_low / rho, CODATA)
         assert medium.alpha_sq == pytest.approx(rho * rho, rel=1e-14)
 
     @given(rho=st.floats(0.1, 4.0))
     def test_high_ground_scales_with_rho_squared(self, rho):
         r_low = 100e-9
-        setup = RingOttoSetup(r_low, r_low / rho, 1.0, 5.0)
-        medium = ring_medium(setup, CODATA)
+        medium = ring_medium(r_low, r_low / rho, CODATA)
         assert medium.high_config[0] == pytest.approx(
             rho * rho * medium.low_config[0], rel=1e-14
         )
@@ -177,8 +152,7 @@ class TestGapMedium:
     def test_cross_construction_matches_ring(self):
         # a generic medium built from the ring's own gaps and grounds must
         # drive an identical cycle
-        setup = RingOttoSetup(100e-9, 100e-9 / 1.7, 1.0, 5.0)
-        ring = ring_medium(setup, CODATA)
+        ring = ring_medium(100e-9, 100e-9 / 1.7, CODATA)
         generic = gap_medium(
             ring.gap_low,
             ring.alpha_sq,

@@ -13,7 +13,6 @@ from qtmkit import (
     LevelSpectrum,
     OccupationMismatchError,
     OperationalRegion,
-    RingOttoSetup,
     SpectrumMismatchError,
     TwoLevelMedium,
     ValidationError,
@@ -142,9 +141,7 @@ class TestOttoCycleEnergies:
         assert energies.e_high_gamma == -energies.e_low_gamma
 
     def test_ring_at_rho_1_5(self):
-        setup = RingOttoSetup(r_low=100e-9, r_high=100e-9 / 1.5, t_low=1.0,
-                              theta_sq=5.0)
-        medium = ring_medium(setup, CODATA)
+        medium = ring_medium(100e-9, 100e-9 / 1.5, CODATA)
         energies = otto_cycle_energies(medium, 1.0, 5.0, CODATA.boltzmann_k)
         assert energies.e_high_gamma == pytest.approx(RING_E_HIGH, rel=1e-12)
         assert energies.e_low_gamma == pytest.approx(RING_E_LOW, rel=1e-12)

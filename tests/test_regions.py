@@ -7,46 +7,16 @@ from qtmkit import (
     BoundaryRegionError,
     DegenerateExchangeError,
     ExchangeTriple,
-    InvalidReservoirError,
     InvalidSignsError,
     InvalidThetaError,
     OperationalRegion,
     QtmDesign,
-    ReservoirPair,
     UnclassifiableExchangeError,
     ValidationError,
     admissible_designs,
     alpha_squared,
     classify_region,
-    theta_squared,
 )
-
-
-class TestReservoirPair:
-    @pytest.mark.parametrize(
-        "t_low, t_high, expected",
-        [
-            (1.0, 5.0, 5.0),
-            (2.0, 2.0000001, 1.00000005),
-            (300.0, 600.0, 2.0),
-        ],
-    )
-    def test_theta_squared(self, t_low, t_high, expected):
-        ratio = theta_squared(ReservoirPair(t_low, t_high))
-        assert ratio == pytest.approx(expected, rel=1e-12)
-        assert ratio > 1.0
-
-    @pytest.mark.parametrize(
-        "t_low, t_high",
-        [(0.0, 1.0), (-1.0, 1.0), (2.0, 2.0), (3.0, 1.0)],
-    )
-    def test_rejects_invalid_temperatures(self, t_low, t_high):
-        with pytest.raises(InvalidReservoirError):
-            ReservoirPair(t_low, t_high)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            ReservoirPair(1.0, math.inf)
 
 
 class TestExchangeTriple:

@@ -83,6 +83,11 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             ring_spec(medium_kind=MediumKind.GENERIC_GAP, r_low=None)
 
+    @pytest.mark.parametrize("kind", list(MediumKind))
+    def test_both_medium_keys_are_rejected(self, kind):
+        with pytest.raises(ValidationError, match="r_low.*gap_low|gap_low.*r_low"):
+            ring_spec(medium_kind=kind, r_low=1e-7, gap_low=1e-24)
+
 
 class TestDefaultGrid:
     def test_contains_the_boundaries(self):

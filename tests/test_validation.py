@@ -17,7 +17,6 @@ from qtmkit import (
     InvalidThetaError,
     QtmDesign,
     QuantumRing,
-    RingOttoSetup,
     SweepSpec,
     ValidationError,
     alpha_bounds,
@@ -39,7 +38,6 @@ THETA_ENTRY_POINTS = {
     "otto_cycle_energies": lambda t: otto_cycle_energies(
         gap_medium(1.0, 2.0), 1.0, t, 1.0
     ),
-    "RingOttoSetup": lambda t: RingOttoSetup(1e-7, 1e-7, 1.0, t),
     "SweepSpec": lambda t: SweepSpec(
         t_low=1.0, theta_sq=t, rho_grid=(1.0,), r_low=1e-7
     ),
@@ -80,6 +78,17 @@ def test_wrong_type_in_config_exits_one_naming_the_key(
     assert code == 1
     assert err.startswith("qtmkit: error: ")
     assert key in err
+
+
+def test_both_medium_keys_in_config_exit_one(tmp_path, capsys):
+    code, err = run_sweep_cli(tmp_path, capsys, {
+        "t_low": 1, "theta_sq": 5, "r_low": 1e-7, "gap_low": 1e-24,
+        "rho_grid": [0.5, 1.5],
+    })
+    assert code == 1
+    assert err.startswith("qtmkit: error: ")
+    assert "r_low" in err and "gap_low" in err
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_unknown_key_in_constants_file_exits_one(tmp_path, capsys,
