@@ -12,14 +12,18 @@ in :func:`parse_records`, with the cyclic garbage collector paused: the
 builds make no reference cycles.  A program that toggles :mod:`gc` from
 another thread during either call may find it re-enabled afterwards.
 
-The writers work a column at a time.  Each float column is formatted by one
-``map``: ``"{:.12g}".format`` for CSV, ``float.__repr__`` for JSON (the
-encoder's own spelling when a column holds ``NaN``, an infinity or an int).
-The cells are then joined with the literals of a fixed line template: the CSV
-row, or the record and design entry of ``json.dumps(indent=2)``.  The output
-is byte for byte what ``csv.writer`` and ``json.dumps(..., indent=2)`` write;
-``tests/test_writers.py`` checks that.  Records go through in chunks, which
-bounds the text held at once.
+The writers work a column at a time.  Each float column is formatted in one
+pass: a ``map`` of ``"{:.12g}".format`` for CSV; for JSON, one
+``orjson.dumps`` call, with ``float.__repr__`` re-spelling the cells in the
+magnitude band where orjson spells a float otherwise (the encoder's own
+spelling, value by value, when a column holds ``NaN``, an infinity, an int or
+a float subclass).  The cells are then joined with the literals of a fixed
+line template: the CSV row, or the record and design entry of
+``json.dumps(indent=2)``.  The output is byte for byte what ``csv.writer``
+and ``json.dumps(..., indent=2)`` write; ``tests/test_writers.py`` checks
+that.  Records go through in chunks, which bounds the text held at once.
+:func:`parse_records` reads with orjson and gives what ``json.loads`` gives.
+orjson is imported by these two JSON paths only.
 """
 
 from __future__ import annotations
@@ -405,15 +409,27 @@ def _csv_floats(values) -> list[str]:
     return list(map("{:.12g}".format, values))
 
 
-def _json_floats(values) -> list[str]:
-    """Each value as ``json.dumps`` writes it: ``float.__repr__`` over a
-    column of finite floats, the encoder itself over any other column
-    (``NaN``, ``Infinity``, ``-Infinity``, ints)."""
-    try:
-        if all(map(math.isfinite, values)):
-            return list(map(float.__repr__, values))
-    except TypeError:
-        pass
+def _json_floats(values: list) -> list[str]:
+    """Each value as ``json.dumps`` writes it.
+
+    A column of finite, exact ``float`` values is formatted by one
+    ``orjson.dumps`` call, which spells a float as ``repr`` does outside a
+    band of magnitudes; the cells inside it are re-spelled by
+    ``float.__repr__``.  Any other column (``NaN``, ``Infinity``, ints,
+    bools, float subclasses) goes through the encoder value by value.
+    """
+    if values and {float}.issuperset(map(type, values)):
+        import orjson
+        text = orjson.dumps(values)
+        if b"n" not in text:  # orjson writes a non-finite float as null
+            cells = text[1:-1].decode().split(",")
+            # orjson spells |x| in [1e-9, 1e-4) and from 1e16 on otherwise
+            # than repr (0.000025, 1e-9, 1e16); the band is a decade wider.
+            size = np.abs(np.array(values))
+            band = (1e-10 <= size) & (size < 1e-3) | (size >= 1e15)
+            for i in np.flatnonzero(band).tolist():
+                cells[i] = float.__repr__(values[i])
+            return cells
     return list(map(json.dumps, values))
 
 
@@ -531,16 +547,30 @@ _region_of = _member_of(OperationalRegion)
 _design_of = _member_of(QtmDesign)
 
 
-def _records_of(objs: list) -> list[SweepRecord]:
-    """The records of parsed JSON record objects, built column-wise."""
+class _Inexact(ValueError):
+    """A parsed number at or above the magnitude its parser reads exactly."""
+
+
+#: orjson reads an integer literal outside [-2**63, 2**64) as a float.
+_ORJSON_EXACT_BELOW = 2.0 ** 63
+
+
+def _records_of(objs: list, limit: Optional[float]) -> list[SweepRecord]:
+    """The records of parsed JSON record objects, built column-wise.
+
+    Raises :class:`_Inexact` if a number's magnitude reaches ``limit``.
+    """
     lists = list(map(itemgetter("designs"), objs))
     flat = list(chain.from_iterable(lists))
     floats = [list(map(itemgetter(name), objs)) for name in _FLOAT_COLUMNS]
     effs, carnots = (list(map(itemgetter(name), flat))
                      for name in ("efficiency", "carnot"))
+    numbers = list(chain(*floats, effs, carnots))
     if not ({list}.issuperset(map(type, lists))
-            and _NUMBERS.issuperset(map(type, chain(*floats, effs, carnots)))):
+            and _NUMBERS.issuperset(map(type, numbers))):
         raise TypeError("a record holds a value of the wrong type")
+    if limit is not None and max(map(abs, numbers)) >= limit:
+        raise _Inexact
     entries = _build(DesignEfficiency, len(flat),
                      map(_design_of, map(itemgetter("design"), flat)),
                      effs, carnots)
@@ -574,16 +604,9 @@ def _check_records(objs: list, start: int) -> None:
                           ("efficiency", "carnot"), f"record {i} design {j}")
 
 
-@_gc_paused()
-def parse_records(text: str) -> list[SweepRecord]:
-    """Inverse of JSON :func:`emit`: rebuild records from serialized output.
-
-    A document that is not a list of record objects with every key, each
-    float field a JSON number, raises :class:`ValidationError` naming the
-    first fault; an unknown region or design value raises the enum's
-    ``ValueError``.
-    """
-    doc = json.loads(text)
+def _records_in(doc, limit: Optional[float]) -> list[SweepRecord]:
+    """The records of a parsed records document; ``limit`` as in
+    :func:`_records_of`."""
     if not isinstance(doc, list):
         raise ValidationError(
             f"records JSON must be a list at the top level, not {type(doc).__name__}")
@@ -594,12 +617,35 @@ def parse_records(text: str) -> list[SweepRecord]:
         chunk = doc[-_CHUNK:][::-1]
         del doc[-_CHUNK:]
         try:
-            records += _records_of(chunk)
+            records += _records_of(chunk, limit)
         except (KeyError, TypeError):
             # Only a failed build pays for the check that names the fault.
             _check_records(chunk, len(records))
             raise
     return records
+
+
+@_gc_paused()
+def parse_records(text: str) -> list[SweepRecord]:
+    """Inverse of JSON :func:`emit`: rebuild records from serialized output.
+
+    A document that is not a list of record objects with every key, each
+    float field a JSON number, raises :class:`ValidationError` naming the
+    first fault; an unknown region or design value raises the enum's
+    ``ValueError``.
+
+    orjson reads the text.  ``json.loads`` reads it again when orjson
+    rejects it (``NaN``, ``Infinity``, a lone surrogate, bad JSON), when a
+    number reaches 2**63 in magnitude (orjson reads an integer literal
+    outside [-2**63, 2**64) as a float), or when a record is malformed; so
+    the records, and any error, are the ones ``json.loads`` gives.
+    """
+    import orjson
+    try:
+        return _records_in(orjson.loads(text), _ORJSON_EXACT_BELOW)
+    except ValueError:  # also orjson.JSONDecodeError and _Inexact
+        pass
+    return _records_in(json.loads(text), None)
 
 
 def _write(destination, text: str) -> None:

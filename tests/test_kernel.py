@@ -226,7 +226,8 @@ def test_curves_keep_the_scalar_error_for_a_rejected_ratio():
         efficiency_curves(spec)
 
 
-def test_cli_sweep_does_not_import_numpy_ma(tmp_path):
+def test_cli_sweep_imports_neither_numpy_ma_nor_orjson(tmp_path):
+    # The CSV path reads its config with json and writes no records JSON.
     config = tmp_path / "ref.json"
     config.write_text(json.dumps({"t_low": 1, "theta_sq": 5, "r_low": 1e-7}))
     src = str(Path(qtmkit.__file__).parents[1])
@@ -244,3 +245,4 @@ def test_cli_sweep_does_not_import_numpy_ma(tmp_path):
     assert "numpy" in modules
     assert not any(m == "numpy.ma" or m.startswith("numpy.ma.")
                    for m in modules)
+    assert "orjson" not in modules

@@ -235,6 +235,28 @@ def test_wrong_value_types_raise_validation_error(doc, message):
         parse_records(json.dumps(doc))
 
 
+def test_big_integers_parse_as_the_ints_they_spell():
+    # orjson reads an integer literal outside [-2**63, 2**64) as a float, or
+    # rejects it beyond the float range; such a document is read by json.loads.
+    doc = [{**RECORD, "rho": 10**30, "designs": [{**ENTRY, "carnot": -(2**63) - 1}]}]
+    (record,) = parse_records(json.dumps(doc))
+    carnot = record.designs[0].carnot
+    assert type(record.rho) is int and record.rho == 10**30
+    assert type(carnot) is int and carnot == -(2**63) - 1
+    huge = SweepRecord(10**400, 2.0, 1.0, -0.5, 0.5, 1.0, -0.5, 0.5,
+                       OperationalRegion.OUT_TRANSFERS)
+    buffer = io.StringIO()
+    emit([huge], "json", buffer)
+    (parsed,) = parse_records(buffer.getvalue())
+    assert type(parsed.rho) is int and parsed == huge
+
+
+def test_an_error_quotes_a_big_integer_as_spelled():
+    doc = [{**RECORD, "region": 10**20}]
+    with pytest.raises(ValueError, match="^100000000000000000000 is not a valid"):
+        parse_records(json.dumps(doc))
+
+
 def test_integer_values_parse_as_before():
     doc = [{**RECORD, "rho": 2, "designs": [{**ENTRY, "carnot": 1}]}]
     (record,) = parse_records(json.dumps(doc))

@@ -3,8 +3,9 @@
 ``emit`` and ``emit_curves`` fill fixed line templates with whole columns of
 formatted floats.  These properties check that the result is, byte for byte,
 what ``json.dumps(..., indent=2)`` and ``csv.writer`` write for the same
-records and curves, including non-finite values, signed zeros, subnormals and
-ints, and that JSON output still round-trips through ``parse_records``.
+records and curves, including non-finite values, signed zeros, subnormals,
+ints and the magnitudes where orjson's float spelling changes, and that JSON
+output still round-trips through ``parse_records``.
 """
 
 import csv
@@ -14,6 +15,7 @@ import math
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +34,15 @@ from qtmkit import (
     parse_records,
 )
 
+#: Where the spelling of a float changes, and the edges of the band in which
+#: the JSON writer re-spells orjson's cells with ``float.__repr__``
+#: (|x| in [1e-10, 1e-3) or |x| >= 1e15), with a neighbour outside each.
+EDGES = [1e-10, 1e-9, 9.999999999999999e-05, 1e-3, 1e15, 9.999999999999998e15,
+         1.2345678901234568e17, 1.7976931348623157e308,
+         math.nextafter(1e-10, 0.0), math.nextafter(1e15, 0.0)]
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-320,
-           2.2250738585072014e-308, 1e16, 1e-5, 0.0001]
+           2.2250738585072014e-308, 1e16, 1e-5, 0.0001,
+           *EDGES, *(-x for x in EDGES)]
 
 values = st.one_of(
     st.floats(),
@@ -155,6 +164,23 @@ def test_records_json_round_trips(records, chunk):
     assert list(map(exact, parsed)) == list(map(exact, records))
     if not any(math.isnan(v) for r in records for v in numbers(r)):
         assert parsed == records
+
+
+class Real(float):
+    """A float subclass: the encoder writes it as a float."""
+
+
+@pytest.mark.parametrize("value", [
+    10**400, 2**63, True, Real(2.5e-05), np.float64(1e16),
+], ids=["10**400", "2**63", "bool", "subclass", "float64"])
+def test_records_json_of_other_number_types_matches_json_dumps(value):
+    # An int beyond the float range, a bool and float subclasses are written
+    # as the encoder writes them, in float fields and design entries.
+    record = SweepRecord(value, 2.0, 1.0, -0.5, 0.5, 1.0, -0.5, value,
+                         OperationalRegion.OUT_TRANSFERS,
+                         (DesignEfficiency(QtmDesign.QEN, value, value),))
+    expected = json.dumps([record_dict(record)], indent=2) + "\n"
+    assert written(emit, [record], "json") == expected
 
 
 @settings(max_examples=100, deadline=None)
