@@ -237,11 +237,19 @@ def _load_sweep_config(path: str) -> tuple[SweepSpec, PhysicalConstants]:
     return SweepSpec(**values), constants
 
 
+def _target(path: Optional[str]) -> str:
+    """Where an output option writes: ``-`` for standard output, else the
+    file's resolved path."""
+    return "-" if path in (None, "-") else os.path.realpath(path)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.curves_out == "-" and args.out in (None, "-"):
+    if args.curves_out is not None and _target(args.out) == _target(args.curves_out):
+        where = ("standard output" if args.curves_out == "-"
+                 else f"the file {args.curves_out}")
         raise ValidationError(
-            "--out and --curves-out cannot both write to standard output; "
-            "give one of them a file")
+            f"--out and --curves-out cannot both write to {where}; "
+            "give each its own file")
     spec, constants = _load_sweep_config(args.config)
     records, boundaries = run_sweep(spec, constants)
     emit(records, format=args.format, destination=args.out)

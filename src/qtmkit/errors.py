@@ -68,15 +68,15 @@ class DegenerateMediumError(ValidationError):
 
 
 class SpectrumMismatchError(ValidationError):
-    """Stroke endpoints do not share the required level spectrum."""
+    """An isolation stroke's two spectra differ in length."""
 
 
 class OccupationMismatchError(ValidationError):
-    """Stroke endpoints do not share the required occupations."""
+    """Occupations do not match the length of their spectrum."""
 
 
 class InvalidRingError(ValidationError):
-    """Ring radius or effective mass is non-positive."""
+    """Ring radius is non-positive, or its levels leave the float range."""
 
 
 class InvalidGapError(ValidationError):

@@ -11,7 +11,6 @@ arithmetic in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
 
 from .errors import (
     InvalidGapError,
@@ -24,7 +23,6 @@ from .otto import TwoLevelMedium
 __all__ = [
     "PhysicalConstants",
     "CODATA",
-    "QuantumRing",
     "ring_levels",
     "ring_medium",
     "gap_medium",
@@ -56,53 +54,29 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class QuantumRing:
-    """Spinless electron on a one-dimensional ring of the given radius.
-
-    Only the two lowest angular-momentum states enter the cycle; their
-    quantum numbers are fixed class-wide.  ``effective_mass`` of ``None``
-    defers to the electron mass of whatever constants are supplied.
-    """
-
-    radius: float
-    effective_mass: Optional[float] = None
-
-    M_GROUND: ClassVar[int] = 1
-    M_EXCITED: ClassVar[int] = 2
-
-    def __post_init__(self) -> None:
-        require_finite("radius", self.radius, InvalidRingError, 0.0)
-        if self.effective_mass is not None:
-            require_finite(
-                "effective_mass", self.effective_mass, InvalidRingError, 0.0
-            )
-
-
 def ring_levels(
-    ring: QuantumRing, constants: PhysicalConstants = CODATA
+    radius: float, constants: PhysicalConstants = CODATA
 ) -> tuple[float, float]:
-    """Ground and excited ring eigenvalues ``hbar^2 m^2 / (2 mass r^2)``.
+    """Ground and excited eigenvalues of a spinless particle of mass
+    ``constants.electron_mass`` on a ring of the given radius.
 
-    With quantum numbers 1 and 2, the excited level is exactly four times the
-    ground level at every radius, so the gap is three times the ground level.
+    The quantum numbers are 1 and 2, so the excited level is exactly four
+    times the ground level at every radius and the gap is three times the
+    ground level.  An effective-mass ring is
+    ``replace(constants, electron_mass=m_eff)``.
     """
-    mass = (
-        constants.electron_mass
-        if ring.effective_mass is None
-        else ring.effective_mass
-    )
-    require_finite(f"2 * mass * radius**2 at radius {ring.radius!r}",
-                   2.0 * mass * (ring.radius * ring.radius), InvalidRingError, 0.0)
-    return _ring_levels(ring.radius, mass, constants)
+    require_finite("radius", radius, InvalidRingError, 0.0)
+    require_finite(f"2 * mass * radius**2 at radius {radius!r}",
+                   2.0 * constants.electron_mass * (radius * radius),
+                   InvalidRingError, 0.0)
+    return _ring_levels(radius, constants)
 
 
-def _ring_levels(radius, mass: float, constants: PhysicalConstants):
-    """Ground and excited levels ``hbar^2 m^2 / (2 mass r^2)`` at
-    ``m = M_GROUND, M_EXCITED``; elementwise on arrays of radii."""
-    m_ground, m_excited = QuantumRing.M_GROUND, QuantumRing.M_EXCITED
-    ground = m_ground**2 * constants.hbar**2 / (2.0 * mass * (radius * radius))
-    return ground, (m_excited / m_ground) ** 2 * ground
+def _ring_levels(radius, constants: PhysicalConstants):
+    """Ground and excited levels ``hbar^2 m^2 / (2 mass r^2)`` at ``m = 1, 2``;
+    elementwise on arrays of radii."""
+    ground = constants.hbar**2 / (2.0 * constants.electron_mass * (radius * radius))
+    return ground, 4.0 * ground
 
 
 def ring_medium(
@@ -116,8 +90,8 @@ def ring_medium(
     follows the gaps, not which radius is larger).
     """
     return TwoLevelMedium(
-        low_config=ring_levels(QuantumRing(r_low), constants),
-        high_config=ring_levels(QuantumRing(r_high), constants),
+        low_config=ring_levels(r_low, constants),
+        high_config=ring_levels(r_high, constants),
     )
 
 

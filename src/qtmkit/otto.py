@@ -190,57 +190,43 @@ def otto_cycle_energies(
 
 
 def multilevel_exchange(
-    start: tuple[LevelSpectrum, float],
-    end: tuple[LevelSpectrum, float],
+    spectrum: LevelSpectrum,
+    t_start: float,
+    t_end: float,
     boltzmann_k: float,
 ) -> float:
     """Energy absorbed during a reservoir-contact stroke (released if < 0).
 
-    The stroke keeps the spectrum fixed while the occupations rethermalize
-    between the endpoint temperatures, so the exchange is the occupation-
-    weighted eigenvalue difference between the endpoints.
+    The stroke keeps ``spectrum`` fixed while the occupations rethermalize
+    from ``t_start`` to ``t_end``, so the exchange is the eigenvalue-weighted
+    occupation difference between the endpoints.
     """
-    spec_start, t_start = start
-    spec_end, t_end = end
-    if spec_start.levels != spec_end.levels:
-        raise SpectrumMismatchError(
-            "reservoir strokes cannot change the spectrum: "
-            f"{spec_start.levels!r} != {spec_end.levels!r}"
-        )
-    p_start = occupation(spec_start, t_start, boltzmann_k)
-    p_end = occupation(spec_end, t_end, boltzmann_k)
-    levels = np.asarray(spec_start.levels, dtype=float)
-    return float(np.dot(levels, p_end - p_start))
+    p_start = occupation(spectrum, t_start, boltzmann_k)
+    p_end = occupation(spectrum, t_end, boltzmann_k)
+    return float(np.dot(np.asarray(spectrum.levels, dtype=float), p_end - p_start))
 
 
 def work_exchange(
-    start: tuple[LevelSpectrum, Sequence[float]],
-    end: tuple[LevelSpectrum, Sequence[float]],
+    start: LevelSpectrum,
+    end: LevelSpectrum,
+    occupations: Sequence[float],
 ) -> float:
     """Medium-side energy change of an isolation stroke.
 
-    Occupations stay frozen while the levels move, so the change is the
-    occupation-weighted shift of each eigenvalue.  A positive value means the
-    medium gained energy from the outside; the outside-exchange contribution
-    of the stroke is the negative of this value.
+    The levels move from ``start`` to ``end`` with ``occupations`` frozen, so
+    the change is the occupation-weighted shift of each eigenvalue.  A
+    positive value means the medium gained energy from the outside; the
+    outside-exchange contribution of the stroke is the negative of this value.
     """
-    spec_start, occ_start = start
-    spec_end, occ_end = end
-    if len(spec_start) != len(spec_end):
+    if len(start) != len(end):
         raise SpectrumMismatchError(
-            f"spectra must have equal length, got {len(spec_start)} and "
-            f"{len(spec_end)}"
+            f"spectra must have equal length, got {len(start)} and {len(end)}"
         )
-    p_start = np.asarray(occ_start, dtype=float)
-    p_end = np.asarray(occ_end, dtype=float)
-    if p_start.shape != (len(spec_start),) or p_end.shape != (len(spec_end),):
+    p = np.asarray(occupations, dtype=float)
+    if p.shape != (len(start),):
         raise OccupationMismatchError(
-            "each occupation list must match its spectrum length"
+            f"occupations must match the spectrum length {len(start)}, "
+            f"got shape {p.shape}"
         )
-    if np.max(np.abs(p_end - p_start)) > 1e-12:
-        raise OccupationMismatchError(
-            "isolation strokes cannot change the occupations"
-        )
-    start_levels = np.asarray(spec_start.levels, dtype=float)
-    end_levels = np.asarray(spec_end.levels, dtype=float)
-    return float(np.dot(p_start, end_levels - start_levels))
+    shift = np.asarray(end.levels, dtype=float) - np.asarray(start.levels, dtype=float)
+    return float(np.dot(p, shift))

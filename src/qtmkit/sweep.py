@@ -268,8 +268,7 @@ def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
     gap_low = medium(1.0).gap_low  # at rho = 1 both configurations are low
     with np.errstate(all="ignore"):  # what leaves the float range is caught below
         if ring:
-            ground, excited = _ring_levels(spec.r_low / rho, constants.electron_mass,
-                                           constants)
+            ground, excited = _ring_levels(spec.r_low / rho, constants)
             gap_high = excited - ground
         else:
             gap_high = rho * rho * gap_low
@@ -449,20 +448,29 @@ def _table(records, floats):
     Returns the eight float columns, the region values, every record's
     design count, and the design value, efficiency and Carnot text of every
     design entry in record order.  A Carnot value is formatted once per
-    float object: :func:`run_sweep` shares one per design.
+    float object: :func:`run_sweep` shares one per design.  A value that
+    ``floats`` cannot format (in CSV, an int beyond the float range) raises
+    a :class:`ValidationError` naming its column.
     """
+    def text(name: str, values: list) -> list[str]:
+        try:
+            return floats(values)
+        except OverflowError as exc:
+            raise ValidationError(f"cannot write {name}: {exc}") from None
+
     designs = list(map(attrgetter("designs"), records))
     entries = list(chain.from_iterable(designs))
     carnots = list(map(attrgetter("carnot"), entries))
     unique = dict(zip(map(id, carnots), carnots))
-    carnot_text = dict(zip(unique, floats(list(unique.values()))))
+    carnot_text = dict(zip(unique, text("carnot", list(unique.values()))))
     return (
-        [floats(list(map(attrgetter(name), records))) for name in _FLOAT_COLUMNS],
+        [text(name, list(map(attrgetter(name), records)))
+         for name in _FLOAT_COLUMNS],
         # ``_value_`` is the enum value without the ``value`` property's call.
         list(map(attrgetter("region._value_"), records)),
         list(map(len, designs)),
         list(map(attrgetter("design._value_"), entries)),
-        floats(list(map(attrgetter("efficiency"), entries))),
+        text("efficiency", list(map(attrgetter("efficiency"), entries))),
         list(map(carnot_text.__getitem__, map(id, carnots))),
     )
 

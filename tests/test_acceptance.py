@@ -20,7 +20,6 @@ from qtmkit import (
     MediumKind,
     OperationalRegion,
     QtmDesign,
-    QuantumRing,
     SweepSpec,
     alpha_bounds,
     boundary_report,
@@ -242,14 +241,10 @@ def test_c7_cycle_closure():
         # two-level occupations depend on the gap alone, so the frozen
         # cold-side (hot-side) populations are thermal on the other
         # configuration at the gap-rescaled temperature
-        compress = work_exchange((low, p_cold), (high, p_cold))
-        q_hot = multilevel_exchange(
-            (high, t_low * medium.alpha_sq), (high, t_high), 1.0
-        )
-        expand = work_exchange((high, p_hot), (low, p_hot))
-        q_cold = multilevel_exchange(
-            (low, t_high / medium.alpha_sq), (low, t_low), 1.0
-        )
+        compress = work_exchange(low, high, p_cold)
+        q_hot = multilevel_exchange(high, t_low * medium.alpha_sq, t_high, 1.0)
+        expand = work_exchange(high, low, p_hot)
+        q_cold = multilevel_exchange(low, t_high / medium.alpha_sq, t_low, 1.0)
 
         strokes = (compress, q_hot, expand, q_cold)
         scale = max(abs(s) for s in strokes)
@@ -261,14 +256,14 @@ def test_c7_cycle_closure():
 def test_c8_ring_spectrum():
     rng = np.random.default_rng(4242)
     for radius in rng.uniform(10e-9, 500e-9, size=200):
-        e_ground, e_excited = ring_levels(QuantumRing(radius), CODATA)
+        e_ground, e_excited = ring_levels(radius, CODATA)
         assert e_excited == 4.0 * e_ground
 
     for rho in rng.uniform(0.05, 4.0, size=200):
         medium = ring_medium(100e-9, 100e-9 / rho, CODATA)
         assert abs(medium.alpha_sq - rho * rho) <= 1e-14 * (rho * rho)
 
-    e_ground, _ = ring_levels(QuantumRing(100e-9), CODATA)
+    e_ground, _ = ring_levels(100e-9, CODATA)
     assert abs(e_ground - E_GROUND_100NM_ORACLE) <= 1e-12 * E_GROUND_100NM_ORACLE
     _report(8, "ring spectrum: 4x ratio, alpha_sq = rho^2, 100 nm oracle")
 

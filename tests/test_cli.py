@@ -299,6 +299,47 @@ class TestSweep:
         code, _, err = run_cli("sweep", "--config", str(path), capsys=capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("doc", ["[1, 2]", '"t_low"', "5"])
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys,
+                                                    doc):
+        path = tmp_path / "sweep.json"
+        path.write_text(doc)
+        code, out, err = run_cli("sweep", "--config", str(path), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == f"qtmkit: error: {path} must contain a JSON object\n"
+
+    @pytest.mark.parametrize("config", [{"theta_sq": 5.0, "r_low": 1e-7},
+                                        {"t_low": 1.0, "r_low": 1e-7}])
+    def test_config_without_a_temperature_exits_one(self, tmp_path, capsys,
+                                                    config):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli("sweep", "--config", str(path), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == f"qtmkit: error: {path} must define t_low and theta_sq\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("spelling", ["same", "dot-slash", "parent-dir"])
+    def test_records_and_curves_cannot_share_a_file(self, ring_config, fmt,
+                                                    spelling, tmp_path,
+                                                    monkeypatch, capsys):
+        def unrequested(spec, constants):
+            raise AssertionError("sweep ran although its outputs collide")
+
+        monkeypatch.setattr("qtmkit.cli.run_sweep", unrequested)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        curves = {"same": "same.out", "dot-slash": "./same.out",
+                  "parent-dir": "sub/../same.out"}[spelling]
+        code, out, err = run_cli(
+            "sweep", "--config", str(ring_config), "--format", fmt,
+            "--out", "same.out", "--curves-out", curves, capsys=capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("qtmkit: error: --out and --curves-out")
+        assert "same.out" in err
+        assert not (tmp_path / "same.out").exists()
+
     def test_unwritable_output_exits_two(self, ring_config, capsys):
         code, _, err = run_cli(
             "sweep", "--config", str(ring_config), "--out",

@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
     "LevelSpectrum", "TwoLevelMedium", "occupation", "otto_cycle_energies",
     "multilevel_exchange", "work_exchange",
     # media
-    "PhysicalConstants", "CODATA", "QuantumRing",
+    "PhysicalConstants", "CODATA",
     "ring_levels", "ring_medium", "gap_medium",
     # sweep
     "MediumKind", "Normalization", "SweepSpec", "SweepRecord",
@@ -53,7 +53,7 @@ PUBLIC_NAMES = {
 def test_package_exports_exactly_the_module_lists():
     modules = (regions, designs, otto, media, sweep, errors)
     union = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 62
+    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 61
     assert set(qtmkit.__all__) == union == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qtmkit, name)

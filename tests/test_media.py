@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,6 @@ from qtmkit import (
     InvalidGapError,
     InvalidRingError,
     PhysicalConstants,
-    QuantumRing,
     ValidationError,
     gap_medium,
     otto_cycle_energies,
@@ -40,22 +40,24 @@ class TestPhysicalConstants:
             PhysicalConstants(hbar=0.0)
         with pytest.raises(ValidationError):
             PhysicalConstants(boltzmann_k=-1.0)
+        with pytest.raises(ValidationError):
+            PhysicalConstants(electron_mass=0.0)
 
 
 class TestRingLevels:
     def test_ground_level_at_100nm(self):
-        e_ground, e_excited = ring_levels(QuantumRing(100e-9), CODATA)
+        e_ground, e_excited = ring_levels(100e-9, CODATA)
         assert e_ground == pytest.approx(E_GROUND_100NM, rel=1e-12)
         assert e_excited == 4.0 * e_ground
 
     @given(radius=st.floats(1e-9, 1e-5))
     def test_excited_is_four_times_ground(self, radius):
-        e_ground, e_excited = ring_levels(QuantumRing(radius), CODATA)
+        e_ground, e_excited = ring_levels(radius, CODATA)
         assert e_excited == 4.0 * e_ground
 
     def test_halving_the_radius_quadruples_the_levels(self):
-        e_ground, _ = ring_levels(QuantumRing(100e-9), CODATA)
-        e_ground_half, _ = ring_levels(QuantumRing(50e-9), CODATA)
+        e_ground, _ = ring_levels(100e-9, CODATA)
+        e_ground_half, _ = ring_levels(50e-9, CODATA)
         assert e_ground_half == 4.0 * e_ground
 
     @given(
@@ -64,33 +66,16 @@ class TestRingLevels:
     )
     def test_homogeneity_in_radius_and_mass(self, radius, factor):
         reduced = PhysicalConstants.reduced()
-        base, _ = ring_levels(QuantumRing(radius), reduced)
-        scaled_r, _ = ring_levels(QuantumRing(radius * factor), reduced)
+        base, _ = ring_levels(radius, reduced)
+        scaled_r, _ = ring_levels(radius * factor, reduced)
         assert scaled_r == pytest.approx(base / factor**2, rel=1e-12)
-        heavier, _ = ring_levels(
-            QuantumRing(radius, effective_mass=factor), reduced
-        )
+        heavier, _ = ring_levels(radius, replace(reduced, electron_mass=factor))
         assert heavier == pytest.approx(base / factor, rel=1e-12)
-
-    def test_effective_mass_override(self):
-        default, _ = ring_levels(QuantumRing(1.0), PhysicalConstants.reduced())
-        doubled, _ = ring_levels(
-            QuantumRing(1.0, effective_mass=2.0), PhysicalConstants.reduced()
-        )
-        assert doubled == default / 2.0
-
-    def test_quantum_numbers_are_fixed(self):
-        assert QuantumRing.M_GROUND == 1
-        assert QuantumRing.M_EXCITED == 2
 
     @pytest.mark.parametrize("radius", [0.0, -1e-9, math.inf])
     def test_invalid_radius(self, radius):
         with pytest.raises(InvalidRingError):
-            QuantumRing(radius)
-
-    def test_invalid_mass(self):
-        with pytest.raises(InvalidRingError):
-            QuantumRing(1e-7, effective_mass=0.0)
+            ring_levels(radius)
 
 
 class TestRingMedium:

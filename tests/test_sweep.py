@@ -106,6 +106,15 @@ class TestDefaultGrid:
         assert 10.0 not in grid  # sqrt(100) exceeds the range
         assert 1.0 in grid
 
+    @pytest.mark.parametrize("num, rho_min, rho_max", [
+        (1, 0.05, 3.0), (0, 0.05, 3.0), (600, 0.0, 3.0), (600, 3.0, 0.05),
+        (600, 1.0, 1.0),
+    ])
+    def test_rejects_too_few_points_or_a_bad_range(self, num, rho_min, rho_max):
+        with pytest.raises(ValidationError,
+                           match="num >= 2 and 0 < rho_min < rho_max"):
+            default_rho_grid(5.0, num=num, rho_min=rho_min, rho_max=rho_max)
+
 
 class TestRunSweep:
     def test_records_cover_the_grid_in_order(self, ring_sweep):
@@ -371,6 +380,13 @@ class TestEmit:
         doc = json.loads(buffer.getvalue())
         assert set(doc) == {d.value for d in QtmDesign}
         assert doc["QLL"]["carnot_limit"] == "minimum"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_curves_rejects_no_curves(self, fmt):
+        buffer = io.StringIO()
+        with pytest.raises(ValidationError, match="no curves to emit"):
+            emit_curves({}, format=fmt, destination=buffer)
+        assert buffer.getvalue() == ""
 
 
 def test_boundary_report_standalone():

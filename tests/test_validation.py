@@ -16,7 +16,6 @@ from qtmkit import (
     InvalidRingError,
     InvalidThetaError,
     QtmDesign,
-    QuantumRing,
     SweepSpec,
     ValidationError,
     alpha_bounds,
@@ -131,7 +130,7 @@ def test_extreme_rho_in_a_ring_sweep_exits_one(tmp_path, capsys, rho_grid,
 @pytest.mark.parametrize("radius", [1e200, 1e-200, 1e-160])
 def test_ring_levels_reject_a_radius_out_of_float_range(radius):
     with pytest.raises(InvalidRingError, match=re.escape(f"radius {radius!r}")):
-        ring_levels(QuantumRing(radius))
+        ring_levels(radius)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-3])

@@ -29,6 +29,7 @@ from qtmkit import (
     OperationalRegion,
     QtmDesign,
     SweepRecord,
+    ValidationError,
     emit,
     emit_curves,
     parse_records,
@@ -181,6 +182,18 @@ def test_records_json_of_other_number_types_matches_json_dumps(value):
                          (DesignEfficiency(QtmDesign.QEN, value, value),))
     expected = json.dumps([record_dict(record)], indent=2) + "\n"
     assert written(emit, [record], "json") == expected
+
+
+@pytest.mark.parametrize("column", ["rho", "e_out_norm", "efficiency", "carnot"])
+def test_records_csv_of_an_int_beyond_the_float_range_names_its_column(column):
+    # "{:.12g}" cannot format 10**400; the JSON writer writes its digits.
+    floats = dict.fromkeys(sweep._FLOAT_COLUMNS, 0.5)
+    entry = {"efficiency": 0.5, "carnot": 0.8}
+    (floats if column in floats else entry)[column] = 10**400
+    record = SweepRecord(**floats, region=OperationalRegion.OUT_TRANSFERS,
+                         designs=(DesignEfficiency(QtmDesign.QEN, **entry),))
+    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
+        emit([record], "csv", io.StringIO())
 
 
 @settings(max_examples=100, deadline=None)
