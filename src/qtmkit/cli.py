@@ -19,7 +19,7 @@ from dataclasses import astuple, fields, replace
 from typing import Optional, Sequence
 
 from .designs import (
-    CATALOG,
+    _FAR_LIMIT,
     QtmDesign,
     admissible_designs,
     alpha_bounds,
@@ -136,9 +136,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
     design = QtmDesign(args.design)
-    print(f"efficiency: {efficiency(design, args.alpha_sq):.12g}")
+    lines = [f"efficiency: {efficiency(design, args.alpha_sq):.12g}"]
     if args.theta_sq is not None:
-        print(f"carnot: {carnot_efficiency(design, args.theta_sq):.12g}")
+        lines.append(f"carnot: {carnot_efficiency(design, args.theta_sq):.12g}")
+    print("\n".join(lines))
     return 0
 
 
@@ -149,24 +150,22 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         f"{'alpha_sq_min':>13}{'alpha_sq_max':>13}{'eff_at_min':>12}"
         f"{'eff_at_max':>12}{'carnot':>10}  limit"
     )
-    print(f"design catalog at theta_sq = {theta_sq:.12g}")
-    print(header)
-    print("-" * len(header))
+    lines = [f"design catalog at theta_sq = {theta_sq:.12g}", header,
+             "-" * len(header)]
     for design in QtmDesign:
         bounds = alpha_bounds(design, theta_sq)
         carnot = carnot_efficiency(design, theta_sq)
-        far = CATALOG[design].far_limit
-        if bounds.carnot_alpha_sq == bounds.alpha_sq_min:
-            eff_min, eff_max = carnot, far
-        else:
-            eff_min, eff_max = far, carnot
-        print(
+        far = _FAR_LIMIT[design]
+        at_min = bounds.carnot_alpha_sq == bounds.alpha_sq_min
+        eff_min, eff_max = (carnot, far) if at_min else (far, carnot)
+        lines.append(
             f"{design.value:<7}{design.region.value:<18}"
             f"{design.target.value:<18}{design.source.value:<17}"
             f"{bounds.alpha_sq_min:>13.6g}{bounds.alpha_sq_max:>13.6g}"
             f"{eff_min:>12.6g}{eff_max:>12.6g}{carnot:>10.6g}  "
             f"{bounds.carnot_limit_kind.value}"
         )
+    print("\n".join(lines))
     return 0
 
 

@@ -3,7 +3,7 @@
 Each operational region (or 2Acquirers subregion) hosts two designs, told
 apart by which energy exchange they prioritize (target) versus which one
 funds it (source).  Efficiency is |target|/|source|, which collapses to a
-one-parameter function of ``alpha_sq = -e_high/e_low``:
+one-parameter function of ``alpha_sq = -e_high/e_low``.  The paper's table:
 
 ====== ================== ================= ================ ================
 design region             target            source           efficiency(a)
@@ -22,6 +22,9 @@ Operating a design in the reversible limit pins ``alpha_sq`` at ``1/theta_sq``
 (2Acquirers designs) or ``theta_sq`` (the rest), which turns the efficiency
 into the design's Carnot value.  That value caps the efficiency for every
 design except QLL, where it is a floor.
+
+:data:`CATALOG` holds region and roles; the efficiency, Carnot value,
+``alpha_sq`` interval and limit kind are derived from them at import.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BoundaryRegionError,
@@ -40,7 +43,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .regions import OperationalRegion, _edges
+from .regions import _REGIONS, OperationalRegion, _edges
 
 __all__ = [
     "QtmDesign",
@@ -83,19 +86,12 @@ class QtmDesign(Enum):
     QRE = "QRE"
     QHP = "QHP"
 
-    @property
-    def region(self) -> OperationalRegion:
-        return CATALOG[self].region
-
-    @property
-    def target(self) -> EnergyRole:
-        """Exchange the design prioritizes (efficiency numerator)."""
-        return CATALOG[self].target
-
-    @property
-    def source(self) -> EnergyRole:
-        """Exchange that funds the design (efficiency denominator)."""
-        return CATALOG[self].source
+    region = property(lambda self: CATALOG[self].region,
+                      doc="Operational region (or subregion) the design runs in.")
+    target = property(lambda self: CATALOG[self].target,
+                      doc="Exchange the design prioritizes (efficiency numerator).")
+    source = property(lambda self: CATALOG[self].source,
+                      doc="Exchange that funds the design (efficiency denominator).")
 
 
 @unique
@@ -107,58 +103,74 @@ class CarnotLimitKind(Enum):
 
 
 class DesignRow(NamedTuple):
-    """Every catalog fact of one design.
-
-    ``lo``, ``hi`` and ``carnot_end`` index :func:`_edges`: the design's
-    ``alpha_sq`` interval and the endpoint where the efficiency meets its
-    Carnot value.  ``far_limit`` is the efficiency's limit at the other end.
-    """
+    """The paper's definition of one design: its region, and the exchange it
+    prioritizes (target) and the one that funds it (source)."""
 
     region: OperationalRegion
     target: EnergyRole
     source: EnergyRole
-    efficiency: Callable[[float], float]
-    carnot: Callable[[float], float]
-    lo: int
-    hi: int
-    carnot_end: int
-    limit: CarnotLimitKind
-    far_limit: float
 
 
 _R, _C = OperationalRegion, EnergyRole
-_MAX, _MIN = CarnotLimitKind.MAXIMUM, CarnotLimitKind.MINIMUM
 
-# The efficiency forms share denominators within each region pair, so the
-# exact pairwise identities (difference or sum equal to one) hold to machine
-# precision rather than merely to algebraic equivalence.  QLL's efficiency
-# falls with alpha_sq, so its Carnot value at the upper endpoint is a floor.
 CATALOG = {
-    QtmDesign.QCO: DesignRow(
-        _R.TWO_ACQUIRERS_OUT, _C.ABSORB_HIGH, _C.RECEIVE_OUTSIDE,
-        lambda a: a / (1.0 - a), lambda t: 1.0 / (t - 1.0), 0, 1, 1, _MAX, 0.0),
-    QtmDesign.QHT: DesignRow(
-        _R.TWO_ACQUIRERS_OUT, _C.RELEASE_LOW, _C.RECEIVE_OUTSIDE,
-        lambda a: 1.0 / (1.0 - a), lambda t: t / (t - 1.0), 0, 1, 1, _MAX, 1.0),
-    QtmDesign.QDP: DesignRow(
-        _R.TWO_ACQUIRERS_HIGH, _C.RECEIVE_OUTSIDE, _C.ABSORB_HIGH,
-        lambda a: (1.0 - a) / a, lambda t: t - 1.0, 1, 2, 1, _MAX, 0.0),
-    QtmDesign.QHO: DesignRow(
-        _R.TWO_ACQUIRERS_HIGH, _C.RELEASE_LOW, _C.ABSORB_HIGH,
-        lambda a: 1.0 / a, lambda t: t, 1, 2, 1, _MAX, 1.0),
-    QtmDesign.QEN: DesignRow(
-        _R.OUT_TRANSFERS, _C.GENERATE_OUTSIDE, _C.ABSORB_HIGH,
-        lambda a: (a - 1.0) / a, lambda t: (t - 1.0) / t, 2, 3, 3, _MAX, 0.0),
-    QtmDesign.QLL: DesignRow(
-        _R.OUT_TRANSFERS, _C.RELEASE_LOW, _C.ABSORB_HIGH,
-        lambda a: 1.0 / a, lambda t: 1.0 / t, 2, 3, 3, _MIN, 1.0),
-    QtmDesign.QRE: DesignRow(
-        _R.PUMPERS, _C.ABSORB_LOW, _C.RECEIVE_OUTSIDE,
-        lambda a: 1.0 / (a - 1.0), lambda t: 1.0 / (t - 1.0), 3, 4, 3, _MAX, 0.0),
-    QtmDesign.QHP: DesignRow(
-        _R.PUMPERS, _C.RELEASE_HIGH, _C.RECEIVE_OUTSIDE,
-        lambda a: a / (a - 1.0), lambda t: t / (t - 1.0), 3, 4, 3, _MAX, 1.0),
+    QtmDesign.QCO: DesignRow(_R.TWO_ACQUIRERS_OUT, _C.ABSORB_HIGH, _C.RECEIVE_OUTSIDE),
+    QtmDesign.QHT: DesignRow(_R.TWO_ACQUIRERS_OUT, _C.RELEASE_LOW, _C.RECEIVE_OUTSIDE),
+    QtmDesign.QDP: DesignRow(_R.TWO_ACQUIRERS_HIGH, _C.RECEIVE_OUTSIDE, _C.ABSORB_HIGH),
+    QtmDesign.QHO: DesignRow(_R.TWO_ACQUIRERS_HIGH, _C.RELEASE_LOW, _C.ABSORB_HIGH),
+    QtmDesign.QEN: DesignRow(_R.OUT_TRANSFERS, _C.GENERATE_OUTSIDE, _C.ABSORB_HIGH),
+    QtmDesign.QLL: DesignRow(_R.OUT_TRANSFERS, _C.RELEASE_LOW, _C.ABSORB_HIGH),
+    QtmDesign.QRE: DesignRow(_R.PUMPERS, _C.ABSORB_LOW, _C.RECEIVE_OUTSIDE),
+    QtmDesign.QHP: DesignRow(_R.PUMPERS, _C.RELEASE_HIGH, _C.RECEIVE_OUTSIDE),
 }
+
+#: Each exchange as ``c_high*e_high + c_low*e_low``: positive when it takes
+#: place, under the sign convention of :mod:`qtmkit.regions`.
+_ROLES = {
+    _C.ABSORB_HIGH: (1, 0), _C.RELEASE_HIGH: (-1, 0),
+    _C.ABSORB_LOW: (0, 1), _C.RELEASE_LOW: (0, -1),
+    _C.GENERATE_OUTSIDE: (1, 1), _C.RECEIVE_OUTSIDE: (-1, -1),
+}
+
+
+def _ratio(row: DesignRow, slope, offset):
+    """``v -> |target|/|source|`` at the triple ``v*slope + offset``, on
+    floats or arrays.  Each exchange is affine in ``v`` with coefficients in
+    {-1, 0, 1}, so the form rounds as the closed form with those operations."""
+    def affine(role: EnergyRole) -> list[float]:
+        c_high, c_low = _ROLES[role]
+        return [float(c_high * h + c_low * l) for h, l in (slope, offset)]
+
+    (tp, tq), (sp, sq) = affine(row.target), affine(row.source)
+    return lambda v: abs(tp * v + tq) / abs(sp * v + sq)
+
+
+def _derive(row: DesignRow):
+    """What the functions below read of one design, by ``_edges`` index.
+
+    The efficiency is the ratio at ``(alpha_sq, -1)`` on the design's side of
+    ``alpha_sq = 1``.  The Carnot value is the ratio at ``(1, -theta_sq)``,
+    edge 1, for the 2Acquirers designs and at ``(theta_sq, -1)``, edge 3, for
+    the rest.  The interval is the region's two edges, and the far-end limit
+    the ratio at the other one; the Carnot value is a floor if below it."""
+    i = _REGIONS.index(row.region)
+    low = i < 2
+    form = _ratio(row, (1, 0), (0, -1))
+    carnot = _ratio(row, (0, -1), (1, 0)) if low else form
+    end, side = (1, (0.0, 1.0)) if low else (3, (1.0, math.inf))
+    # The triple at alpha_sq = 0, 1 and inf, by edge.
+    far_triple = {0: (0, -1), 2: (1, -1), 4: (1, 0)}[2 * i + 1 - end]
+    far = _ratio(row, (0, 0), far_triple)(0)
+    # Every theta_sq > 1 puts the Carnot value on the same side of ``far``.
+    limit = CarnotLimitKind.MINIMUM if carnot(2.0) < far else CarnotLimitKind.MAXIMUM
+    return (form, *side), carnot, (i, i + 1, limit, end), far
+
+
+#: Per design: efficiency form and side, Carnot form, interval and Carnot
+#: end with the limit kind, and the efficiency's far-end limit.
+_EFFICIENCY, _CARNOT, _BOUNDS, _FAR_LIMIT = (
+    dict(zip(CATALOG, column)) for column in zip(*map(_derive, CATALOG.values()))
+)
 
 
 def admissible_designs(region: OperationalRegion) -> frozenset[QtmDesign]:
@@ -178,9 +190,7 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     reversible/degenerate limits and raise instead of returning a value.
     """
     require_finite("alpha_sq", alpha_sq, OutOfRegionError)
-    row = CATALOG[design]
-    # The efficiency form holds on the whole side of alpha_sq = 1 (edge 2).
-    lo, hi = (0.0, 1.0) if row.hi <= 2 else (1.0, math.inf)
+    form, lo, hi = _EFFICIENCY[design]
     if alpha_sq == lo or alpha_sq == hi:
         raise SingularEfficiencyError(
             f"{design.value} efficiency is singular at alpha_sq={alpha_sq!r}"
@@ -190,7 +200,7 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
             f"{design.value} requires alpha_sq in ({lo:g}, {hi:g}), "
             f"got {alpha_sq!r}"
         )
-    return row.efficiency(alpha_sq)
+    return form(alpha_sq)
 
 
 def _efficiencies(design: QtmDesign, alpha_sq):
@@ -199,7 +209,7 @@ def _efficiencies(design: QtmDesign, alpha_sq):
     interval, so checking both ends with :func:`efficiency` checks them all."""
     for end in alpha_sq[:1].tolist() + alpha_sq[-1:].tolist():
         efficiency(design, end)
-    return CATALOG[design].efficiency(alpha_sq)
+    return _EFFICIENCY[design][0](alpha_sq)
 
 
 def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
@@ -209,7 +219,7 @@ def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
     ``a* = 1/theta_sq`` (2Acquirers designs) or ``a* = theta_sq`` (others).
     """
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    return CATALOG[design].carnot(theta_sq)
+    return _CARNOT[design](theta_sq)
 
 
 @dataclass(frozen=True)
@@ -243,11 +253,9 @@ def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
     """Admissible ``alpha_sq`` interval for the design between reservoirs
     with the given temperature ratio."""
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    row = CATALOG[design]
+    lo, hi, limit, end = _BOUNDS[design]
     edges = _edges(theta_sq)
-    return AlphaBounds(
-        edges[row.lo], edges[row.hi], row.limit, edges[row.carnot_end]
-    )
+    return AlphaBounds(edges[lo], edges[hi], limit, edges[end])
 
 
 class RelationResiduals(NamedTuple):
@@ -263,26 +271,16 @@ class RelationResiduals(NamedTuple):
 def relation_residuals(alpha_sq: float) -> RelationResiduals:
     """Evaluate the pairwise efficiency identities at one energy ratio; they
     are independent of the temperature ratio."""
+    def eff(design: QtmDesign) -> float:
+        return efficiency(design, alpha_sq)
+
+    q = QtmDesign
     low = high = (None, None)
     if 0.0 < alpha_sq < 1.0:
-        low = (
-            efficiency(QtmDesign.QHT, alpha_sq)
-            - efficiency(QtmDesign.QCO, alpha_sq)
-            - 1.0,
-            efficiency(QtmDesign.QHO, alpha_sq)
-            - efficiency(QtmDesign.QDP, alpha_sq)
-            - 1.0,
-        )
+        low = (eff(q.QHT) - eff(q.QCO) - 1.0, eff(q.QHO) - eff(q.QDP) - 1.0)
     elif alpha_sq > 1.0 and math.isfinite(alpha_sq):
-        high = (
-            efficiency(QtmDesign.QEN, alpha_sq)
-            + efficiency(QtmDesign.QLL, alpha_sq)
-            - 1.0,
-            efficiency(QtmDesign.QHP, alpha_sq)
-            - efficiency(QtmDesign.QRE, alpha_sq)
-            - 1.0,
-        )
-    return RelationResiduals(low[0], low[1], high[0], high[1])
+        high = (eff(q.QEN) + eff(q.QLL) - 1.0, eff(q.QHP) - eff(q.QRE) - 1.0)
+    return RelationResiduals(*low, *high)
 
 
 def classical_otto_efficiency(rho: float) -> float:

@@ -442,35 +442,36 @@ def _fill(template: str, *columns):
     return map("".join, zip(*parts))
 
 
+def _column(floats, name: str, values) -> list[str]:
+    """``floats(values)``; a value it cannot format (in CSV, an int beyond
+    the float range) raises a :class:`ValidationError` naming the column."""
+    try:
+        return floats(values)
+    except OverflowError as exc:
+        raise ValidationError(f"cannot write {name}: {exc}") from None
+
+
 def _table(records, floats):
-    """The records as text columns, each formatted by one ``floats`` call.
+    """The records as text columns, each formatted by one :func:`_column` call.
 
     Returns the eight float columns, the region values, every record's
     design count, and the design value, efficiency and Carnot text of every
     design entry in record order.  A Carnot value is formatted once per
-    float object: :func:`run_sweep` shares one per design.  A value that
-    ``floats`` cannot format (in CSV, an int beyond the float range) raises
-    a :class:`ValidationError` naming its column.
+    float object: :func:`run_sweep` shares one per design.
     """
-    def text(name: str, values: list) -> list[str]:
-        try:
-            return floats(values)
-        except OverflowError as exc:
-            raise ValidationError(f"cannot write {name}: {exc}") from None
-
     designs = list(map(attrgetter("designs"), records))
     entries = list(chain.from_iterable(designs))
     carnots = list(map(attrgetter("carnot"), entries))
     unique = dict(zip(map(id, carnots), carnots))
-    carnot_text = dict(zip(unique, text("carnot", list(unique.values()))))
+    carnot_text = dict(zip(unique, _column(floats, "carnot", list(unique.values()))))
     return (
-        [text(name, list(map(attrgetter(name), records)))
+        [_column(floats, name, list(map(attrgetter(name), records)))
          for name in _FLOAT_COLUMNS],
         # ``_value_`` is the enum value without the ``value`` property's call.
         list(map(attrgetter("region._value_"), records)),
         list(map(len, designs)),
         list(map(attrgetter("design._value_"), entries)),
-        text("efficiency", list(map(attrgetter("efficiency"), entries))),
+        _column(floats, "efficiency", list(map(attrgetter("efficiency"), entries))),
         list(map(carnot_text.__getitem__, map(id, carnots))),
     )
 
@@ -525,9 +526,10 @@ def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
     for design in QtmDesign:
         if design in curves:
             curve = curves[design]
-            row = (f"{design.value},{{}},{{}},{_csv_floats([curve.carnot])[0]},"
-                   f"{curve.carnot_limit_kind.value}\n")
-            lines += _fill(row, _csv_floats(curve.rho), _csv_floats(curve.efficiency))
+            carnot = _column(_csv_floats, "carnot", [curve.carnot])[0]
+            row = f"{design.value},{{}},{{}},{carnot},{curve.carnot_limit_kind.value}\n"
+            lines += _fill(row, _column(_csv_floats, "rho", curve.rho),
+                           _column(_csv_floats, "efficiency", curve.efficiency))
     return "".join(lines)
 
 

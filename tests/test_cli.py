@@ -92,6 +92,14 @@ class TestEfficiency:
         assert code == 1
         assert "alpha_sq" in err
 
+    def test_invalid_theta_prints_nothing(self, capsys):
+        code, out, err = run_cli(
+            "efficiency", "--design", "QEN", "--alpha-sq", "2",
+            "--theta-sq", "1", capsys=capsys,
+        )
+        assert (code, out) == (1, "")
+        assert "theta_sq" in err
+
     def test_unknown_design_exits_one(self, capsys):
         code, _, _ = run_cli(
             "efficiency", "--design", "XXX", "--alpha-sq", "2", capsys=capsys
@@ -112,6 +120,11 @@ class TestBounds:
     def test_invalid_theta(self, capsys):
         code, _, err = run_cli("bounds", "--theta-sq", "1", capsys=capsys)
         assert code == 1
+
+    def test_theta_below_one_prints_nothing(self, capsys):
+        code, out, err = run_cli("bounds", "--theta-sq", "0.5", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert "theta_sq" in err
 
 
 class TestTable2:

@@ -1,11 +1,15 @@
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qtmkit import (
     CarnotLimitKind,
     EnergyRole,
+    ExchangeTriple,
     InvalidRhoError,
     InvalidThetaError,
     OperationalRegion,
@@ -16,6 +20,8 @@ from qtmkit import (
     boundary_report,
     carnot_efficiency,
     classical_otto_efficiency,
+    classify_region,
+    designs,
     efficiency,
     relation_residuals,
 )
@@ -26,6 +32,112 @@ HIGH_GROUP = (QtmDesign.QEN, QtmDesign.QLL, QtmDesign.QRE, QtmDesign.QHP)
 inside_low = st.floats(1e-6, 1.0, exclude_max=True)
 inside_high = st.floats(1.0, 1e6, exclude_min=True)
 thetas = st.floats(1.0, 100.0, exclude_min=True)
+
+Q = QtmDesign
+#: The paper's closed forms: each design's efficiency at ``alpha_sq = a`` and
+#: its Carnot value at ``theta_sq = t``.  qtmkit derives both from the
+#: design's roles; these are the independent reference.
+PAPER_EFFICIENCY = {
+    Q.QCO: lambda a: a / (1.0 - a),
+    Q.QHT: lambda a: 1.0 / (1.0 - a),
+    Q.QDP: lambda a: (1.0 - a) / a,
+    Q.QHO: lambda a: 1.0 / a,
+    Q.QEN: lambda a: (a - 1.0) / a,
+    Q.QLL: lambda a: 1.0 / a,
+    Q.QRE: lambda a: 1.0 / (a - 1.0),
+    Q.QHP: lambda a: a / (a - 1.0),
+}
+PAPER_CARNOT = {
+    Q.QCO: lambda t: 1.0 / (t - 1.0),
+    Q.QHT: lambda t: t / (t - 1.0),
+    Q.QDP: lambda t: t - 1.0,
+    Q.QHO: lambda t: t,
+    Q.QEN: lambda t: (t - 1.0) / t,
+    Q.QLL: lambda t: 1.0 / t,
+    Q.QRE: lambda t: 1.0 / (t - 1.0),
+    Q.QHP: lambda t: t / (t - 1.0),
+}
+#: The efficiency's limit at the end of its interval away from the Carnot
+#: value, and an ``alpha_sq`` inside the interval close to that end.
+PAPER_FAR_LIMIT = {
+    Q.QCO: (0.0, 1e-300), Q.QHT: (1.0, 1e-300),
+    Q.QDP: (0.0, 1.0 - 1e-12), Q.QHO: (1.0, 1.0 - 1e-12),
+    Q.QEN: (0.0, 1.0 + 1e-12), Q.QLL: (1.0, 1.0 + 1e-12),
+    Q.QRE: (0.0, 1e300), Q.QHP: (1.0, 1e300),
+}
+
+below_one = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+above_one = st.floats(1.0, 1e300, exclude_min=True)
+
+
+class TestPaperClosedForms:
+    @given(low=st.lists(below_one, min_size=1, max_size=8),
+           high=st.lists(above_one, min_size=1, max_size=8))
+    def test_efficiency_is_the_paper_form_bit_for_bit(self, low, high):
+        for group, values in ((LOW_GROUP, low), (HIGH_GROUP, high)):
+            grid = np.array(sorted(values))
+            for design in group:
+                paper = PAPER_EFFICIENCY[design]
+                for a in values:
+                    assert efficiency(design, a) == paper(a)
+                with np.errstate(over="ignore"):  # a/(1-a) and 1/a at 5e-324
+                    assert np.array_equal(
+                        designs._efficiencies(design, grid), paper(grid))
+
+    @given(theta_sq=st.floats(1.0, math.exp(20), exclude_min=True))
+    def test_carnot_is_the_paper_form_bit_for_bit(self, theta_sq):
+        for design in QtmDesign:
+            assert carnot_efficiency(design, theta_sq) == (
+                PAPER_CARNOT[design](theta_sq))
+
+    @pytest.mark.parametrize("design", QtmDesign)
+    def test_far_end_limits(self, design):
+        limit, near = PAPER_FAR_LIMIT[design]
+        assert designs._FAR_LIMIT[design] == limit
+        assert PAPER_EFFICIENCY[design](near) == pytest.approx(limit, abs=1e-11)
+
+
+def readme_signs():
+    """Each design's sign pattern of ``(e_high, e_low, e_out)``, from the
+    region table of README.md."""
+    text = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    rows = re.findall(r"^\|[^|]*\| `([-+]), ([-+]), ([-+])` *\| ([A-Z, ]+?) *\|$",
+                      text, re.MULTILINE)
+    return {QtmDesign(name): signs
+            for *signs, names in rows for name in names.split(", ")}
+
+
+#: Each role's signed exchange, positive when the exchange takes place.
+SIGNED_EXCHANGE = {
+    EnergyRole.ABSORB_HIGH: lambda ex: ex.e_high,
+    EnergyRole.RELEASE_HIGH: lambda ex: -ex.e_high,
+    EnergyRole.ABSORB_LOW: lambda ex: ex.e_low,
+    EnergyRole.RELEASE_LOW: lambda ex: -ex.e_low,
+    EnergyRole.GENERATE_OUTSIDE: lambda ex: ex.e_out,
+    EnergyRole.RECEIVE_OUTSIDE: lambda ex: -ex.e_out,
+}
+
+
+def test_readme_sign_table_names_every_design():
+    assert set(readme_signs()) == set(QtmDesign)
+
+
+@given(theta_sq=st.floats(1.01, 100.0), u=st.floats(0.01, 0.99))
+def test_roles_take_place_in_the_region_triple(theta_sq, u):
+    # The region triple is (a, -1), or (-a, 1) in Pumpers; in it, the target
+    # and the source of every design of that region take place.
+    signs = readme_signs()
+    for design in QtmDesign:
+        bounds = alpha_bounds(design, theta_sq)
+        lo, hi = bounds.alpha_sq_min, bounds.alpha_sq_max
+        a = lo / u if hi == math.inf else lo + u * (hi - lo)
+        pumpers = design.region is OperationalRegion.PUMPERS
+        ex = ExchangeTriple(-a, 1.0) if pumpers else ExchangeTriple(a, -1.0)
+        assert classify_region(ex, theta_sq) is design.region
+        assert ["+" if e > 0.0 else "-" for e in (ex.e_high, ex.e_low, ex.e_out)] == (
+            signs[design])
+        assert SIGNED_EXCHANGE[design.target](ex) > 0.0
+        assert SIGNED_EXCHANGE[design.source](ex) > 0.0
 
 
 class TestEfficiency:

@@ -196,6 +196,16 @@ def test_records_csv_of_an_int_beyond_the_float_range_names_its_column(column):
         emit([record], "csv", io.StringIO())
 
 
+@pytest.mark.parametrize("column", ["rho", "efficiency", "carnot"])
+def test_curves_csv_of_an_int_beyond_the_float_range_names_its_column(column):
+    fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
+    fields[column] = 10**400 if column == "carnot" else (10**400,)
+    curve = EfficiencyCurve(QtmDesign.QEN, **fields,
+                            carnot_limit_kind=CarnotLimitKind.MAXIMUM)
+    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
+        emit_curves({QtmDesign.QEN: curve}, "csv", io.StringIO())
+
+
 @settings(max_examples=100, deadline=None)
 @given(curve_maps())
 def test_curves_json_matches_json_dumps(curves):
