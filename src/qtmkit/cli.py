@@ -34,6 +34,7 @@ from .regions import (
     classify_region,
 )
 from .sweep import (
+    _NUMBERS,
     MediumKind,
     Normalization,
     SweepSpec,
@@ -190,13 +191,19 @@ def _load_json(path: str, keys: Sequence[str]) -> dict:
     return doc
 
 
+def _number(value) -> float:
+    if type(value) not in _NUMBERS:
+        raise TypeError("not a number")
+    return float(value)
+
+
 def _grid(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError("not an array")
-    return tuple(float(r) for r in value)
+    return tuple(map(_number, value))
 
 
-#: How each config value is read; numbers unless named here.
+#: How each config value is read; JSON numbers (not bools) unless named here.
 _READERS = {
     "rho_grid": _grid,
     "medium_kind": MediumKind,
@@ -210,8 +217,8 @@ def _read(doc: dict, path: str, keys: Sequence[str]) -> dict:
     for key in keys:
         if key in doc:
             try:
-                values[key] = _READERS.get(key, float)(doc[key])
-            except (TypeError, ValueError):
+                values[key] = _READERS.get(key, _number)(doc[key])
+            except (TypeError, ValueError, OverflowError):
                 raise ValidationError(
                     f"{key} in {path} has the wrong type or value: "
                     f"{doc[key]!r}"

@@ -124,6 +124,9 @@ CATALOG = {
     QtmDesign.QHP: DesignRow(_R.PUMPERS, _C.RELEASE_HIGH, _C.RECEIVE_OUTSIDE),
 }
 
+#: Each region's two designs in :class:`QtmDesign` order; regions in ``_REGIONS`` order.
+_PAIRS = {r: tuple(d for d in CATALOG if d.region is r) for r in _REGIONS[:4]}
+
 #: Each exchange as ``c_high*e_high + c_low*e_low``: positive when it takes
 #: place, under the sign convention of :mod:`qtmkit.regions`.
 _ROLES = {
@@ -179,7 +182,7 @@ def admissible_designs(region: OperationalRegion) -> frozenset[QtmDesign]:
         raise BoundaryRegionError(
             f"no design operates on a region boundary ({region.value})"
         )
-    return frozenset(d for d, row in CATALOG.items() if row.region is region)
+    return frozenset(_PAIRS[region])
 
 
 def efficiency(design: QtmDesign, alpha_sq: float) -> float:

@@ -17,7 +17,6 @@ This module holds the value types and the classifier.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, unique
 from operator import attrgetter
@@ -52,7 +51,7 @@ def in_boundary_band(alpha_sq, threshold: float, tol: float = DEFAULT_CLASSIFY_T
 
 def _edges(theta_sq: float) -> tuple[float, ...]:
     """The ``alpha_sq`` region edges ``(0, 1/theta_sq, 1, theta_sq, inf)``;
-    the inner three are the thresholds of :data:`_BANDS`."""
+    the inner three are the thresholds of :func:`_region_index`."""
     return (0.0, 1.0 / theta_sq, 1.0, theta_sq, math.inf)
 
 
@@ -109,18 +108,25 @@ class OperationalRegion(Enum):
 #: Regions by classifier index, in the enum's order: the four ``alpha_sq``
 #: intervals between the thresholds, then the boundary marker of each.
 _REGIONS = tuple(OperationalRegion)
-#: Per threshold of ``_edges(theta_sq)[1:4]``: its boundary marker, and
-#: whether its band applies to forward (absorb-hot) triples only.  Outside
-#: the bands a ratio lies in interval ``bisect_right(thresholds, a)``; the
-#: forward orientation is admissible below ``theta_sq``, the reversed one
-#: only above it.
-_BANDS = (
-    (OperationalRegion.BOUNDARY_2ACQ_SUBREGIONS, True),
-    (OperationalRegion.BOUNDARY_2ACQ_OUTT, True),
-    # Reversible Carnot limit: both orientations degenerate here.
-    (OperationalRegion.BOUNDARY_OUTT_PUMP, False),
-)
-_MARKERS = tuple(marker for marker, _ in _BANDS)
+_MARKERS = _REGIONS[4:]
+
+
+def _region_index(a, forward, theta_sq: float, tol: float = DEFAULT_CLASSIFY_TOL):
+    """``(index, side)`` of ratio ``a`` with orientation ``forward`` (absorb
+    hot), elementwise on floats or arrays.  ``side`` counts the thresholds
+    ``(1/theta_sq, 1, theta_sq)`` at or below ``a``.  ``index`` is ``4 + k``
+    in the band of threshold ``k`` (the first that holds; the two lower bands
+    hold for forward ratios only), else ``side``: there the forward
+    orientation is admissible below ``theta_sq``, the reversed one above it."""
+    t = _edges(theta_sq)[1:4]
+    # Start from an int: numpy adds two bool arrays as a logical or.
+    side = 0 + (t[0] <= a) + (t[1] <= a) + (t[2] <= a)
+    index = side
+    for k in (2, 1, 0):  # the first band that holds is applied last
+        # Both orientations meet at theta_sq, the reversible Carnot limit.
+        band = in_boundary_band(a, t[k], tol) & (forward | (k == 2))
+        index = index + band * (4 + k - index)
+    return index, side
 
 
 def alpha_squared(ex: ExchangeTriple) -> float:
@@ -158,7 +164,7 @@ def classify_region(
     signs, or an orientation whose ratio would beat the Carnot bound -- is
     rejected as physically inadmissible.  A finite ratio within
     ``tol * alpha_sq`` of a threshold whose band applies to the triple's
-    orientation (:data:`_BANDS`) gives that boundary's marker instead.
+    orientation (:func:`_region_index`) gives that boundary's marker instead.
     """
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     if not 0.0 <= tol < math.inf:
@@ -176,19 +182,12 @@ def classify_region(
         )
 
     a = -ex.e_high / ex.e_low
-    thresholds = _edges(theta_sq)[1:4]
-    for threshold, (marker, forward_only) in zip(thresholds, _BANDS):
-        if (forward or not forward_only) and in_boundary_band(a, threshold, tol):
-            return marker
-    side = bisect_right(thresholds, a)
-    if forward == (side < 3):
-        return _REGIONS[side]
-    side, kind = (
-        ("exceeds", "an absorb-hot/release-cold")
-        if forward
-        else ("is below", "a release-hot/absorb-cold")
-    )
+    index, side = _region_index(a, forward, theta_sq, tol)
+    if index != side or forward == (side < 3):
+        return _REGIONS[index]
+    where, kind = (("exceeds", "an absorb-hot/release-cold") if forward
+                   else ("is below", "a release-hot/absorb-cold"))
     raise UnclassifiableExchangeError(
-        f"alpha_sq={a!r} {side} theta_sq={theta_sq!r} for {kind} triple; "
+        f"alpha_sq={a!r} {where} theta_sq={theta_sq!r} for {kind} triple; "
         f"this would beat the Carnot bound and is inadmissible"
     )

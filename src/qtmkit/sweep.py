@@ -37,13 +37,14 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 from enum import Enum, unique
 from itertools import chain, islice, repeat
+from numbers import Integral
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .designs import (  # noqa: F401  (admissible_designs, efficiency: see below)
-    CarnotLimitKind, QtmDesign, _efficiencies, admissible_designs,
+    _PAIRS, CarnotLimitKind, QtmDesign, _efficiencies, admissible_designs,
     alpha_bounds, carnot_efficiency, efficiency,
 )
 from .errors import (DegenerateExchangeError, EmitIOError, EmptyGridError,
@@ -52,8 +53,8 @@ from .errors import (DegenerateExchangeError, EmitIOError, EmptyGridError,
 from .media import (CODATA, PhysicalConstants, _ring_levels, gap_medium,
                     ring_medium)
 from .otto import _exchanges, otto_cycle_energies  # noqa: F401  (see below)
-from .regions import (_BANDS, _REGIONS, ExchangeTriple, OperationalRegion,
-                      _edges, classify_region, in_boundary_band)
+from .regions import (_REGIONS, ExchangeTriple, OperationalRegion, _edges,
+                      _region_index, classify_region, in_boundary_band)
 
 # The kernel evaluates on arrays what the scalar API does point by point; the
 # scalar API stays bound here for the spans perfbench/tracing.py wraps.
@@ -97,7 +98,6 @@ CSV_COLUMNS = (
 _FLOAT_COLUMNS = CSV_COLUMNS[:8]
 #: The JSON value types a float field accepts (``bool`` is not one).
 _NUMBERS = frozenset((float, int))
-_DESIGNS = tuple(QtmDesign)
 
 
 @unique
@@ -242,9 +242,10 @@ def default_rho_grid(
     efficiency curves land exactly on grid points (when they fall inside the
     requested range).
     """
-    if num < 2 or not 0.0 < rho_min < rho_max:
+    if not (isinstance(num, Integral) and num >= 2
+            and 0.0 < rho_min < rho_max < math.inf):
         raise ValidationError(
-            f"need num >= 2 and 0 < rho_min < rho_max, got "
+            f"need an integer num >= 2 and 0 < rho_min < rho_max < inf, got "
             f"num={num!r}, rho_min={rho_min!r}, rho_max={rho_max!r}"
         )
     inject = [r for r in astuple(boundary_report(theta_sq))[:3]
@@ -282,24 +283,18 @@ def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
 
 def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
     """:func:`classify_region` of every point, as indices into ``_REGIONS``,
-    by the same ``_BANDS`` table and side rule.
+    by the same :func:`_region_index` call on the whole arrays.
 
-    A zero exchange, two of one sign, or a ratio past the Carnot bound of
-    its orientation makes :func:`classify_region` itself raise; only an
-    exactly reversible point is kept, as the boundary that its gap ratio
-    identifies.
+    Points it leaves to :func:`classify_region` to reject -- a zero exchange,
+    two of one sign, or a ratio in no band past the Carnot bound of its
+    orientation -- are redone by it, which raises; only an exactly reversible
+    point is kept, as the boundary that its gap ratio identifies.
     """
-    with np.errstate(all="ignore"):  # zeros are redone below; inf is in no band
-        a = -e_high / e_low
-    thresholds = _edges(theta_sq)[1:4]
     forward = e_high > 0.0
-    side = np.searchsorted(thresholds, a, side="right")
-    index = np.select(
-        [in_boundary_band(a, t) & (forward if forward_only else True)
-         for t, (_, forward_only) in zip(thresholds, _BANDS)],
-        [_REGIONS.index(marker) for marker, _ in _BANDS], side)
+    with np.errstate(all="ignore"):  # zeros are redone below; inf is in no band
+        index, side = _region_index(-e_high / e_low, forward, theta_sq)
     redo = ((np.sign(e_high) * np.sign(e_low) != -1.0)
-            | ((index < 4) & (forward == (side == 3))))
+            | ((index == side) & (forward == (side == 3))))
     for i in np.flatnonzero(redo).tolist():
         try:
             region = classify_region(
@@ -338,30 +333,23 @@ def run_sweep(
     if spec.normalization is Normalization.MAX_ABS_ENERGY:
         scale = max(float(np.abs(e).max()) for e in (e_high, e_low, e_out)) or 1.0
 
-    # Each design's entries as columns, ordered by record with a stable sort
-    # so that a record keeps its entries in QtmDesign order.
-    hits, effs, carnots = [], [], []
-    for design in QtmDesign:
-        bounds = alpha_bounds(design, spec.theta_sq)
-        hits.append(np.flatnonzero((index == _REGIONS.index(design.region))
-                                   & (bounds.alpha_sq_min < alpha_sq)
-                                   & (alpha_sq < bounds.alpha_sq_max)))
-        effs.append(_efficiencies(design, alpha_sq[hits[-1]]))
-        carnots.append(carnot_efficiency(design, spec.theta_sq))
-    owner = np.concatenate(hits)
-    order = np.argsort(owner, kind="stable")
-    kinds = np.repeat(np.arange(len(_DESIGNS)), list(map(len, hits)))[order].tolist()
-    entries = _build(DesignEfficiency, len(order),
-                     map(_DESIGNS.__getitem__, kinds),
-                     np.concatenate(effs)[order].tolist(),
-                     map(carnots.__getitem__, kinds))
-    counts = np.bincount(owner, minlength=len(rho)).tolist()
+    # A region's two designs share its interval: one mask gives the points
+    # where both have an entry, placed as a pair in QtmDesign order.
+    designs = [()] * len(rho)
+    for i, pair in enumerate(_PAIRS.values()):
+        bounds = alpha_bounds(pair[0], spec.theta_sq)
+        hits = np.flatnonzero((index == i) & (bounds.alpha_sq_min < alpha_sq)
+                              & (alpha_sq < bounds.alpha_sq_max))
+        entries = [_build(DesignEfficiency, len(hits), repeat(design),
+                          _efficiencies(design, alpha_sq[hits]).tolist(),
+                          repeat(carnot_efficiency(design, spec.theta_sq)))
+                   for design in pair]
+        deque(map(designs.__setitem__, hits.tolist(), zip(*entries)), 0)
 
     columns = [c.tolist() for c in (alpha_sq, e_high, e_low, e_out,
                                     e_high / scale, e_low / scale, e_out / scale)]
     records = _build(SweepRecord, len(rho), map(float, spec.rho_grid), *columns,
-                     map(_REGIONS.__getitem__, index.tolist()),
-                     map(tuple, map(islice, repeat(iter(entries)), counts)))
+                     map(_REGIONS.__getitem__, index.tolist()), designs)
     return records, boundary_report(spec.theta_sq)
 
 

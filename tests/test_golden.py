@@ -60,13 +60,17 @@ def test_package_exports_exactly_the_module_lists():
 
 
 def test_every_benchmark_trace_binding_resolves():
-    # perfbench/tracing.py wraps these module attributes by name.
+    # perfbench/tracing.py wraps these module attributes by name, each under
+    # the span of the layer that defines the function bound there.
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for module_name, attr, _ in tracing.BINDINGS:
-        assert callable(getattr(importlib.import_module(module_name), attr))
+    for module_name, attr, span in tracing.BINDINGS:
+        bound = getattr(importlib.import_module(module_name), attr)
+        layer, name = span.rsplit(".", 1)
+        assert bound is getattr(importlib.import_module(f"qtmkit.{layer}"), name)
+        assert callable(bound)
 
 
 def test_reference_sweep_records_and_curves(tmp_path, capsys, monkeypatch):

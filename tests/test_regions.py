@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +18,7 @@ from qtmkit import (
     alpha_squared,
     classify_region,
 )
+from qtmkit.regions import _REGIONS, _region_index
 
 
 class TestExchangeTriple:
@@ -129,6 +131,21 @@ class TestClassifyRegion:
         assert classify_region(near, 5.0, tol=0.0) is (
             OperationalRegion.TWO_ACQUIRERS_HIGH
         )
+
+    @pytest.mark.parametrize("tol, forward_marker", [
+        (0.5, OperationalRegion.BOUNDARY_2ACQ_SUBREGIONS),  # in all three bands
+        (0.3, OperationalRegion.BOUNDARY_2ACQ_OUTT),  # in the bands of 1 and 1.5
+    ])
+    def test_the_first_band_that_holds_wins(self, tol, forward_marker):
+        # thresholds 2/3, 1 and 1.5; the bands of 2/3 and 1 hold for forward
+        # triples only, so a reversed triple gets the theta_sq marker
+        pump = OperationalRegion.BOUNDARY_OUTT_PUMP
+        assert classify_region(ExchangeTriple(1.2, -1.0), 1.5, tol) is forward_marker
+        assert classify_region(ExchangeTriple(-1.2, 1.0), 1.5, tol) is pump
+        index, side = _region_index(np.array([1.2, 1.2]), np.array([True, False]),
+                                    1.5, tol)
+        assert [_REGIONS[i] for i in index] == [forward_marker, pump]
+        assert side.tolist() == [2, 2]
 
     def test_rejects_bad_theta_and_tol(self):
         ex = ExchangeTriple(1.0, -2.0)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -108,7 +109,8 @@ class TestDefaultGrid:
 
     @pytest.mark.parametrize("num, rho_min, rho_max", [
         (1, 0.05, 3.0), (0, 0.05, 3.0), (600, 0.0, 3.0), (600, 3.0, 0.05),
-        (600, 1.0, 1.0),
+        (600, 1.0, 1.0), (600, 0.05, math.inf), (600, 0.05, math.nan),
+        (600, -math.inf, 3.0), (2.5, 0.05, 3.0), (600.0, 0.05, 3.0),
     ])
     def test_rejects_too_few_points_or_a_bad_range(self, num, rho_min, rho_max):
         with pytest.raises(ValidationError,

@@ -68,6 +68,16 @@ def run_sweep_cli(tmp_path, capsys, config):
         ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "rho_grid": "123"},
          "rho_grid"),
         ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "hbar": [1]}, "hbar"),
+        # Only a JSON number is a number: not a bool, not a numeric string.
+        ({"t_low": True, "theta_sq": 5, "r_low": 1e-7}, "t_low"),
+        ({"t_low": 1, "theta_sq": "5", "r_low": 1e-7}, "theta_sq"),
+        ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "rho_grid": [True, "2"]},
+         "rho_grid"),
+        ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "rho_grid": [1, "2"]},
+         "rho_grid"),
+        ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "hbar": "1e-34"}, "hbar"),
+        # An int beyond the float range.
+        ({"t_low": 10 ** 400, "theta_sq": 5, "r_low": 1e-7}, "t_low"),
     ],
 )
 def test_wrong_type_in_config_exits_one_naming_the_key(
