@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 from .designs import (
     _FAR_LIMIT,
+    _PAIRS,
     QtmDesign,
-    admissible_designs,
     alpha_bounds,
     carnot_efficiency,
     efficiency,
@@ -31,6 +31,7 @@ from .media import PhysicalConstants
 from .regions import (
     DEFAULT_CLASSIFY_TOL,
     ExchangeTriple,
+    _pair_ratio,
     classify_region,
 )
 from .sweep import (
@@ -125,13 +126,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     region = classify_region(triple, args.theta_sq, args.tol)
     print(f"region: {region.value}")
     # The ratio the classifier accepted; it may overflow to inf.
-    print(f"alpha_sq: {-triple.e_high / triple.e_low:.12g}")
+    print(f"alpha_sq: {_pair_ratio(triple):.12g}")
     print(f"e_out: {triple.e_out:.12g}")
     if region.is_boundary:
         print("designs: (boundary; none admissible)")
     else:
-        designs = sorted(admissible_designs(region), key=tuple(QtmDesign).index)
-        print("designs: " + ", ".join(d.value for d in designs))
+        print("designs: " + ", ".join(d.value for d in _PAIRS[region]))
     return 0
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import (
     BoundaryRegionError,
@@ -50,12 +50,10 @@ __all__ = [
     "EnergyRole",
     "CarnotLimitKind",
     "AlphaBounds",
-    "RelationResiduals",
     "admissible_designs",
     "efficiency",
     "carnot_efficiency",
     "alpha_bounds",
-    "relation_residuals",
     "classical_otto_efficiency",
 ]
 
@@ -259,31 +257,6 @@ def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
     lo, hi, limit, end = _BOUNDS[design]
     edges = _edges(theta_sq)
     return AlphaBounds(edges[lo], edges[hi], limit, edges[end])
-
-
-class RelationResiduals(NamedTuple):
-    """Residuals of the four in-region pairwise identities, each zero to
-    machine precision where its pair is defined and ``None`` elsewhere."""
-
-    qht_minus_qco: Optional[float]  # QHT - QCO - 1 on (0, 1)
-    qho_minus_qdp: Optional[float]  # QHO - QDP - 1 on (0, 1)
-    qen_plus_qll: Optional[float]  # QEN + QLL - 1 on (1, inf)
-    qhp_minus_qre: Optional[float]  # QHP - QRE - 1 on (1, inf)
-
-
-def relation_residuals(alpha_sq: float) -> RelationResiduals:
-    """Evaluate the pairwise efficiency identities at one energy ratio; they
-    are independent of the temperature ratio."""
-    def eff(design: QtmDesign) -> float:
-        return efficiency(design, alpha_sq)
-
-    q = QtmDesign
-    low = high = (None, None)
-    if 0.0 < alpha_sq < 1.0:
-        low = (eff(q.QHT) - eff(q.QCO) - 1.0, eff(q.QHO) - eff(q.QDP) - 1.0)
-    elif alpha_sq > 1.0 and math.isfinite(alpha_sq):
-        high = (eff(q.QEN) + eff(q.QLL) - 1.0, eff(q.QHP) - eff(q.QRE) - 1.0)
-    return RelationResiduals(*low, *high)
 
 
 def classical_otto_efficiency(rho: float) -> float:

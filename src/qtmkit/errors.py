@@ -43,12 +43,12 @@ class DegenerateExchangeError(ValidationError):
     """Energy exchange with a reservoir is exactly zero."""
 
 
-class InvalidSignsError(ValidationError):
-    """Reservoir exchanges share a sign; no cyclic operation matches."""
-
-
 class UnclassifiableExchangeError(ValidationError):
     """Sign/magnitude pattern matches no operational region."""
+
+
+class InvalidSignsError(UnclassifiableExchangeError):
+    """Reservoir exchanges share a sign; no cyclic operation matches."""
 
 
 class BoundaryRegionError(ValidationError):

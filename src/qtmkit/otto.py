@@ -103,10 +103,16 @@ class TwoLevelMedium:
     high_config: tuple[float, float]
 
     def __post_init__(self) -> None:
-        for name, (e_g, e_e) in (
+        for name, config in (
             ("low_config", self.low_config),
             ("high_config", self.high_config),
         ):
+            try:
+                e_g, e_e = config
+            except (TypeError, ValueError):
+                raise DegenerateMediumError(
+                    f"{name} must be a (ground, excited) pair, got {config!r}"
+                ) from None
             require_finite(name, e_g, ValidationError)
             require_finite(name, e_e, ValidationError)
             if e_e - e_g <= 0.0:

@@ -116,17 +116,34 @@ def _region_index(a, forward, theta_sq: float, tol: float = DEFAULT_CLASSIFY_TOL
     hot), elementwise on floats or arrays.  ``side`` counts the thresholds
     ``(1/theta_sq, 1, theta_sq)`` at or below ``a``.  ``index`` is ``4 + k``
     in the band of threshold ``k`` (the first that holds; the two lower bands
-    hold for forward ratios only), else ``side``: there the forward
-    orientation is admissible below ``theta_sq``, the reversed one above it."""
+    hold for forward ratios only), else ``side`` where the orientation is
+    admissible -- forward below ``theta_sq``, reversed above it -- and ``-1``
+    where the ratio would beat the Carnot bound."""
     t = _edges(theta_sq)[1:4]
     # Start from an int: numpy adds two bool arrays as a logical or.
     side = 0 + (t[0] <= a) + (t[1] <= a) + (t[2] <= a)
-    index = side
+    index = side - (side + 1) * (forward == (side == 3))
     for k in (2, 1, 0):  # the first band that holds is applied last
         # Both orientations meet at theta_sq, the reversible Carnot limit.
         band = in_boundary_band(a, t[k], tol) & (forward | (k == 2))
         index = index + band * (4 + k - index)
     return index, side
+
+
+def _pair_ratio(ex: ExchangeTriple) -> float:
+    """``-e_high/e_low`` of two nonzero reservoir exchanges of opposite sign;
+    it may overflow to inf or underflow to 0."""
+    if ex.e_high == 0.0 or ex.e_low == 0.0:
+        raise DegenerateExchangeError(
+            f"both reservoir exchanges must be nonzero, got "
+            f"e_high={ex.e_high!r}, e_low={ex.e_low!r}"
+        )
+    if (ex.e_high > 0.0) == (ex.e_low > 0.0):
+        raise InvalidSignsError(
+            f"reservoir exchanges share a sign (e_high={ex.e_high!r}, "
+            f"e_low={ex.e_low!r}); no operational region matches"
+        )
+    return -ex.e_high / ex.e_low
 
 
 def alpha_squared(ex: ExchangeTriple) -> float:
@@ -136,17 +153,7 @@ def alpha_squared(ex: ExchangeTriple) -> float:
     makes the ratio positive in every operational region, and the ratio
     finite and nonzero in floating point.
     """
-    if ex.e_high == 0.0 or ex.e_low == 0.0:
-        raise DegenerateExchangeError(
-            f"both reservoir exchanges must be nonzero, got "
-            f"e_high={ex.e_high!r}, e_low={ex.e_low!r}"
-        )
-    if (ex.e_high > 0.0) == (ex.e_low > 0.0):
-        raise InvalidSignsError(
-            f"reservoir exchanges must have opposite signs, got "
-            f"e_high={ex.e_high!r}, e_low={ex.e_low!r}"
-        )
-    ratio = -ex.e_high / ex.e_low
+    ratio = _pair_ratio(ex)
     require_finite("alpha_sq", ratio, ValidationError, 0.0)
     return ratio
 
@@ -169,21 +176,10 @@ def classify_region(
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tol must be finite and non-negative, got {tol!r}")
-    if ex.e_high == 0.0 or ex.e_low == 0.0:
-        raise DegenerateExchangeError(
-            f"cannot classify a triple with a zero reservoir exchange: "
-            f"e_high={ex.e_high!r}, e_low={ex.e_low!r}"
-        )
+    a = _pair_ratio(ex)
     forward = ex.e_high > 0.0
-    if forward == (ex.e_low > 0.0):
-        raise UnclassifiableExchangeError(
-            f"reservoir exchanges share a sign (e_high={ex.e_high!r}, "
-            f"e_low={ex.e_low!r}); no operational region matches"
-        )
-
-    a = -ex.e_high / ex.e_low
-    index, side = _region_index(a, forward, theta_sq, tol)
-    if index != side or forward == (side < 3):
+    index, _ = _region_index(a, forward, theta_sq, tol)
+    if index >= 0:
         return _REGIONS[index]
     where, kind = (("exceeds", "an absorb-hot/release-cold") if forward
                    else ("is below", "a release-hot/absorb-cold"))

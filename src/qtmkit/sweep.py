@@ -37,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 from enum import Enum, unique
 from itertools import chain, islice, repeat
-from numbers import Integral
+from numbers import Integral, Real
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
@@ -243,6 +243,7 @@ def default_rho_grid(
     requested range).
     """
     if not (isinstance(num, Integral) and num >= 2
+            and isinstance(rho_min, Real) and isinstance(rho_max, Real)
             and 0.0 < rho_min < rho_max < math.inf):
         raise ValidationError(
             f"need an integer num >= 2 and 0 < rho_min < rho_max < inf, got "
@@ -286,15 +287,13 @@ def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
     by the same :func:`_region_index` call on the whole arrays.
 
     Points it leaves to :func:`classify_region` to reject -- a zero exchange,
-    two of one sign, or a ratio in no band past the Carnot bound of its
+    two of one sign, or index ``-1``, a ratio past the Carnot bound of its
     orientation -- are redone by it, which raises; only an exactly reversible
     point is kept, as the boundary that its gap ratio identifies.
     """
-    forward = e_high > 0.0
     with np.errstate(all="ignore"):  # zeros are redone below; inf is in no band
-        index, side = _region_index(-e_high / e_low, forward, theta_sq)
-    redo = ((np.sign(e_high) * np.sign(e_low) != -1.0)
-            | ((index == side) & (forward == (side == 3))))
+        index, _ = _region_index(-e_high / e_low, e_high > 0.0, theta_sq)
+    redo = (np.sign(e_high) * np.sign(e_low) != -1.0) | (index < 0)
     for i in np.flatnonzero(redo).tolist():
         try:
             region = classify_region(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtmkit import (
+    AlphaBounds,
     CarnotLimitKind,
     EnergyRole,
     ExchangeTriple,
@@ -16,6 +17,7 @@ from qtmkit import (
     OutOfRegionError,
     QtmDesign,
     SingularEfficiencyError,
+    ValidationError,
     alpha_bounds,
     boundary_report,
     carnot_efficiency,
@@ -23,7 +25,6 @@ from qtmkit import (
     classify_region,
     designs,
     efficiency,
-    relation_residuals,
 )
 
 LOW_GROUP = (QtmDesign.QCO, QtmDesign.QHT, QtmDesign.QDP, QtmDesign.QHO)
@@ -273,6 +274,10 @@ class TestCarnotEfficiency:
 
 
 class TestAlphaBounds:
+    def test_rejects_inverted_bounds(self):
+        with pytest.raises(ValidationError, match="alpha_sq_min must be below"):
+            AlphaBounds(2.0, 1.0, CarnotLimitKind.MAXIMUM, 1.0)
+
     @pytest.mark.parametrize(
         "design, expected_min, expected_max, kind",
         [
@@ -364,31 +369,6 @@ class TestIntersections:
     def test_invalid_theta(self):
         with pytest.raises(InvalidThetaError):
             boundary_report(1.0)
-
-
-class TestRelationResiduals:
-    def test_below_one_only_first_pair_applies(self):
-        res = relation_residuals(0.5)
-        assert res.qht_minus_qco == pytest.approx(0.0, abs=1e-14)
-        assert res.qho_minus_qdp == pytest.approx(0.0, abs=1e-14)
-        assert res.qen_plus_qll is None
-        assert res.qhp_minus_qre is None
-
-    def test_above_one_only_second_pair_applies(self):
-        res = relation_residuals(2.0)
-        assert res.qht_minus_qco is None
-        assert res.qho_minus_qdp is None
-        assert res.qen_plus_qll == pytest.approx(0.0, abs=1e-14)
-        assert res.qhp_minus_qre == pytest.approx(0.0, abs=1e-14)
-
-    def test_pumpers_side_value(self):
-        res = relation_residuals(3.0)
-        assert res.qhp_minus_qre == pytest.approx(0.0, abs=1e-14)
-
-    def test_thresholds_yield_no_applicable_pairs(self):
-        for alpha_sq in (1.0, 0.0, -2.0):
-            res = relation_residuals(alpha_sq)
-            assert all(value is None for value in res)
 
 
 class TestClassicalOtto:

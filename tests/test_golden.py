@@ -24,8 +24,7 @@ PUBLIC_NAMES = {
     "alpha_squared", "classify_region", "DEFAULT_CLASSIFY_TOL",
     # designs
     "QtmDesign", "EnergyRole", "CarnotLimitKind", "AlphaBounds",
-    "RelationResiduals", "admissible_designs", "efficiency",
-    "carnot_efficiency", "alpha_bounds", "relation_residuals",
+    "admissible_designs", "efficiency", "carnot_efficiency", "alpha_bounds",
     "classical_otto_efficiency",
     # otto
     "LevelSpectrum", "TwoLevelMedium", "occupation", "otto_cycle_energies",
@@ -53,7 +52,7 @@ PUBLIC_NAMES = {
 def test_package_exports_exactly_the_module_lists():
     modules = (regions, designs, otto, media, sweep, errors)
     union = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 61
+    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 59
     assert set(qtmkit.__all__) == union == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qtmkit, name)

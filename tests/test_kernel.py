@@ -43,6 +43,7 @@ from qtmkit import (
     efficiency_curves,
     gap_medium,
     otto_cycle_energies,
+    ring_medium,
     run_sweep,
 )
 
@@ -112,7 +113,10 @@ def test_high_temperature_region_follows_the_gap_ratio(
 def scalar_point(spec, rho, constants):
     """One grid point through the scalar API, with the sweep's rule for an
     exactly reversible point."""
-    medium = gap_medium(spec.gap_low, rho * rho)
+    if spec.medium_kind is MediumKind.QUANTUM_RING:
+        medium = ring_medium(spec.r_low, spec.r_low / rho, constants)
+    else:
+        medium = gap_medium(spec.gap_low, rho * rho)
     energies = otto_cycle_energies(medium, spec.t_low, spec.theta_sq,
                                    constants.boltzmann_k)
     try:
@@ -137,20 +141,29 @@ def scalar_point(spec, rho, constants):
     t_low=st.floats(0.1, 10.0),
     rhos=st.lists(st.floats(0.05, 10.0), min_size=1, max_size=30, unique=True),
     with_boundaries=st.booleans(),
+    # A ring in metres and kelvin, sized so that no point freezes out.
+    ring=st.none() | st.tuples(st.floats(1e-7, 1e-6), st.floats(1.0, 10.0)),
 )
 @settings(max_examples=100, deadline=None)
 def test_sweep_records_match_the_scalar_api(
-    theta_sq, gap_low, t_low, rhos, with_boundaries
+    theta_sq, gap_low, t_low, rhos, with_boundaries, ring
 ):
     if with_boundaries:
         report = boundary_report(theta_sq)
         rhos = rhos + [report.rho_subregion, report.rho_2acq_outt,
                        report.rho_outt_pump]
-    spec = SweepSpec(t_low=t_low, theta_sq=theta_sq,
-                     rho_grid=tuple(sorted(set(rhos))),
-                     medium_kind=MediumKind.GENERIC_GAP, gap_low=gap_low)
-    records, _ = run_sweep(spec, REDUCED)
-    points = [scalar_point(spec, rho, REDUCED) for rho in spec.rho_grid]
+    grid = tuple(sorted(set(rhos)))
+    if ring is None:
+        spec = SweepSpec(t_low=t_low, theta_sq=theta_sq, rho_grid=grid,
+                         medium_kind=MediumKind.GENERIC_GAP, gap_low=gap_low)
+        constants = REDUCED
+    else:
+        r_low, t_low = ring
+        spec = SweepSpec(t_low=t_low, theta_sq=theta_sq, rho_grid=grid,
+                         medium_kind=MediumKind.QUANTUM_RING, r_low=r_low)
+        constants = CODATA
+    records, _ = run_sweep(spec, constants)
+    points = [scalar_point(spec, rho, constants) for rho in spec.rho_grid]
     scale = max(
         max(abs(e.e_high_gamma), abs(e.e_low_gamma), abs(e.e_out))
         for _, e, _, _ in points

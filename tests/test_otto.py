@@ -122,6 +122,11 @@ class TestTwoLevelMedium:
         with pytest.raises(DegenerateMediumError):
             TwoLevelMedium(low, high)
 
+    @pytest.mark.parametrize("low", [(0.0, 1.0, 2.0), (0.0,), 1.0, None])
+    def test_rejects_a_config_that_is_not_a_pair(self, low):
+        with pytest.raises(DegenerateMediumError, match="low_config must be a"):
+            TwoLevelMedium(low, (0.0, 1.0))
+
 
 class TestOttoCycleEnergies:
     def test_reversible_gap_ratio_gives_zero_everywhere(self):

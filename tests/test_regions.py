@@ -147,6 +147,25 @@ class TestClassifyRegion:
         assert [_REGIONS[i] for i in index] == [forward_marker, pump]
         assert side.tolist() == [2, 2]
 
+    def test_a_ratio_past_the_carnot_bound_has_index_minus_one(self):
+        # forward above theta_sq and reversed below it, outside every band;
+        # the admissible orientation of each ratio keeps its interval index
+        a = np.array([10.0, 2.0, 0.5, 0.1])
+        index, side = _region_index(a, np.array([True, False, False, False]), 5.0)
+        assert index.tolist() == [-1, -1, -1, -1]
+        assert side.tolist() == [3, 2, 1, 0]
+        index, _ = _region_index(a, np.array([False, True, True, True]), 5.0)
+        assert index.tolist() == [3, 2, 1, 0]
+        assert _region_index(10.0, True, 5.0) == (-1, 3)
+
+    def test_a_shared_sign_is_one_error_class(self):
+        # the pair check behind both functions raises the same class
+        for ex in (ExchangeTriple(1.0, 2.0), ExchangeTriple(-1.0, -2.0)):
+            with pytest.raises(InvalidSignsError):
+                classify_region(ex, 5.0)
+            with pytest.raises(UnclassifiableExchangeError):
+                alpha_squared(ex)
+
     def test_rejects_bad_theta_and_tol(self):
         ex = ExchangeTriple(1.0, -2.0)
         with pytest.raises(InvalidThetaError):
