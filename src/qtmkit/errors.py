@@ -94,7 +94,11 @@ class EmitIOError(QtmError):
 def require_finite(
     name: str, value: float, error_cls: type, floor: float = -math.inf
 ) -> None:
-    """Raise ``error_cls`` unless ``value`` is finite and above ``floor``."""
-    if not (math.isfinite(value) and value > floor):
+    """Raise ``error_cls`` unless ``value`` is a finite number above ``floor``."""
+    try:
+        ok = math.isfinite(value) and value > floor
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
         above = "" if floor == -math.inf else f" and above {floor:g}"
         raise error_cls(f"{name} must be finite{above}, got {value!r}")

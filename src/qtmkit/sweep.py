@@ -12,16 +12,16 @@ in :func:`parse_records`, with the cyclic garbage collector paused: the
 builds make no reference cycles.  A program that toggles :mod:`gc` from
 another thread during either call may find it re-enabled afterwards.
 
-The writers work a column at a time.  Each float column is formatted in one
-pass: a ``map`` of ``"{:.12g}".format`` for CSV; for JSON, one
-``orjson.dumps`` call, with ``float.__repr__`` re-spelling the cells in the
-magnitude band where orjson spells a float otherwise (the encoder's own
-spelling, value by value, when a column holds ``NaN``, an infinity, an int or
-a float subclass).  The cells are then joined with the literals of a fixed
-line template: the CSV row, or the record and design entry of
-``json.dumps(indent=2)``.  The output is byte for byte what ``csv.writer``
-and ``json.dumps(..., indent=2)`` write; ``tests/test_writers.py`` checks
-that.  Records go through in chunks, which bounds the text held at once.
+The CSV writers format a chunk of text with one ``%`` over a flat tuple of
+values, with a row template per record or per curve.  The JSON writer
+formats a float column with one ``orjson.dumps`` call (``json.dumps`` for a
+column with ``NaN``, an infinity, an int or a float subclass), re-spells by
+``float.__repr__`` the cells where orjson spells a float otherwise, and joins
+the cells with the literals of ``json.dumps(indent=2)``.  The output is byte
+for byte what ``csv.writer`` and ``json.dumps(..., indent=2)`` write
+(``tests/test_writers.py``).  A Carnot value is formatted once per float
+object, and a curve's rho text once per tuple object.  Records go through in
+chunks, which bounds the text held at once.
 :func:`parse_records` reads with orjson and gives what ``json.loads`` gives.
 orjson is imported by these two JSON paths only.
 """
@@ -38,7 +38,7 @@ from dataclasses import astuple, dataclass, field
 from enum import Enum, unique
 from itertools import chain, islice, repeat
 from numbers import Integral, Real
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -377,22 +377,19 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     curves = {}
     for design in QtmDesign:
         bounds = alpha_bounds(design, spec.theta_sq)
-        lo, hi, end = map(math.sqrt, (
-            bounds.alpha_sq_min, bounds.alpha_sq_max, bounds.carnot_alpha_sq
-        ))
-        rhos = grid[((lo < grid) & (grid < hi)) | (grid == end)]
+        if design is _PAIRS[design.region][0]:  # one rho tuple per region
+            lo, hi, end = map(math.sqrt, (bounds.alpha_sq_min, bounds.alpha_sq_max,
+                                          bounds.carnot_alpha_sq))
+            rhos = grid[((lo < grid) & (grid < hi)) | (grid == end)]
+            rho = tuple(rhos.tolist())
         curves[design] = EfficiencyCurve(
             design=design,
-            rho=tuple(rhos.tolist()),
+            rho=rho,
             efficiency=tuple(_efficiencies(design, rhos * rhos).tolist()),
             carnot=carnot_efficiency(design, spec.theta_sq),
             carnot_limit_kind=bounds.carnot_limit_kind,
         )
     return curves
-
-
-def _csv_floats(values) -> list[str]:
-    return list(map("{:.12g}".format, values))
 
 
 def _json_floats(values: list) -> list[str]:
@@ -429,45 +426,29 @@ def _fill(template: str, *columns):
     return map("".join, zip(*parts))
 
 
-def _column(floats, name: str, values) -> list[str]:
-    """``floats(values)``; a value it cannot format (in CSV, an int beyond
+def _column(name: str, values) -> list[str]:
+    """Each value as ``%.12g`` text; a value it cannot format (an int beyond
     the float range) raises a :class:`ValidationError` naming the column."""
     try:
-        return floats(values)
+        return list(map("%.12g".__mod__, values))
     except OverflowError as exc:
         raise ValidationError(f"cannot write {name}: {exc}") from None
 
 
-def _table(records, floats):
-    """The records as text columns, each formatted by one :func:`_column` call.
-
-    Returns the eight float columns, the region values, every record's
-    design count, and the design value, efficiency and Carnot text of every
-    design entry in record order.  A Carnot value is formatted once per
-    float object: :func:`run_sweep` shares one per design.
-    """
-    designs = list(map(attrgetter("designs"), records))
-    entries = list(chain.from_iterable(designs))
+def _carnot_text(entries, floats) -> list[str]:
+    """Each entry's Carnot text; ``floats`` formats each float object once."""
     carnots = list(map(attrgetter("carnot"), entries))
     unique = dict(zip(map(id, carnots), carnots))
-    carnot_text = dict(zip(unique, _column(floats, "carnot", list(unique.values()))))
-    return (
-        [_column(floats, name, list(map(attrgetter(name), records)))
-         for name in _FLOAT_COLUMNS],
-        # ``_value_`` is the enum value without the ``value`` property's call.
-        list(map(attrgetter("region._value_"), records)),
-        list(map(len, designs)),
-        list(map(attrgetter("design._value_"), entries)),
-        _column(floats, "efficiency", list(map(attrgetter("efficiency"), entries))),
-        list(map(carnot_text.__getitem__, map(id, carnots))),
-    )
+    text = dict(zip(unique, floats(list(unique.values()))))
+    return list(map(text.__getitem__, map(id, carnots)))
 
 
 #: Records formatted per pass: bounds the text columns held at once.
 _CHUNK = 256
-#: Line templates: one CSV row, and one record and one design entry in the
-#: ``json.dumps(indent=2)`` layout; ``_fill`` puts a cell at each ``{}``.
-_CSV_ROW = ",".join(["{}"] * len(CSV_COLUMNS)) + "\n"
+#: CSV row of 0, 1, 2+ designs: 15 values, ``%.0s`` eating a blank efficiency.
+_CSV_ROWS = tuple("%.12g," * 8 + "%s,%s," + tail for tail in (
+    "%.0s,%s,%.0s,%s,%s\n", "%.12g,%s,%.0s,%s,%s\n", "%.12g,%s,%.12g,%s,%s\n"))
+#: A record and a design entry of ``json.dumps(indent=2)``; ``_fill`` fills ``{}``.
 _JSON_RECORD = "  {\n" + "".join(
     f'    "{name}": {{}},\n' for name in _FLOAT_COLUMNS
 ) + '    "region": "{}",\n    "designs": {}\n  }'
@@ -486,37 +467,60 @@ def _chunked(records, text_of, head: str, sep: str, tail: str) -> str:
 
 
 def _csv_rows(records) -> str:
-    columns, regions, counts, names, effs, carnots = _table(records, _csv_floats)
+    designs = list(map(attrgetter("designs"), records))
+    entries = list(chain.from_iterable(designs))
     # Each record's first and second design entry by index; a missing one
-    # points past the entries, at the empty cell appended to each column.
-    counts = np.array(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    first = np.where(counts > 0, starts, len(names)).tolist()
-    second = np.where(counts > 1, starts + 1, len(names)).tolist()
-    names, effs, carnots = ([*cells, ""] for cells in (names, effs, carnots))
-    cells = [map(column.__getitem__, index) for column, index in (
-        (names, first), (effs, first), (names, second), (effs, second),
-        (carnots, first), (carnots, second))]
-    return "".join(_fill(_CSV_ROW, *columns, regions, *cells))
+    # points past the entries, at the blank cells appended to each column.
+    counts = np.array(list(map(len, designs)), dtype=np.intp)
+    first, second = (np.where(counts > k, np.cumsum(counts) - counts + k,
+                              len(entries)).tolist() for k in (0, 1))
+    pairs = [*map(attrgetter("design._value_", "efficiency"), entries), ("", "")]
+    carnots = [*_carnot_text(entries, lambda v: _column("carnot", v)), ""]
+    pair1, pair2, carnot1, carnot2 = (map(column.__getitem__, index) for column
+                                      in (pairs, carnots) for index in (first, second))
+    heads = map(attrgetter(*_FLOAT_COLUMNS, "region._value_"), records)
+    rows = map(add, map(add, map(add, heads, pair1), pair2), zip(carnot1, carnot2))
+    template = "".join(map(_CSV_ROWS.__getitem__, np.minimum(counts, 2).tolist()))
+    try:
+        return template % tuple(chain.from_iterable(rows))
+    except OverflowError:  # name the column that holds the value
+        for name, objs in chain(zip(_FLOAT_COLUMNS, repeat(records)),
+                                [("efficiency", entries)]):
+            _column(name, map(attrgetter(name), objs))
+        raise
 
 
 def _json_records(records) -> str:
-    columns, regions, counts, names, effs, carnots = _table(records, _json_floats)
-    entries = _fill(_JSON_ENTRY, names, effs, carnots)
-    designs = ["[\n" + ",\n".join(islice(entries, k)) + "\n    ]" if k else "[]"
-               for k in counts]
-    return ",\n".join(_fill(_JSON_RECORD, *columns, regions, designs))
+    designs = list(map(attrgetter("designs"), records))
+    entries = list(chain.from_iterable(designs))
+    cells = _fill(_JSON_ENTRY, map(attrgetter("design._value_"), entries),
+                  _json_floats(list(map(attrgetter("efficiency"), entries))),
+                  _carnot_text(entries, _json_floats))
+    lists = ["[\n" + ",\n".join(islice(cells, len(d))) + "\n    ]" if d else "[]"
+             for d in designs]
+    columns = [_json_floats(list(map(attrgetter(name), records)))
+               for name in _FLOAT_COLUMNS]
+    # ``_value_`` is the enum value without the ``value`` property's call.
+    regions = map(attrgetter("region._value_"), records)
+    return ",\n".join(_fill(_JSON_RECORD, *columns, regions, lists))
 
 
 def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
-    lines = ["design,rho,efficiency,carnot,carnot_limit\n"]
+    lines, rho = ["design,rho,efficiency,carnot,carnot_limit\n"], None
     for design in QtmDesign:
         if design in curves:
             curve = curves[design]
-            carnot = _column(_csv_floats, "carnot", [curve.carnot])[0]
-            row = f"{design.value},{{}},{{}},{carnot},{curve.carnot_limit_kind.value}\n"
-            lines += _fill(row, _column(_csv_floats, "rho", curve.rho),
-                           _column(_csv_floats, "efficiency", curve.efficiency))
+            # Only the same tuple object reuses the text: (0.0,) == (-0.0,).
+            if curve.rho is not rho:
+                rho, rho_text = curve.rho, _column("rho", curve.rho)
+            carnot = _column("carnot", [curve.carnot])[0]
+            row = f"{design.value},%s,%.12g,{carnot},{curve.carnot_limit_kind.value}\n"
+            try:
+                lines.append(row * len(rho) % tuple(
+                    chain.from_iterable(zip(rho_text, curve.efficiency))))
+            except OverflowError:
+                _column("efficiency", curve.efficiency)
+                raise
     return "".join(lines)
 
 
@@ -698,4 +702,6 @@ def emit_curves(
     """Serialize efficiency curves: long-format CSV or per-design JSON."""
     if len(curves) == 0:
         raise ValidationError("no curves to emit")
+    for design in [d for d, c in curves.items() if len(c.rho) != len(c.efficiency)][:1]:
+        raise ValidationError(f"curve {design.value}: len(rho) != len(efficiency)")
     _emit(format, destination, curves, _curves_csv, _curves_json)

@@ -2,7 +2,8 @@
 sweep config or constants file with a wrong type or an unknown key exits 1
 with a message that names the key; a grid point whose medium leaves the
 float range raises the medium's own error, naming that point; a classifier
-tolerance must be finite and non-negative."""
+tolerance must be finite and non-negative; a value that is not a number
+raises the checked field's own error."""
 
 import json
 import math
@@ -13,10 +14,12 @@ import pytest
 from qtmkit import (
     DegenerateMediumError,
     ExchangeTriple,
+    InvalidGapError,
     InvalidRingError,
     InvalidThetaError,
     QtmDesign,
     SweepSpec,
+    TwoLevelMedium,
     ValidationError,
     alpha_bounds,
     boundary_report,
@@ -156,3 +159,17 @@ def test_classify_cli_rejects_an_infinite_tol(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("qtmkit: error: tol must be finite")
+
+
+@pytest.mark.parametrize("build, error, field, value", [
+    (lambda: ExchangeTriple("1", -1.0), ValidationError, "e_high", "'1'"),
+    (lambda: gap_medium("1", 2.0), InvalidGapError, "gap_low", "'1'"),
+    (lambda: TwoLevelMedium(("a", "b"), (0, 1)), ValidationError, "low_config",
+     "'a'"),
+], ids=["ExchangeTriple", "gap_medium", "TwoLevelMedium"])
+def test_a_value_that_is_not_a_number_raises_the_fields_error(build, error,
+                                                              field, value):
+    # math.isfinite raises TypeError on a str; the check turns it into the
+    # caller's ValidationError, naming the field and the value.
+    with pytest.raises(error, match=f"^{field} must be finite.*, got {value}$"):
+        build()

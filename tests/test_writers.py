@@ -1,9 +1,9 @@
 """The record and curve writers against the stdlib encoders.
 
-``emit`` and ``emit_curves`` fill fixed line templates with whole columns of
-formatted floats.  These properties check that the result is, byte for byte,
-what ``json.dumps(..., indent=2)`` and ``csv.writer`` write for the same
-records and curves, including non-finite values, signed zeros, subnormals,
+``emit`` and ``emit_curves`` fill fixed row templates with formatted floats.
+These properties check that the result is, byte for byte, what
+``json.dumps(..., indent=2)`` and ``csv.writer`` write for the same records
+and curves, including non-finite values, signed zeros, subnormals,
 ints and the magnitudes where orjson's float spelling changes, and that JSON
 output still round-trips through ``parse_records``.
 """
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtmkit import sweep
+from qtmkit import designs, sweep
 
 from qtmkit import (
     CarnotLimitKind,
@@ -29,7 +29,10 @@ from qtmkit import (
     OperationalRegion,
     QtmDesign,
     SweepRecord,
+    SweepSpec,
     ValidationError,
+    default_rho_grid,
+    efficiency_curves,
     emit,
     emit_curves,
     parse_records,
@@ -184,6 +187,23 @@ def test_records_json_of_other_number_types_matches_json_dumps(value):
     assert written(emit, [record], "json") == expected
 
 
+@pytest.mark.parametrize("value", [
+    np.float64(1e16), np.float32(0.1), True, Real(2.5e-05), 2**63, 5e-324,
+], ids=["float64", "float32", "bool", "subclass", "2**63", "5e-324"])
+def test_records_csv_of_other_number_types_matches_csv_writer(value):
+    # The CSV writer converts through __float__ ("%.12g") where csv.writer's
+    # reference here calls __format__ ("{:.12g}"); both must spell the same,
+    # in float fields, efficiencies and Carnot values.
+    entry = DesignEfficiency(QtmDesign.QEN, value, value)
+    records = [
+        SweepRecord(value, 2.0, 1.0, -0.5, 0.5, 1.0, -0.5, value,
+                    OperationalRegion.OUT_TRANSFERS, (entry,) * count)
+        for count in (0, 1, 2)
+    ]
+    expected = csv_text(sweep.CSV_COLUMNS, map(record_row, records))
+    assert written(emit, records, "csv") == expected
+
+
 @pytest.mark.parametrize("column", ["rho", "e_out_norm", "efficiency", "carnot"])
 def test_records_csv_of_an_int_beyond_the_float_range_names_its_column(column):
     # "{:.12g}" cannot format 10**400; the JSON writer writes its digits.
@@ -234,6 +254,37 @@ def test_curves_csv_matches_csv_writer(curves):
     expected = csv_text(
         ["design", "rho", "efficiency", "carnot", "carnot_limit"], rows)
     assert written(emit_curves, curves, "csv") == expected
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_curves_with_unequal_rho_and_efficiency_lengths_are_rejected(format):
+    curves = {QtmDesign.QEN: EfficiencyCurve(
+        QtmDesign.QEN, (1.5, 2.0, 2.2), (0.3,), 0.8, CarnotLimitKind.MAXIMUM)}
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError, match="^curve QEN: "):
+        emit_curves(curves, format, buffer)
+    assert buffer.getvalue() == ""
+
+
+def test_a_regions_two_curves_share_one_rho_tuple():
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, r_low=1e-7,
+                     rho_grid=default_rho_grid(5.0, num=50))
+    curves = efficiency_curves(spec)
+    for pair in designs._PAIRS.values():
+        assert curves[pair[0]].rho is curves[pair[1]].rho
+        assert curves[pair[0]].rho
+
+
+def test_curves_csv_reuses_rho_text_only_for_the_same_tuple():
+    # (0.0,) == (-0.0,), yet the two spell "0" and "-0": equal tuples that
+    # are distinct objects each get their own text.
+    curves = {
+        design: EfficiencyCurve(design, (rho,), (0.5,), 0.8,
+                                CarnotLimitKind.MAXIMUM)
+        for design, rho in ((QtmDesign.QEN, 0.0), (QtmDesign.QLL, -0.0))
+    }
+    assert written(emit_curves, curves, "csv").splitlines()[1:] == [
+        "QEN,0,0.5,0.8,maximum", "QLL,-0,0.5,0.8,maximum"]
 
 
 def test_enum_values_need_no_quoting_or_escaping():
