@@ -97,7 +97,7 @@ def require_finite(
     """Raise ``error_cls`` unless ``value`` is a finite number above ``floor``."""
     try:
         ok = math.isfinite(value) and value > floor
-    except TypeError:  # not a real number
+    except (TypeError, OverflowError):  # not a real number, or an int past floats
         ok = False
     if not ok:
         above = "" if floor == -math.inf else f" and above {floor:g}"

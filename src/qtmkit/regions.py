@@ -17,6 +17,7 @@ This module holds the value types and the classifier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 from operator import attrgetter
@@ -174,7 +175,11 @@ def classify_region(
     orientation (:func:`_region_index`) gives that boundary's marker instead.
     """
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    if not 0.0 <= tol < math.inf:
+    try:
+        ok = 0.0 <= tol <= sys.float_info.max  # an int past it is no float
+    except TypeError:  # not a number
+        ok = False
+    if not ok:
         raise ValidationError(f"tol must be finite and non-negative, got {tol!r}")
     a = _pair_ratio(ex)
     forward = ex.e_high > 0.0

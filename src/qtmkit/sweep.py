@@ -19,9 +19,9 @@ column with ``NaN``, an infinity, an int or a float subclass), re-spells by
 ``float.__repr__`` the cells where orjson spells a float otherwise, and joins
 the cells with the literals of ``json.dumps(indent=2)``.  The output is byte
 for byte what ``csv.writer`` and ``json.dumps(..., indent=2)`` write
-(``tests/test_writers.py``).  A Carnot value is formatted once per float
-object, and a curve's rho text once per tuple object.  Records go through in
-chunks, which bounds the text held at once.
+(``tests/test_writers.py``).  Every cell is formatted from its value; a
+value that cannot be written raises a :class:`ValidationError` naming its
+column.  Records go through in chunks, which bounds the text held at once.
 :func:`parse_records` reads with orjson and gives what ``json.loads`` gives.
 orjson is imported by these two JSON paths only.
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import reprlib
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -131,18 +132,28 @@ class SweepSpec:
     def __post_init__(self) -> None:
         require_finite("t_low", self.t_low, InvalidTemperatureError, 0.0)
         require_finite("theta_sq", self.theta_sq, InvalidThetaError, 1.0)
+        for name, enum in (("medium_kind", MediumKind),
+                           ("normalization", Normalization)):
+            if not isinstance(getattr(self, name), enum):
+                raise ValidationError(f"{name} must be a {enum.__name__}, "
+                                      f"got {getattr(self, name)!r}")
         grid = self.rho_grid
-        if len(grid) == 0:
+        try:
+            rho = np.asarray(grid, dtype=float)
+            if rho.ndim != 1:
+                raise TypeError("not a sequence")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"rho_grid must be a sequence of numbers, "
+                                  f"got {reprlib.repr(grid)}: {exc}") from None
+        if len(rho) == 0:
             raise EmptyGridError("rho_grid must contain at least one point")
-        # A NaN anywhere fails one of these comparisons.
-        if not (
-            0.0 < grid[0]
-            and grid[-1] < math.inf
-            and all(a < b for a, b in zip(grid, grid[1:]))
-        ):
+        # A NaN (also a None, which numpy reads as NaN) fails a comparison.
+        good = np.append(0.0 < rho[0], rho[:-1] < rho[1:]) & (rho < math.inf)
+        if not good.all():
+            i = int(np.argmin(good))
             raise ValidationError(
                 "rho_grid values must be positive, finite and strictly "
-                "increasing"
+                f"increasing, got rho_grid[{i}]={grid[i]!r}"
             )
         ring = self.medium_kind is MediumKind.QUANTUM_RING
         key, other = ("r_low", "gap_low") if ring else ("gap_low", "r_low")
@@ -371,7 +382,9 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     shared with the adjacent region is included, where the series value meets
     the design's Carnot level.  The rho interval is the square root of the
     design's ``alpha_sq`` interval; only its Carnot endpoint is closed, the
-    other one being a singular or degenerate limit.
+    other one being a singular or degenerate limit.  A region's two designs
+    share one interval, so their curves share one ``rho`` tuple, which
+    halves the memory the rho columns take.
     """
     grid = np.asarray(spec.rho_grid, dtype=float)
     curves = {}
@@ -392,14 +405,16 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     return curves
 
 
-def _json_floats(values: list) -> list[str]:
-    """Each value as ``json.dumps`` writes it.
+def _json_floats(name: str, values: list) -> list[str]:
+    """Each value of column ``name`` as ``json.dumps`` writes it.
 
     A column of finite, exact ``float`` values is formatted by one
     ``orjson.dumps`` call, which spells a float as ``repr`` does outside a
     band of magnitudes; the cells inside it are re-spelled by
     ``float.__repr__``.  Any other column (``NaN``, ``Infinity``, ints,
-    bools, float subclasses) goes through the encoder value by value.
+    bools, float subclasses) goes through the encoder value by value; a
+    value it would not write as a number raises a :class:`ValidationError`
+    naming the column.
     """
     if values and {float}.issuperset(map(type, values)):
         import orjson
@@ -413,6 +428,9 @@ def _json_floats(values: list) -> list[str]:
             for i in np.flatnonzero(band).tolist():
                 cells[i] = float.__repr__(values[i])
             return cells
+    for value in values:
+        if not isinstance(value, (int, float)):
+            raise ValidationError(f"cannot write {name}: not a number: {value!r}")
     return list(map(json.dumps, values))
 
 
@@ -427,27 +445,32 @@ def _fill(template: str, *columns):
 
 
 def _column(name: str, values) -> list[str]:
-    """Each value as ``%.12g`` text; a value it cannot format (an int beyond
-    the float range) raises a :class:`ValidationError` naming the column."""
+    """Each value as ``%.12g`` text; a value it cannot format (not a real
+    number, or an int beyond the float range) raises a
+    :class:`ValidationError` naming the column."""
     try:
         return list(map("%.12g".__mod__, values))
-    except OverflowError as exc:
+    except (OverflowError, TypeError) as exc:
         raise ValidationError(f"cannot write {name}: {exc}") from None
 
 
-def _carnot_text(entries, floats) -> list[str]:
-    """Each entry's Carnot text; ``floats`` formats each float object once."""
-    carnots = list(map(attrgetter("carnot"), entries))
-    unique = dict(zip(map(id, carnots), carnots))
-    text = dict(zip(unique, floats(list(unique.values()))))
-    return list(map(text.__getitem__, map(id, carnots)))
+def _format(template: str, values: tuple, columns) -> str:
+    """``template % values``; if a value cannot be formatted, the
+    :class:`ValidationError` of :func:`_column` names the first of the
+    ``(name, values)`` pairs in ``columns`` that holds one."""
+    try:
+        return template % values
+    except (OverflowError, TypeError):
+        for name, column in columns:
+            _column(name, column)
+        raise
 
 
 #: Records formatted per pass: bounds the text columns held at once.
 _CHUNK = 256
-#: CSV row of 0, 1, 2+ designs: 15 values, ``%.0s`` eating a blank efficiency.
-_CSV_ROWS = tuple("%.12g," * 8 + "%s,%s," + tail for tail in (
-    "%.0s,%s,%.0s,%s,%s\n", "%.12g,%s,%.0s,%s,%s\n", "%.12g,%s,%.12g,%s,%s\n"))
+#: CSV row of 0, 1, 2+ designs: 15 values, ``%.0s`` eating a missing cell.
+_CSV_ROWS = tuple("%.12g," * 8 + "%s,%s,{0},%s,{1},{0},{1}\n".format(
+    *("%.12g" if k < count else "%.0s" for k in (0, 1))) for count in (0, 1, 2))
 #: A record and a design entry of ``json.dumps(indent=2)``; ``_fill`` fills ``{}``.
 _JSON_RECORD = "  {\n" + "".join(
     f'    "{name}": {{}},\n' for name in _FLOAT_COLUMNS
@@ -475,30 +498,27 @@ def _csv_rows(records) -> str:
     first, second = (np.where(counts > k, np.cumsum(counts) - counts + k,
                               len(entries)).tolist() for k in (0, 1))
     pairs = [*map(attrgetter("design._value_", "efficiency"), entries), ("", "")]
-    carnots = [*_carnot_text(entries, lambda v: _column("carnot", v)), ""]
+    carnots = [*map(attrgetter("carnot"), entries), ""]
     pair1, pair2, carnot1, carnot2 = (map(column.__getitem__, index) for column
                                       in (pairs, carnots) for index in (first, second))
     heads = map(attrgetter(*_FLOAT_COLUMNS, "region._value_"), records)
     rows = map(add, map(add, map(add, heads, pair1), pair2), zip(carnot1, carnot2))
     template = "".join(map(_CSV_ROWS.__getitem__, np.minimum(counts, 2).tolist()))
-    try:
-        return template % tuple(chain.from_iterable(rows))
-    except OverflowError:  # name the column that holds the value
-        for name, objs in chain(zip(_FLOAT_COLUMNS, repeat(records)),
-                                [("efficiency", entries)]):
-            _column(name, map(attrgetter(name), objs))
-        raise
+    return _format(template, tuple(chain.from_iterable(rows)), (
+        (name, map(attrgetter(name), objs)) for objs, names
+        in ((records, _FLOAT_COLUMNS), (entries, ("efficiency", "carnot")))
+        for name in names))
 
 
 def _json_records(records) -> str:
     designs = list(map(attrgetter("designs"), records))
     entries = list(chain.from_iterable(designs))
     cells = _fill(_JSON_ENTRY, map(attrgetter("design._value_"), entries),
-                  _json_floats(list(map(attrgetter("efficiency"), entries))),
-                  _carnot_text(entries, _json_floats))
+                  *(_json_floats(name, list(map(attrgetter(name), entries)))
+                    for name in ("efficiency", "carnot")))
     lists = ["[\n" + ",\n".join(islice(cells, len(d))) + "\n    ]" if d else "[]"
              for d in designs]
-    columns = [_json_floats(list(map(attrgetter(name), records)))
+    columns = [_json_floats(name, list(map(attrgetter(name), records)))
                for name in _FLOAT_COLUMNS]
     # ``_value_`` is the enum value without the ``value`` property's call.
     regions = map(attrgetter("region._value_"), records)
@@ -506,21 +526,15 @@ def _json_records(records) -> str:
 
 
 def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
-    lines, rho = ["design,rho,efficiency,carnot,carnot_limit\n"], None
+    lines = ["design,rho,efficiency,carnot,carnot_limit\n"]
     for design in QtmDesign:
         if design in curves:
             curve = curves[design]
-            # Only the same tuple object reuses the text: (0.0,) == (-0.0,).
-            if curve.rho is not rho:
-                rho, rho_text = curve.rho, _column("rho", curve.rho)
             carnot = _column("carnot", [curve.carnot])[0]
-            row = f"{design.value},%s,%.12g,{carnot},{curve.carnot_limit_kind.value}\n"
-            try:
-                lines.append(row * len(rho) % tuple(
-                    chain.from_iterable(zip(rho_text, curve.efficiency))))
-            except OverflowError:
-                _column("efficiency", curve.efficiency)
-                raise
+            row = f"{design.value},%.12g,%.12g,{carnot},{curve.carnot_limit_kind.value}\n"
+            values = tuple(chain.from_iterable(zip(curve.rho, curve.efficiency)))
+            lines.append(_format(row * len(curve.rho), values, [
+                ("rho", curve.rho), ("efficiency", curve.efficiency)]))
     return "".join(lines)
 
 

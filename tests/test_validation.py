@@ -3,7 +3,8 @@ sweep config or constants file with a wrong type or an unknown key exits 1
 with a message that names the key; a grid point whose medium leaves the
 float range raises the medium's own error, naming that point; a classifier
 tolerance must be finite and non-negative; a value that is not a number
-raises the checked field's own error."""
+raises the checked field's own error; a sweep spec field of the wrong type
+is rejected by name."""
 
 import json
 import math
@@ -16,7 +17,9 @@ from qtmkit import (
     ExchangeTriple,
     InvalidGapError,
     InvalidRingError,
+    InvalidTemperatureError,
     InvalidThetaError,
+    OutOfRegionError,
     QtmDesign,
     SweepSpec,
     TwoLevelMedium,
@@ -26,12 +29,16 @@ from qtmkit import (
     carnot_efficiency,
     classify_region,
     default_rho_grid,
+    efficiency,
     gap_medium,
     otto_cycle_energies,
     ring_levels,
     run_sweep,
 )
 from qtmkit.cli import main
+
+#: The repr of the int 10**400, beyond the float range.
+BIG = "1" + "0" * 400
 
 THETA_ENTRY_POINTS = {
     "classify_region": lambda t: classify_region(ExchangeTriple(2.0, -1.0), t),
@@ -146,9 +153,10 @@ def test_ring_levels_reject_a_radius_out_of_float_range(radius):
         ring_levels(radius)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-3])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-3, "x", None,
+                                 pytest.param(10**400, id="big")])
 def test_classify_rejects_a_non_finite_or_negative_tol(tol):
-    with pytest.raises(ValidationError, match="tol"):
+    with pytest.raises(ValidationError, match="^tol must be finite"):
         classify_region(ExchangeTriple(2.0, -1.0), 5.0, tol=tol)
 
 
@@ -166,10 +174,35 @@ def test_classify_cli_rejects_an_infinite_tol(capsys):
     (lambda: gap_medium("1", 2.0), InvalidGapError, "gap_low", "'1'"),
     (lambda: TwoLevelMedium(("a", "b"), (0, 1)), ValidationError, "low_config",
      "'a'"),
-], ids=["ExchangeTriple", "gap_medium", "TwoLevelMedium"])
+    (lambda: ExchangeTriple(10**400, -1.0), ValidationError, "e_high", BIG),
+    (lambda: gap_medium(10**400, 2.0), InvalidGapError, "gap_low", BIG),
+    (lambda: SweepSpec(t_low=10**400, theta_sq=5.0, rho_grid=(1.0,), r_low=1e-7),
+     InvalidTemperatureError, "t_low", BIG),
+    (lambda: efficiency(QtmDesign.QEN, 10**400), OutOfRegionError, "alpha_sq",
+     BIG),
+], ids=["ExchangeTriple", "gap_medium", "TwoLevelMedium", "ExchangeTriple-big",
+        "gap_medium-big", "SweepSpec-big", "efficiency-big"])
 def test_a_value_that_is_not_a_number_raises_the_fields_error(build, error,
                                                               field, value):
-    # math.isfinite raises TypeError on a str; the check turns it into the
-    # caller's ValidationError, naming the field and the value.
+    # math.isfinite raises TypeError on a str and OverflowError on an int
+    # beyond the float range; the check turns either into the caller's
+    # ValidationError, naming the field and the value.
     with pytest.raises(error, match=f"^{field} must be finite.*, got {value}$"):
         build()
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("normalization", "max_abs_energy", "'max_abs_energy'"),
+    ("medium_kind", "quantum_ring", "'quantum_ring'"),
+    ("rho_grid", ("a", "b"), "('a', 'b')"),
+    ("rho_grid", (None,), "rho_grid[0]=None"),
+    ("rho_grid", 3, "got 3"),
+    ("rho_grid", (1.0, 10**400), "(1.0, 1000"),
+], ids=["normalization-str", "medium_kind-str", "rho_grid-str", "rho_grid-None",
+        "rho_grid-int", "rho_grid-big"])
+def test_a_sweep_spec_field_of_the_wrong_type_names_the_field_and_value(
+        field, value, shown):
+    fields = {"t_low": 1.0, "theta_sq": 5.0, "r_low": 1e-7, "rho_grid": (1.0,),
+              field: value}
+    with pytest.raises(ValidationError, match=f"^{field} .*{re.escape(shown)}"):
+        SweepSpec(**fields)

@@ -226,6 +226,38 @@ def test_curves_csv_of_an_int_beyond_the_float_range_names_its_column(column):
         emit_curves({QtmDesign.QEN: curve}, "csv", io.StringIO())
 
 
+@pytest.mark.parametrize("format, value", [
+    ("csv", "a"), ("csv", None),
+    ("json", "a"), ("json", None), ("json", np.float32(0.1)),
+], ids=["csv-str", "csv-None", "json-str", "json-None", "json-float32"])
+@pytest.mark.parametrize("column", ["rho", "e_out_norm", "efficiency", "carnot"])
+def test_records_of_a_value_that_is_not_a_number_name_its_column(format, value,
+                                                                 column):
+    # csv.writer would write "a" and None as text, json.dumps "a" as a string
+    # and None as null, and neither is read back as a number; json.dumps
+    # cannot write a float32 at all.  The CSV writer writes a float32 as a
+    # float (test_records_csv_of_other_number_types_matches_csv_writer).
+    floats = dict.fromkeys(sweep._FLOAT_COLUMNS, 0.5)
+    entry = {"efficiency": 0.5, "carnot": 0.8}
+    (floats if column in floats else entry)[column] = value
+    record = SweepRecord(**floats, region=OperationalRegion.OUT_TRANSFERS,
+                         designs=(DesignEfficiency(QtmDesign.QEN, **entry),))
+    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
+        emit([record], format, io.StringIO())
+
+
+@pytest.mark.parametrize("value", ["a", None], ids=["str", "None"])
+@pytest.mark.parametrize("column", ["rho", "efficiency", "carnot"])
+def test_curves_csv_of_a_value_that_is_not_a_number_names_its_column(value,
+                                                                     column):
+    fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
+    fields[column] = value if column == "carnot" else (value,)
+    curve = EfficiencyCurve(QtmDesign.QEN, **fields,
+                            carnot_limit_kind=CarnotLimitKind.MAXIMUM)
+    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
+        emit_curves({QtmDesign.QEN: curve}, "csv", io.StringIO())
+
+
 @settings(max_examples=100, deadline=None)
 @given(curve_maps())
 def test_curves_json_matches_json_dumps(curves):
@@ -275,7 +307,7 @@ def test_a_regions_two_curves_share_one_rho_tuple():
         assert curves[pair[0]].rho
 
 
-def test_curves_csv_reuses_rho_text_only_for_the_same_tuple():
+def test_curves_csv_spells_equal_signed_zero_rho_tuples_apart():
     # (0.0,) == (-0.0,), yet the two spell "0" and "-0": equal tuples that
     # are distinct objects each get their own text.
     curves = {
