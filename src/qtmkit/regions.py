@@ -113,12 +113,11 @@ _MARKERS = _REGIONS[4:]
 
 
 def _region_index(a, forward, theta_sq: float, tol: float = DEFAULT_CLASSIFY_TOL):
-    """``(index, side)`` of ratio ``a`` with orientation ``forward`` (absorb
-    hot), elementwise on floats or arrays.  ``side`` counts the thresholds
-    ``(1/theta_sq, 1, theta_sq)`` at or below ``a``.  ``index`` is ``4 + k``
-    in the band of threshold ``k`` (the first that holds; the two lower bands
-    hold for forward ratios only), else ``side`` where the orientation is
-    admissible -- forward below ``theta_sq``, reversed above it -- and ``-1``
+    """Region index of ratio ``a`` with orientation ``forward`` (absorb hot),
+    elementwise: ``4 + k`` in the band of threshold ``k`` of ``(1/theta_sq,
+    1, theta_sq)`` (the first that holds; the lower two for forward ratios
+    only), else the count of thresholds at or below ``a`` if the orientation
+    is admissible (forward below ``theta_sq``, reversed above), or ``-1``
     where the ratio would beat the Carnot bound."""
     t = _edges(theta_sq)[1:4]
     # Start from an int: numpy adds two bool arrays as a logical or.
@@ -128,7 +127,7 @@ def _region_index(a, forward, theta_sq: float, tol: float = DEFAULT_CLASSIFY_TOL
         # Both orientations meet at theta_sq, the reversible Carnot limit.
         band = in_boundary_band(a, t[k], tol) & (forward | (k == 2))
         index = index + band * (4 + k - index)
-    return index, side
+    return index
 
 
 def _pair_ratio(ex: ExchangeTriple) -> float:
@@ -183,7 +182,7 @@ def classify_region(
         raise ValidationError(f"tol must be finite and non-negative, got {tol!r}")
     a = _pair_ratio(ex)
     forward = ex.e_high > 0.0
-    index, _ = _region_index(a, forward, theta_sq, tol)
+    index = _region_index(a, forward, theta_sq, tol)
     if index >= 0:
         return _REGIONS[index]
     where, kind = (("exceeds", "an absorb-hot/release-cold") if forward

@@ -2,7 +2,8 @@
 
 A sweep evaluates a grid of compression ratios ``rho`` in one numpy pass: the
 working medium's gaps at every point (``alpha_sq = rho**2``), the Otto-cycle
-exchanges, the operational region, and the efficiencies of the two designs
+exchanges, the operational region, which ``alpha_sq`` decides and the
+exchanges are checked against, and the efficiencies of the two designs
 admissible there.  Records are built last, in ascending ``rho``.  Output goes
 to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
 round-trippable).
@@ -12,16 +13,12 @@ in :func:`parse_records`, with the cyclic garbage collector paused: the
 builds make no reference cycles.  A program that toggles :mod:`gc` from
 another thread during either call may find it re-enabled afterwards.
 
-The CSV writers format a chunk of text with one ``%`` over a flat tuple of
-values, with a row template per record or per curve.  The JSON writer
-formats a float column with one ``orjson.dumps`` call (``json.dumps`` for a
-column with ``NaN``, an infinity, an int or a float subclass), re-spells by
-``float.__repr__`` the cells where orjson spells a float otherwise, and joins
-the cells with the literals of ``json.dumps(indent=2)``.  The output is byte
-for byte what ``csv.writer`` and ``json.dumps(..., indent=2)`` write
-(``tests/test_writers.py``).  Every cell is formatted from its value; a
-value that cannot be written raises a :class:`ValidationError` naming its
-column.  Records go through in chunks, which bounds the text held at once.
+The CSV writers fill a row template per record or per curve, a chunk of text
+at a time with one ``%``; the JSON writer formats a float column at a time
+(:func:`_json_floats`) and joins the cells with the literals of
+``json.dumps(indent=2)``.  The output is byte for byte what ``csv.writer`` and
+``json.dumps(..., indent=2)`` write (``tests/test_writers.py``).  A value
+that cannot be written raises a :class:`ValidationError` naming its column.
 :func:`parse_records` reads with orjson and gives what ``json.loads`` gives.
 orjson is imported by these two JSON paths only.
 """
@@ -50,11 +47,11 @@ from .designs import (  # noqa: F401  (admissible_designs, efficiency: see below
 )
 from .errors import (DegenerateExchangeError, EmitIOError, EmptyGridError,
                      InvalidTemperatureError, InvalidThetaError,
-                     ValidationError, require_finite)
+                     UnclassifiableExchangeError, ValidationError, require_finite)
 from .media import (CODATA, PhysicalConstants, _ring_levels, gap_medium,
                     ring_medium)
 from .otto import _exchanges, otto_cycle_energies  # noqa: F401  (see below)
-from .regions import (_REGIONS, ExchangeTriple, OperationalRegion, _edges,
+from .regions import (_REGIONS, OperationalRegion, _edges,  # noqa: F401  (see below)
                       _region_index, classify_region, in_boundary_band)
 
 # The kernel evaluates on arrays what the scalar API does point by point; the
@@ -294,31 +291,25 @@ def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
 
 
 def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
-    """:func:`classify_region` of every point, as indices into ``_REGIONS``,
-    by the same :func:`_region_index` call on the whole arrays.
-
-    Points it leaves to :func:`classify_region` to reject -- a zero exchange,
-    two of one sign, or index ``-1``, a ratio past the Carnot bound of its
-    orientation -- are redone by it, which raises; only an exactly reversible
-    point is kept, as the boundary that its gap ratio identifies.
-    """
-    with np.errstate(all="ignore"):  # zeros are redone below; inf is in no band
-        index, _ = _region_index(-e_high / e_low, e_high > 0.0, theta_sq)
-    redo = (np.sign(e_high) * np.sign(e_low) != -1.0) | (index < 0)
-    for i in np.flatnonzero(redo).tolist():
-        try:
-            region = classify_region(
-                ExchangeTriple(float(e_high[i]), float(e_low[i])), theta_sq)
-        except DegenerateExchangeError:
-            if not in_boundary_band(float(alpha_sq[i]), theta_sq):
-                raise DegenerateExchangeError(
-                    f"cycle energies vanished at rho={float(rho[i])!r} away from "
-                    f"the reversible ratio; the gaps are probably enormous "
-                    f"compared to k_B * t_low (check units and constants)"
-                ) from None
-            region = OperationalRegion.BOUNDARY_OUTT_PUMP
-        index[i] = _REGIONS.index(region)
-    return index
+    """The :func:`_region_index` of each gap ratio ``alpha_sq``: the cycle
+    absorbs hot exactly below ``theta_sq``.  Off its band, the energies must
+    agree: vanished ones raise the unit-mismatch error (as do NaN ones, a
+    freeze-out, anywhere), and other wrong signs are a kernel fault."""
+    forward = alpha_sq < theta_sq
+    sign = np.sign(e_high) - np.sign(e_low)  # 2 forward, -2 reversed, NaN frozen
+    bad = (sign != 4.0 * forward - 2.0) & ~(in_boundary_band(alpha_sq, theta_sq)
+                                            & ~np.isnan(sign))
+    for i in np.flatnonzero(bad)[:1].tolist():
+        r, a, high, low = (float(c[i]) for c in (rho, alpha_sq, e_high, e_low))
+        if not (abs(high) > 0.0 and abs(low) > 0.0):
+            raise DegenerateExchangeError(
+                f"cycle energies vanished at rho={r!r} away from the reversible ratio; "
+                f"the gaps are probably enormous compared to k_B * t_low "
+                f"(check units and constants)")
+        raise UnclassifiableExchangeError(
+            f"cycle kernel fault at rho={r!r}: e_high={high!r} and e_low={low!r} "
+            f"disagree in sign with alpha_sq={a!r} against theta_sq={theta_sq!r}")
+    return _region_index(alpha_sq, forward, theta_sq)
 
 
 @_gc_paused()
@@ -343,13 +334,11 @@ def run_sweep(
     if spec.normalization is Normalization.MAX_ABS_ENERGY:
         scale = max(float(np.abs(e).max()) for e in (e_high, e_low, e_out)) or 1.0
 
-    # A region's two designs share its interval: one mask gives the points
-    # where both have an entry, placed as a pair in QtmDesign order.
+    # Region i is its two designs' open interval (a ring's alpha_sq may leave
+    # the float range): one mask places both entries, in QtmDesign order.
     designs = [()] * len(rho)
     for i, pair in enumerate(_PAIRS.values()):
-        bounds = alpha_bounds(pair[0], spec.theta_sq)
-        hits = np.flatnonzero((index == i) & (bounds.alpha_sq_min < alpha_sq)
-                              & (alpha_sq < bounds.alpha_sq_max))
+        hits = np.flatnonzero((index == i) & (0.0 < alpha_sq) & (alpha_sq < math.inf))
         entries = [_build(DesignEfficiency, len(hits), repeat(design),
                           _efficiencies(design, alpha_sq[hits]).tolist(),
                           repeat(carnot_efficiency(design, spec.theta_sq)))
@@ -414,7 +403,7 @@ def _json_floats(name: str, values: list) -> list[str]:
     ``float.__repr__``.  Any other column (``NaN``, ``Infinity``, ints,
     bools, float subclasses) goes through the encoder value by value; a
     value it would not write as a number raises a :class:`ValidationError`
-    naming the column.
+    naming the column (:func:`_require`).
     """
     if values and {float}.issuperset(map(type, values)):
         import orjson
@@ -428,10 +417,17 @@ def _json_floats(name: str, values: list) -> list[str]:
             for i in np.flatnonzero(band).tolist():
                 cells[i] = float.__repr__(values[i])
             return cells
+    return list(map(json.dumps, _require(name, values)))
+
+
+def _require(name: str, values, kind=None):
+    """``values``, if each is a ``kind`` member (by default, a number that
+    ``json.dumps`` writes as one); else a ValidationError naming ``name``."""
     for value in values:
-        if not isinstance(value, (int, float)):
-            raise ValidationError(f"cannot write {name}: not a number: {value!r}")
-    return list(map(json.dumps, values))
+        if not isinstance(value, kind or (int, float)):
+            what = f"a member of {kind.__name__}" if kind else "a number"
+            raise ValidationError(f"cannot write {name}: not {what}: {value!r}")
+    return values
 
 
 def _fill(template: str, *columns):
@@ -540,7 +536,9 @@ def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
 
 def _curves_json(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
     return json.dumps({design.value: {
-        "rho": curve.rho, "efficiency": curve.efficiency, "carnot": curve.carnot,
+        "rho": _require("rho", curve.rho),
+        "efficiency": _require("efficiency", curve.efficiency),
+        "carnot": _require("carnot", [curve.carnot])[0],
         "carnot_limit": curve.carnot_limit_kind.value,
     } for design, curve in curves.items()}, indent=2) + "\n"
 
@@ -679,13 +677,9 @@ def _write(destination, text: str) -> None:
 
 def _emit(format: str, destination, items, to_csv, to_json) -> None:
     """Write ``to_csv(items)`` or ``to_json(items)``."""
-    if format == "csv":
-        text = to_csv(items)
-    elif format == "json":
-        text = to_json(items)
-    else:
+    if format not in ("csv", "json"):
         raise ValidationError(f"unknown format {format!r} (expected csv or json)")
-    _write(destination, text)
+    _write(destination, (to_csv if format == "csv" else to_json)(items))
 
 
 def emit(
@@ -703,9 +697,14 @@ def emit(
     """
     if len(records) == 0:
         raise ValidationError("no records to emit")
-    _emit(format, destination, records,
-          lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
-          lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
+    try:
+        _emit(format, destination, records,
+              lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
+              lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
+    except AttributeError:  # only a failed write pays for the check
+        _require("region", [r.region for r in records], OperationalRegion)
+        _require("design", [e.design for r in records for e in r.designs], QtmDesign)
+        raise
 
 
 def emit_curves(

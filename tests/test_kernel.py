@@ -26,12 +26,14 @@ from qtmkit import (
     DEFAULT_CLASSIFY_TOL,
     DegenerateExchangeError,
     ExchangeTriple,
+    InvalidSignsError,
     MediumKind,
     OperationalRegion,
     PhysicalConstants,
     QtmDesign,
     SingularEfficiencyError,
     SweepSpec,
+    UnclassifiableExchangeError,
     ValidationError,
     admissible_designs,
     alpha_bounds,
@@ -47,7 +49,7 @@ from qtmkit import (
     run_sweep,
 )
 
-from qtmkit.regions import _REGIONS
+from qtmkit.regions import _REGIONS, _region_index
 from qtmkit.sweep import _classify
 
 REDUCED = PhysicalConstants.reduced()
@@ -208,7 +210,7 @@ def test_scalar_and_array_classifiers_agree(
     # Forward and reversed triples, and the inadmissible ones of one sign.
     # Their ratio lies on a threshold or k band half-widths to either side
     # of it, or it is the ratio of two free sizes, which may over- or
-    # underflow.
+    # underflow.  The array rule decides from the ratio and orientation.
     high, low = sizes
     if threshold is not None:
         high = (astuple(boundary_report(theta_sq))[3 + threshold]
@@ -217,10 +219,67 @@ def test_scalar_and_array_classifiers_agree(
     e_high, e_low = signs[0] * high, signs[1] * low
     scalar = classified(lambda: classify_region(
         ExchangeTriple(e_high, e_low), theta_sq))
-    array = classified(lambda: _REGIONS[_classify(
-        np.ones(1), np.array([e_high]), np.array([e_low]),
-        np.array([math.nan]), theta_sq)[0]])
-    assert scalar is array
+    if signs[0] == signs[1]:
+        assert scalar is InvalidSignsError
+        return
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = -np.array([e_high]) / np.array([e_low])
+    index = _region_index(ratio, np.array([e_high > 0.0]), theta_sq)[0]
+    if scalar is UnclassifiableExchangeError:
+        assert index == -1
+    else:
+        assert _REGIONS[index] is scalar
+
+
+@pytest.mark.parametrize("r_low, rho", [(1e-100, 1e-170), (1e100, 1e160)])
+def test_a_ring_gap_ratio_out_of_the_float_range_has_no_designs(r_low, rho):
+    # alpha_sq underflows to 0 or overflows to inf: the end of its region's
+    # interval, where no design has an efficiency, as in the scalar API
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=(rho,), r_low=r_low)
+    with np.errstate(over="ignore"):
+        (record,), _ = run_sweep(spec, CODATA)
+        alpha_sq, _, region, designs = scalar_point(spec, rho, CODATA)
+    assert alpha_sq in (0.0, math.inf) and designs == []
+    assert (record.alpha_sq, record.region, record.designs) == (alpha_sq, region, ())
+
+
+UNITS = ("cycle energies vanished at rho=0.5 away from the reversible ratio; "
+         "the gaps are probably enormous compared to k_B * t_low "
+         "(check units and constants)")
+
+
+@pytest.mark.parametrize("alpha_sq, e_high, e_low, expected", [
+    # off the theta_sq band, energies whose signs disagree with alpha_sq
+    (0.25, -1.0, 1.0, "rho=0.5: .*alpha_sq=0.25"),  # reversed below theta_sq
+    (9.0, 1.0, -1.0, "rho=0.5: .*alpha_sq=9.0"),  # forward above theta_sq
+    (0.25, 1.0, 1.0, "rho=0.5: .*alpha_sq=0.25"),  # one sign
+    # off the band, vanished or frozen-out energies: the unit-mismatch error
+    (0.25, 0.0, 0.0, UNITS),
+    (9.0, 0.0, -0.0, UNITS),
+    (0.25, math.nan, math.nan, UNITS),
+    # in the band, the gap ratio alone decides, whatever the energies' ratio
+    (5.0, 0.0, 0.0, OperationalRegion.BOUNDARY_OUTT_PUMP),
+    (5.0 * (1.0 + 5e-10), 1.0, -1.0, OperationalRegion.BOUNDARY_OUTT_PUMP),
+    (5.0, math.nan, math.nan, UNITS),
+], ids=["reversed-below", "forward-above", "one-sign", "vanished",
+        "vanished-reversed", "nan", "vanished-in-band", "forward-in-band",
+        "nan-in-band"])
+def test_sweep_checks_the_energies_against_the_gap_ratio(
+    alpha_sq, e_high, e_low, expected
+):
+    def classify():
+        return _REGIONS[_classify(np.array([0.5]), np.array([e_high]),
+                                  np.array([e_low]), np.array([alpha_sq]), 5.0)[0]]
+    if isinstance(expected, OperationalRegion):
+        assert classify() is expected
+    elif expected is UNITS:
+        with pytest.raises(DegenerateExchangeError) as info:
+            classify()
+        assert str(info.value) == UNITS
+    else:
+        with pytest.raises(UnclassifiableExchangeError, match=expected) as info:
+            classify()
+        assert type(info.value) is UnclassifiableExchangeError
 
 
 @pytest.mark.parametrize("rho", [1.5, 3.0])

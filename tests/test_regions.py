@@ -142,21 +142,18 @@ class TestClassifyRegion:
         pump = OperationalRegion.BOUNDARY_OUTT_PUMP
         assert classify_region(ExchangeTriple(1.2, -1.0), 1.5, tol) is forward_marker
         assert classify_region(ExchangeTriple(-1.2, 1.0), 1.5, tol) is pump
-        index, side = _region_index(np.array([1.2, 1.2]), np.array([True, False]),
-                                    1.5, tol)
+        index = _region_index(np.array([1.2, 1.2]), np.array([True, False]), 1.5, tol)
         assert [_REGIONS[i] for i in index] == [forward_marker, pump]
-        assert side.tolist() == [2, 2]
 
     def test_a_ratio_past_the_carnot_bound_has_index_minus_one(self):
         # forward above theta_sq and reversed below it, outside every band;
         # the admissible orientation of each ratio keeps its interval index
         a = np.array([10.0, 2.0, 0.5, 0.1])
-        index, side = _region_index(a, np.array([True, False, False, False]), 5.0)
+        index = _region_index(a, np.array([True, False, False, False]), 5.0)
         assert index.tolist() == [-1, -1, -1, -1]
-        assert side.tolist() == [3, 2, 1, 0]
-        index, _ = _region_index(a, np.array([False, True, True, True]), 5.0)
+        index = _region_index(a, np.array([False, True, True, True]), 5.0)
         assert index.tolist() == [3, 2, 1, 0]
-        assert _region_index(10.0, True, 5.0) == (-1, 3)
+        assert _region_index(10.0, True, 5.0) == -1
 
     def test_a_shared_sign_is_one_error_class(self):
         # the pair check behind both functions raises the same class

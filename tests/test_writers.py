@@ -250,12 +250,31 @@ def test_records_of_a_value_that_is_not_a_number_name_its_column(format, value,
 @pytest.mark.parametrize("column", ["rho", "efficiency", "carnot"])
 def test_curves_csv_of_a_value_that_is_not_a_number_names_its_column(value,
                                                                      column):
+    # And the curves JSON, where json.dumps would write "a" and None as such.
     fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
     fields[column] = value if column == "carnot" else (value,)
     curve = EfficiencyCurve(QtmDesign.QEN, **fields,
                             carnot_limit_kind=CarnotLimitKind.MAXIMUM)
+    for format in ("csv", "json"):
+        with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
+            emit_curves({QtmDesign.QEN: curve}, format, io.StringIO())
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("column", ["region", "design"])
+@pytest.mark.parametrize("value", ["OutTransfers", None], ids=["str", "None"])
+def test_records_of_a_region_or_design_that_is_no_member_name_its_column(
+    value, column, format
+):
+    # The writers spell a member by its value, which a string has not.
+    region, design = OperationalRegion.OUT_TRANSFERS, QtmDesign.QEN
+    if column == "region":
+        region = value
+    else:
+        design = value
+    record = SweepRecord(*[0.5] * 8, region, (DesignEfficiency(design, 0.5, 0.8),))
     with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
-        emit_curves({QtmDesign.QEN: curve}, "csv", io.StringIO())
+        emit([record], format, io.StringIO())
 
 
 @settings(max_examples=100, deadline=None)
