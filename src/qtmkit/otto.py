@@ -42,6 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateExchangeError,
     DegenerateMediumError,
     InvalidTemperatureError,
     InvalidThetaError,
@@ -191,8 +192,14 @@ def otto_cycle_energies(
     """Per-cycle reservoir exchanges of a two-level Otto cycle: the hot
     stroke thermalizes the high gap at ``t_high = theta_sq * t_low``, the cold
     stroke the low gap at ``t_low``; each exchange is its gap times ``x``."""
-    return ExchangeTriple(*map(float, _exchanges(
-        medium.gap_low, medium.gap_high, t_low, theta_sq, boltzmann_k)))
+    e_high, e_low = map(float, _exchanges(
+        medium.gap_low, medium.gap_high, t_low, theta_sq, boltzmann_k))
+    if e_high != e_high:  # NaN: both Boltzmann exponents overflowed
+        raise DegenerateExchangeError(
+            f"cycle energies vanished: the gaps {medium.gap_low!r} and "
+            f"{medium.gap_high!r} are enormous compared to k_B * t_low = "
+            f"{boltzmann_k * t_low!r} (check units and constants)")
+    return ExchangeTriple(e_high, e_low)
 
 
 def multilevel_exchange(

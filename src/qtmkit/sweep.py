@@ -19,8 +19,8 @@ at a time with one ``%``; the JSON writer formats a float column at a time
 ``json.dumps(indent=2)``.  The output is byte for byte what ``csv.writer`` and
 ``json.dumps(..., indent=2)`` write (``tests/test_writers.py``).  A value
 that cannot be written raises a :class:`ValidationError` naming its column.
-:func:`parse_records` reads with orjson and gives what ``json.loads`` gives.
-orjson is imported by these two JSON paths only.
+:func:`parse_records` reads with orjson, a piece at a time, and gives what
+``json.loads`` gives.  orjson is imported by these two JSON paths only.
 """
 
 from __future__ import annotations
@@ -282,12 +282,13 @@ def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
             gap_high = excited - ground
         else:
             gap_high = rho * rho * gap_low
+        alpha_sq = gap_high / gap_low
     for r in rho[~((0.0 < gap_high) & (gap_high < math.inf))][:1].tolist():
         try:
             medium(r)
         except ValidationError as exc:
             raise type(exc)(f"at rho={r!r}: {exc}") from None
-    return gap_low, gap_high, gap_high / gap_low
+    return gap_low, gap_high, alpha_sq
 
 
 def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
@@ -424,10 +425,21 @@ def _require(name: str, values, kind=None):
     """``values``, if each is a ``kind`` member (by default, a number that
     ``json.dumps`` writes as one); else a ValidationError naming ``name``."""
     for value in values:
-        if not isinstance(value, kind or (int, float)):
+        if isinstance(value, bool) or not isinstance(value, kind or (int, float)):
             what = f"a member of {kind.__name__}" if kind else "a number"
             raise ValidationError(f"cannot write {name}: not {what}: {value!r}")
     return values
+
+
+def _values(name: str, kind: type[Enum], objs) -> list:
+    """The value of the ``kind`` member in field ``name`` of each of
+    ``objs``, after one type scan: anything else there (a string, another
+    enum's member) raises the ValidationError of :func:`_require`."""
+    members = list(map(attrgetter(name), objs))
+    if not {kind}.issuperset(map(type, members)):
+        _require(name, members, kind)
+    # ``_value_`` is the enum value without the ``value`` property's call.
+    return list(map(attrgetter("_value_"), members))
 
 
 def _fill(template: str, *columns):
@@ -493,12 +505,14 @@ def _csv_rows(records) -> str:
     counts = np.array(list(map(len, designs)), dtype=np.intp)
     first, second = (np.where(counts > k, np.cumsum(counts) - counts + k,
                               len(entries)).tolist() for k in (0, 1))
-    pairs = [*map(attrgetter("design._value_", "efficiency"), entries), ("", "")]
-    carnots = [*map(attrgetter("carnot"), entries), ""]
-    pair1, pair2, carnot1, carnot2 = (map(column.__getitem__, index) for column
-                                      in (pairs, carnots) for index in (first, second))
-    heads = map(attrgetter(*_FLOAT_COLUMNS, "region._value_"), records)
-    rows = map(add, map(add, map(add, heads, pair1), pair2), zip(carnot1, carnot2))
+    names, effs, carnots = ([*column, ""] for column in (
+        _values("design", QtmDesign, entries),
+        map(attrgetter("efficiency"), entries), map(attrgetter("carnot"), entries)))
+    cells = (map(column.__getitem__, index) for index, column in (
+        (first, names), (first, effs), (second, names), (second, effs),
+        (first, carnots), (second, carnots)))
+    rows = map(add, map(attrgetter(*_FLOAT_COLUMNS), records),
+               zip(_values("region", OperationalRegion, records), *cells))
     template = "".join(map(_CSV_ROWS.__getitem__, np.minimum(counts, 2).tolist()))
     return _format(template, tuple(chain.from_iterable(rows)), (
         (name, map(attrgetter(name), objs)) for objs, names
@@ -509,15 +523,14 @@ def _csv_rows(records) -> str:
 def _json_records(records) -> str:
     designs = list(map(attrgetter("designs"), records))
     entries = list(chain.from_iterable(designs))
-    cells = _fill(_JSON_ENTRY, map(attrgetter("design._value_"), entries),
+    cells = _fill(_JSON_ENTRY, _values("design", QtmDesign, entries),
                   *(_json_floats(name, list(map(attrgetter(name), entries)))
                     for name in ("efficiency", "carnot")))
     lists = ["[\n" + ",\n".join(islice(cells, len(d))) + "\n    ]" if d else "[]"
              for d in designs]
     columns = [_json_floats(name, list(map(attrgetter(name), records)))
                for name in _FLOAT_COLUMNS]
-    # ``_value_`` is the enum value without the ``value`` property's call.
-    regions = map(attrgetter("region._value_"), records)
+    regions = _values("region", OperationalRegion, records)
     return ",\n".join(_fill(_JSON_RECORD, *columns, regions, lists))
 
 
@@ -638,6 +651,26 @@ def _records_in(doc, limit: Optional[float]) -> list[SweepRecord]:
     return records
 
 
+#: Characters of records JSON that orjson parses at a time.
+_PIECE = 1 << 17
+#: What JSON :func:`emit` writes between two records.
+_SEPARATOR = "\n  },\n  {\n"
+
+
+def _pieces(text: str):
+    """``text`` as lists of ``_PIECE`` characters or more: each ends at the
+    brace of a ``_SEPARATOR``, and the next starts after its comma."""
+    head, start = "", 0
+    # A JSON string holds no raw newline, so no cut falls inside one.  If
+    # every piece parses, each one's brackets balance, so every cut lies
+    # between two elements of the top-level list, and the pieces' elements
+    # are the document's; a cut any deeper leaves a piece that fails.
+    while (cut := text.find(_SEPARATOR, start + _PIECE)) >= 0:
+        yield head + text[start:cut + 4] + "]"
+        head, start = "[", cut + 5
+    yield head + text[start:]
+
+
 @_gc_paused()
 def parse_records(text: str) -> list[SweepRecord]:
     """Inverse of JSON :func:`emit`: rebuild records from serialized output.
@@ -647,17 +680,21 @@ def parse_records(text: str) -> list[SweepRecord]:
     first fault; an unknown region or design value raises the enum's
     ``ValueError``.
 
-    orjson reads the text.  ``json.loads`` reads it again when orjson
-    rejects it (``NaN``, ``Infinity``, a lone surrogate, bad JSON), when a
-    number reaches 2**63 in magnitude (orjson reads an integer literal
-    outside [-2**63, 2**64) as a float), or when a record is malformed; so
-    the records, and any error, are the ones ``json.loads`` gives.
+    orjson reads the text a piece at a time (:func:`_pieces`).  ``json.loads``
+    reads the whole text when orjson rejects a piece (``NaN``, ``Infinity``,
+    a lone surrogate, bad JSON), when a number reaches 2**63 in magnitude
+    (orjson reads an integer literal outside [-2**63, 2**64) as a float), or
+    when a record is malformed; so the records, and any error, are the ones
+    ``json.loads`` gives.
     """
     import orjson
+    records = []
     try:
-        return _records_in(orjson.loads(text), _ORJSON_EXACT_BELOW)
+        for piece in _pieces(text):
+            records += _records_in(orjson.loads(piece), _ORJSON_EXACT_BELOW)
+        return records
     except ValueError:  # also orjson.JSONDecodeError and _Inexact
-        pass
+        records.clear()  # the earlier pieces' records are built again
     return _records_in(json.loads(text), None)
 
 
@@ -697,14 +734,9 @@ def emit(
     """
     if len(records) == 0:
         raise ValidationError("no records to emit")
-    try:
-        _emit(format, destination, records,
-              lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
-              lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
-    except AttributeError:  # only a failed write pays for the check
-        _require("region", [r.region for r in records], OperationalRegion)
-        _require("design", [e.design for r in records for e in r.designs], QtmDesign)
-        raise
+    _emit(format, destination, records,
+          lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
+          lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
 
 
 def emit_curves(

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -241,6 +242,15 @@ def test_a_ring_gap_ratio_out_of_the_float_range_has_no_designs(r_low, rho):
         alpha_sq, _, region, designs = scalar_point(spec, rho, CODATA)
     assert alpha_sq in (0.0, math.inf) and designs == []
     assert (record.alpha_sq, record.region, record.designs) == (alpha_sq, region, ())
+
+
+def test_a_ring_gap_ratio_that_overflows_warns_nothing():
+    # gap_high / gap_low overflows to inf; numpy's warning would be an error
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=(1e160,), r_low=1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (record,), _ = run_sweep(spec, CODATA)
+    assert record.alpha_sq == math.inf and record.designs == ()
 
 
 UNITS = ("cycle energies vanished at rho=0.5 away from the reversible ratio; "

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import boltzmann_probabilities, exponential_cycle_energies
 from qtmkit import (
     CODATA,
+    DegenerateExchangeError,
     DegenerateMediumError,
     InvalidTemperatureError,
     InvalidThetaError,
@@ -162,6 +163,17 @@ class TestOttoCycleEnergies:
             otto_cycle_energies(medium, 0.0, 5.0, 1.0)
         with pytest.raises(InvalidThetaError):
             otto_cycle_energies(medium, 1.0, 1.0, 1.0)
+
+    def test_freeze_out_is_a_unit_error_naming_the_gaps(self):
+        # k_B * t_low is subnormal: both Boltzmann exponents overflow, and
+        # the occupation difference of two frozen-out media is inf - inf.
+        with pytest.raises(DegenerateExchangeError) as info:
+            otto_cycle_energies(gap_medium(1e10, 0.25), 1e-300, 5.0,
+                                CODATA.boltzmann_k)
+        assert str(info.value) == (
+            "cycle energies vanished: the gaps 10000000000.0 and 2500000000.0 "
+            f"are enormous compared to k_B * t_low = {CODATA.boltzmann_k * 1e-300!r} "
+            "(check units and constants)")
 
     @given(
         gap_low=st.floats(0.1, 2.0),

@@ -6,8 +6,9 @@ constructors.
 the cyclic garbage collector paused.  These tests rebuild every record field
 by field through the public constructors and compare; they check the
 dataclass protocol (``replace``, ``asdict``, pickle, deep copy, frozen
-fields), that the collector's state is restored, and that malformed JSON
-documents are reported as such.
+fields), that the collector's state is restored, that malformed JSON
+documents are reported as such, and that a records JSON read a piece at a
+time gives what ``json.loads`` gives.
 """
 
 import copy
@@ -15,7 +16,9 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +266,99 @@ def test_integer_values_parse_as_before():
     assert record.rho == 2 and type(record.rho) is int
     assert record.designs[0].carnot == 1
     emit([record], "csv", io.StringIO())
+
+
+GOLDEN = Path(__file__).parent / "data" / "reference_sweep.json"
+
+
+@pytest.fixture
+def pieces(monkeypatch):
+    """Each text ``orjson.loads`` is given, in order."""
+    import orjson
+    seen = []
+    loads = orjson.loads
+
+    def spy(text):
+        seen.append(text)
+        return loads(text)
+
+    monkeypatch.setattr(orjson, "loads", spy)
+    return seen
+
+
+def by_json_loads(text):
+    """The records, or the error, of the whole document read by json.loads."""
+    try:
+        return sweep._records_in(json.loads(text), None)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("size, count", [(1, 603), (1000, 300), (None, 3)])
+def test_the_golden_json_round_trips_piece_by_piece(size, count, monkeypatch,
+                                                    pieces):
+    # A piece per record, about a thousand characters, and the default size.
+    if size:
+        monkeypatch.setattr(sweep, "_PIECE", size)
+    text = GOLDEN.read_text(encoding="utf-8")
+    assert json_text(parse_records(text)) == text
+    assert len(pieces) == count
+
+
+def test_no_piece_is_longer_than_its_size_and_one_record(monkeypatch, pieces):
+    monkeypatch.setattr(sweep, "_PIECE", 1000)
+    text = json_text(run_sweep(REFERENCE)[0])
+    assert parse_records(text) == by_json_loads(text)
+    longest = max(map(len, text.split(sweep._SEPARATOR)))
+    assert len(pieces) > 100
+    assert max(map(len, pieces)) <= 1000 + longest + len(sweep._SEPARATOR)
+
+
+def test_a_document_in_another_layout_is_one_piece(pieces):
+    text = json.dumps([RECORD] * 3)
+    assert parse_records(text) == by_json_loads(text)
+    assert pieces == [text]
+
+
+def test_a_cut_inside_a_record_reads_the_whole_document(monkeypatch, pieces):
+    # Design entries at the records' indent put a record separator inside a
+    # designs list; the piece cut there does not parse.
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    two = {**RECORD, "designs": [ENTRY, {**ENTRY, "design": "QHP"}]}
+    text = json.dumps([RECORD] * 3 + [two] * 3, indent=2).replace(
+        "\n      },\n      {\n", sweep._SEPARATOR)
+    assert text.count(sweep._SEPARATOR) == 5 + 3
+    assert parse_records(text) == by_json_loads(text)
+    assert len(pieces) == 4
+
+
+@pytest.mark.parametrize("late", [
+    {**RECORD, "rho": math.nan},
+    {**RECORD, "e_high": 2**63},
+    {**RECORD, "designs": [{**ENTRY, "carnot": -(2**64)}]},
+], ids=["nan", "2**63", "-2**64"])
+def test_a_late_piece_orjson_cannot_read_exactly_reads_the_whole_document(
+    late, monkeypatch, pieces
+):
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
+    records = parse_records(text)
+    assert len(pieces) == 7  # one piece per record, up to the late one
+    assert list(map(repr, records)) == list(map(repr, by_json_loads(text)))
+    assert repr(records[6]) != repr(records[0])
+
+
+@pytest.mark.parametrize("late", [
+    {**RECORD, "designs": [{}]},
+    {**RECORD, "rho": "x"},
+    {**RECORD, "region": "NoSuchRegion"},
+], ids=["design-key", "value-type", "region"])
+def test_a_malformed_late_record_is_numbered_in_the_document(late, monkeypatch,
+                                                            pieces):
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
+    with pytest.raises(ValueError) as info:
+        parse_records(text)
+    assert len(pieces) == 7
+    assert (type(info.value), str(info.value)) == by_json_loads(text)
+    assert str(info.value).startswith(("record 6", "'NoSuchRegion'"))

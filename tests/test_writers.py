@@ -175,11 +175,11 @@ class Real(float):
 
 
 @pytest.mark.parametrize("value", [
-    10**400, 2**63, True, Real(2.5e-05), np.float64(1e16),
-], ids=["10**400", "2**63", "bool", "subclass", "float64"])
+    10**400, 2**63, Real(2.5e-05), np.float64(1e16),
+], ids=["10**400", "2**63", "subclass", "float64"])
 def test_records_json_of_other_number_types_matches_json_dumps(value):
-    # An int beyond the float range, a bool and float subclasses are written
-    # as the encoder writes them, in float fields and design entries.
+    # An int beyond the float range and float subclasses are written as the
+    # encoder writes them, in float fields and design entries.
     record = SweepRecord(value, 2.0, 1.0, -0.5, 0.5, 1.0, -0.5, value,
                          OperationalRegion.OUT_TRANSFERS,
                          (DesignEfficiency(QtmDesign.QEN, value, value),))
@@ -228,15 +228,17 @@ def test_curves_csv_of_an_int_beyond_the_float_range_names_its_column(column):
 
 @pytest.mark.parametrize("format, value", [
     ("csv", "a"), ("csv", None),
-    ("json", "a"), ("json", None), ("json", np.float32(0.1)),
-], ids=["csv-str", "csv-None", "json-str", "json-None", "json-float32"])
+    ("json", "a"), ("json", None), ("json", np.float32(0.1)), ("json", True),
+], ids=["csv-str", "csv-None", "json-str", "json-None", "json-float32",
+        "json-bool"])
 @pytest.mark.parametrize("column", ["rho", "e_out_norm", "efficiency", "carnot"])
 def test_records_of_a_value_that_is_not_a_number_name_its_column(format, value,
                                                                  column):
-    # csv.writer would write "a" and None as text, json.dumps "a" as a string
-    # and None as null, and neither is read back as a number; json.dumps
-    # cannot write a float32 at all.  The CSV writer writes a float32 as a
-    # float (test_records_csv_of_other_number_types_matches_csv_writer).
+    # csv.writer would write "a" and None as text, json.dumps "a" as a string,
+    # None as null and True as true, and none is read back as a number;
+    # json.dumps cannot write a float32 at all.  The CSV writer writes a
+    # float32 as a float and True as 1
+    # (test_records_csv_of_other_number_types_matches_csv_writer).
     floats = dict.fromkeys(sweep._FLOAT_COLUMNS, 0.5)
     entry = {"efficiency": 0.5, "carnot": 0.8}
     (floats if column in floats else entry)[column] = value
@@ -244,6 +246,16 @@ def test_records_of_a_value_that_is_not_a_number_name_its_column(format, value,
                          designs=(DesignEfficiency(QtmDesign.QEN, **entry),))
     with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
         emit([record], format, io.StringIO())
+
+
+@pytest.mark.parametrize("column", ["rho", "efficiency", "carnot"])
+def test_curves_json_of_a_bool_names_its_column(column):
+    fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
+    fields[column] = True if column == "carnot" else (True,)
+    curve = EfficiencyCurve(QtmDesign.QEN, **fields,
+                            carnot_limit_kind=CarnotLimitKind.MAXIMUM)
+    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
+        emit_curves({QtmDesign.QEN: curve}, "json", io.StringIO())
 
 
 @pytest.mark.parametrize("value", ["a", None], ids=["str", "None"])
@@ -262,19 +274,23 @@ def test_curves_csv_of_a_value_that_is_not_a_number_names_its_column(value,
 
 @pytest.mark.parametrize("format", ["csv", "json"])
 @pytest.mark.parametrize("column", ["region", "design"])
-@pytest.mark.parametrize("value", ["OutTransfers", None], ids=["str", "None"])
+@pytest.mark.parametrize("value", ["OutTransfers", None, CarnotLimitKind.MAXIMUM],
+                         ids=["str", "None", "other-enum"])
 def test_records_of_a_region_or_design_that_is_no_member_name_its_column(
     value, column, format
 ):
-    # The writers spell a member by its value, which a string has not.
+    # The writers spell a member by its value, which a string has not and
+    # another enum's member has.
     region, design = OperationalRegion.OUT_TRANSFERS, QtmDesign.QEN
     if column == "region":
         region = value
     else:
         design = value
     record = SweepRecord(*[0.5] * 8, region, (DesignEfficiency(design, 0.5, 0.8),))
-    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
+    kind = "OperationalRegion" if column == "region" else "QtmDesign"
+    with pytest.raises(ValidationError) as info:
         emit([record], format, io.StringIO())
+    assert str(info.value) == f"cannot write {column}: not a member of {kind}: {value!r}"
 
 
 @settings(max_examples=100, deadline=None)
