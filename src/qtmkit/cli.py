@@ -174,12 +174,10 @@ def _load_json(path: str, keys: Sequence[str]) -> dict:
     """The JSON object in ``path``; a key outside ``keys`` is an error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            doc = json.loads(handle.read())
     except OSError as exc:
         raise EmitIOError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a UnicodeDecodeError from the read
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path} must contain a JSON object")

@@ -31,7 +31,8 @@ evaluates
         / ((1 + w_high) * (1 + w_low))
 
 which cannot overflow and takes no difference but ``d``.  In deep freeze-out
-``x`` underflows to 0, which the sweep reports as a unit mismatch.
+``x`` underflows to 0, which both the sweep and :func:`otto_cycle_energies`
+report as a unit mismatch away from the reversible ratio.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .regions import ExchangeTriple
+from .regions import ExchangeTriple, in_boundary_band
 
 __all__ = [
     "LevelSpectrum",
@@ -191,10 +192,14 @@ def otto_cycle_energies(
 ) -> ExchangeTriple:
     """Per-cycle reservoir exchanges of a two-level Otto cycle: the hot
     stroke thermalizes the high gap at ``t_high = theta_sq * t_low``, the cold
-    stroke the low gap at ``t_low``; each exchange is its gap times ``x``."""
+    stroke the low gap at ``t_low``; each exchange is its gap times ``x``.
+    Exchanges that vanished off the ``theta_sq`` band, or are NaN, raise the
+    sweep's unit-mismatch error."""
     e_high, e_low = map(float, _exchanges(
         medium.gap_low, medium.gap_high, t_low, theta_sq, boltzmann_k))
-    if e_high != e_high:  # NaN: both Boltzmann exponents overflowed
+    # NaN: both Boltzmann exponents overflowed; 0: the occupations froze out.
+    if e_high != e_high or not (e_high and e_low) and not in_boundary_band(
+            medium.alpha_sq, theta_sq):
         raise DegenerateExchangeError(
             f"cycle energies vanished: the gaps {medium.gap_low!r} and "
             f"{medium.gap_high!r} are enormous compared to k_B * t_low = "

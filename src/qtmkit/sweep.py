@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass, field
 from enum import Enum, unique
 from itertools import chain, islice, repeat
 from numbers import Integral, Real
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,6 +94,8 @@ CSV_COLUMNS = (
 )
 #: The float fields of a :class:`SweepRecord`, in column order.
 _FLOAT_COLUMNS = CSV_COLUMNS[:8]
+#: The float fields of a :class:`DesignEfficiency`.
+_ENTRY_FLOATS = ("efficiency", "carnot")
 #: The JSON value types a float field accepts (``bool`` is not one).
 _NUMBERS = frozenset((float, int))
 
@@ -136,9 +138,14 @@ class SweepSpec:
                                       f"got {getattr(self, name)!r}")
         grid = self.rho_grid
         try:
-            rho = np.asarray(grid, dtype=float)
-            if rho.ndim != 1:
-                raise TypeError("not a sequence")
+            # Not ``dtype=float``, which parses strings: a string entry makes
+            # the array a text one, or an object one holding it.
+            rho = np.asarray(grid)
+            kind = rho.dtype.kind
+            if rho.ndim != 1 or kind not in "biufO" or kind == "O" and any(
+                    isinstance(v, (str, bytes)) for v in rho):
+                raise TypeError("not a sequence of numbers")
+            rho = rho.astype(float, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"rho_grid must be a sequence of numbers, "
                                   f"got {reprlib.repr(grid)}: {exc}") from None
@@ -421,25 +428,39 @@ def _json_floats(name: str, values: list) -> list[str]:
     return list(map(json.dumps, _require(name, values)))
 
 
-def _require(name: str, values, kind=None):
-    """``values``, if each is a ``kind`` member (by default, a number that
-    ``json.dumps`` writes as one); else a ValidationError naming ``name``."""
+def _require(name: str, values):
+    """``values``, if each is a number that ``json.dumps`` writes as one;
+    else a ValidationError naming ``name``."""
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, kind or (int, float)):
-            what = f"a member of {kind.__name__}" if kind else "a number"
-            raise ValidationError(f"cannot write {name}: not {what}: {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"cannot write {name}: not a number: {value!r}")
     return values
 
 
-def _values(name: str, kind: type[Enum], objs) -> list:
-    """The value of the ``kind`` member in field ``name`` of each of
-    ``objs``, after one type scan: anything else there (a string, another
-    enum's member) raises the ValidationError of :func:`_require`."""
-    members = list(map(attrgetter(name), objs))
+def _values(name: str, kind: type[Enum], members: list) -> list:
+    """The value of each ``kind`` member of column ``name``, after one type
+    scan: anything else there (a string, another enum's member) raises a
+    ValidationError naming the column."""
     if not {kind}.issuperset(map(type, members)):
-        _require(name, members, kind)
+        value = next(m for m in members if type(m) is not kind)
+        raise ValidationError(
+            f"cannot write {name}: not a member of {kind.__name__}: {value!r}")
     # ``_value_`` is the enum value without the ``value`` property's call.
     return list(map(attrgetter("_value_"), members))
+
+
+def _columns(objs, get, members) -> tuple:
+    """The columns of records ``objs``, each field read by ``get(name)``:
+    ``(designs, floats, regions, names, *entry_floats)``, the floats in
+    :data:`_FLOAT_COLUMNS` order; the names and the :data:`_ENTRY_FLOATS`
+    are those of the design entries, in record order.  The region and
+    design columns are given as ``members(name, enum, column)``."""
+    designs = list(map(get("designs"), objs))
+    entries = list(chain.from_iterable(designs))
+    return (designs, [list(map(get(name), objs)) for name in _FLOAT_COLUMNS],
+            members("region", OperationalRegion, list(map(get("region"), objs))),
+            members("design", QtmDesign, list(map(get("design"), entries))),
+            *(list(map(get(name), entries)) for name in _ENTRY_FLOATS))
 
 
 def _fill(template: str, *columns):
@@ -452,25 +473,19 @@ def _fill(template: str, *columns):
     return map("".join, zip(*parts))
 
 
-def _column(name: str, values) -> list[str]:
-    """Each value as ``%.12g`` text; a value it cannot format (not a real
-    number, or an int beyond the float range) raises a
-    :class:`ValidationError` naming the column."""
-    try:
-        return list(map("%.12g".__mod__, values))
-    except (OverflowError, TypeError) as exc:
-        raise ValidationError(f"cannot write {name}: {exc}") from None
-
-
 def _format(template: str, values: tuple, columns) -> str:
-    """``template % values``; if a value cannot be formatted, the
-    :class:`ValidationError` of :func:`_column` names the first of the
-    ``(name, values)`` pairs in ``columns`` that holds one."""
+    """``template % values``; if a value cannot be formatted, a
+    :class:`ValidationError` names the first of the ``(name, values)`` pairs
+    in ``columns`` that holds a value ``%.12g`` cannot format (not a real
+    number, or an int beyond the float range)."""
     try:
         return template % values
     except (OverflowError, TypeError):
         for name, column in columns:
-            _column(name, column)
+            try:
+                "%.12g" * len(column) % tuple(column)
+            except (OverflowError, TypeError) as exc:
+                raise ValidationError(f"cannot write {name}: {exc}") from None
         raise
 
 
@@ -498,40 +513,30 @@ def _chunked(records, text_of, head: str, sep: str, tail: str) -> str:
 
 
 def _csv_rows(records) -> str:
-    designs = list(map(attrgetter("designs"), records))
-    entries = list(chain.from_iterable(designs))
+    designs, floats, regions, names, *entry_floats = _columns(
+        records, attrgetter, _values)
     # Each record's first and second design entry by index; a missing one
     # points past the entries, at the blank cells appended to each column.
     counts = np.array(list(map(len, designs)), dtype=np.intp)
     first, second = (np.where(counts > k, np.cumsum(counts) - counts + k,
-                              len(entries)).tolist() for k in (0, 1))
-    names, effs, carnots = ([*column, ""] for column in (
-        _values("design", QtmDesign, entries),
-        map(attrgetter("efficiency"), entries), map(attrgetter("carnot"), entries)))
+                              len(names)).tolist() for k in (0, 1))
+    names, effs, carnots = ([*column, ""] for column in (names, *entry_floats))
     cells = (map(column.__getitem__, index) for index, column in (
         (first, names), (first, effs), (second, names), (second, effs),
         (first, carnots), (second, carnots)))
-    rows = map(add, map(attrgetter(*_FLOAT_COLUMNS), records),
-               zip(_values("region", OperationalRegion, records), *cells))
     template = "".join(map(_CSV_ROWS.__getitem__, np.minimum(counts, 2).tolist()))
-    return _format(template, tuple(chain.from_iterable(rows)), (
-        (name, map(attrgetter(name), objs)) for objs, names
-        in ((records, _FLOAT_COLUMNS), (entries, ("efficiency", "carnot")))
-        for name in names))
+    return _format(template, tuple(chain.from_iterable(zip(*floats, regions, *cells))),
+                   zip(_FLOAT_COLUMNS + _ENTRY_FLOATS, floats + entry_floats))
 
 
 def _json_records(records) -> str:
-    designs = list(map(attrgetter("designs"), records))
-    entries = list(chain.from_iterable(designs))
-    cells = _fill(_JSON_ENTRY, _values("design", QtmDesign, entries),
-                  *(_json_floats(name, list(map(attrgetter(name), entries)))
-                    for name in ("efficiency", "carnot")))
+    designs, floats, regions, names, *entry_floats = _columns(
+        records, attrgetter, _values)
+    cells = _fill(_JSON_ENTRY, names, *map(_json_floats, _ENTRY_FLOATS, entry_floats))
     lists = ["[\n" + ",\n".join(islice(cells, len(d))) + "\n    ]" if d else "[]"
              for d in designs]
-    columns = [_json_floats(name, list(map(attrgetter(name), records)))
-               for name in _FLOAT_COLUMNS]
-    regions = _values("region", OperationalRegion, records)
-    return ",\n".join(_fill(_JSON_RECORD, *columns, regions, lists))
+    return ",\n".join(_fill(_JSON_RECORD, *map(_json_floats, _FLOAT_COLUMNS, floats),
+                             regions, lists))
 
 
 def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
@@ -539,7 +544,7 @@ def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
     for design in QtmDesign:
         if design in curves:
             curve = curves[design]
-            carnot = _column("carnot", [curve.carnot])[0]
+            carnot = _format("%.12g", (curve.carnot,), [("carnot", (curve.carnot,))])
             row = f"{design.value},%.12g,%.12g,{carnot},{curve.carnot_limit_kind.value}\n"
             values = tuple(chain.from_iterable(zip(curve.rho, curve.efficiency)))
             lines.append(_format(row * len(curve.rho), values, [
@@ -569,12 +574,8 @@ def _member_of(enum: type[Enum]):
     return member
 
 
-_region_of = _member_of(OperationalRegion)
-_design_of = _member_of(QtmDesign)
-
-
-class _Inexact(ValueError):
-    """A parsed number at or above the magnitude its parser reads exactly."""
+#: The parser's value -> member lookup of each enum a record holds.
+_MEMBER_OF = {enum: _member_of(enum) for enum in (OperationalRegion, QtmDesign)}
 
 
 #: orjson reads an integer literal outside [-2**63, 2**64) as a float.
@@ -584,25 +585,19 @@ _ORJSON_EXACT_BELOW = 2.0 ** 63
 def _records_of(objs: list, limit: Optional[float]) -> list[SweepRecord]:
     """The records of parsed JSON record objects, built column-wise.
 
-    Raises :class:`_Inexact` if a number's magnitude reaches ``limit``.
+    Raises a ``ValueError`` if a number's magnitude reaches ``limit``.
     """
-    lists = list(map(itemgetter("designs"), objs))
-    flat = list(chain.from_iterable(lists))
-    floats = [list(map(itemgetter(name), objs)) for name in _FLOAT_COLUMNS]
-    effs, carnots = (list(map(itemgetter(name), flat))
-                     for name in ("efficiency", "carnot"))
-    numbers = list(chain(*floats, effs, carnots))
-    if not ({list}.issuperset(map(type, lists))
+    designs, floats, regions, names, *entry_floats = _columns(
+        objs, itemgetter, lambda name, enum, column: map(_MEMBER_OF[enum], column))
+    numbers = list(chain(*floats, *entry_floats))
+    if not ({list}.issuperset(map(type, designs))
             and _NUMBERS.issuperset(map(type, numbers))):
         raise TypeError("a record holds a value of the wrong type")
     if limit is not None and max(map(abs, numbers)) >= limit:
-        raise _Inexact
-    entries = _build(DesignEfficiency, len(flat),
-                     map(_design_of, map(itemgetter("design"), flat)),
-                     effs, carnots)
-    return _build(SweepRecord, len(objs), *floats,
-                  map(_region_of, map(itemgetter("region"), objs)),
-                  map(tuple, map(islice, repeat(iter(entries)), map(len, lists))))
+        raise ValueError(f"a number reaches {limit!r} in magnitude")
+    entries = _build(DesignEfficiency, len(entry_floats[0]), names, *entry_floats)
+    return _build(SweepRecord, len(objs), *floats, regions,
+                  map(tuple, map(islice, repeat(iter(entries)), map(len, designs))))
 
 
 def _require_keys(obj, keys, numbers, what: str) -> None:
@@ -626,8 +621,8 @@ def _check_records(objs: list, start: int) -> None:
         if not isinstance(obj["designs"], list):
             raise ValidationError(f"record {i}: designs is not a list")
         for j, entry in enumerate(obj["designs"]):
-            _require_keys(entry, DesignEfficiency.__slots__,
-                          ("efficiency", "carnot"), f"record {i} design {j}")
+            _require_keys(entry, DesignEfficiency.__slots__, _ENTRY_FLOATS,
+                          f"record {i} design {j}")
 
 
 def _records_in(doc, limit: Optional[float]) -> list[SweepRecord]:
@@ -693,7 +688,7 @@ def parse_records(text: str) -> list[SweepRecord]:
         for piece in _pieces(text):
             records += _records_in(orjson.loads(piece), _ORJSON_EXACT_BELOW)
         return records
-    except ValueError:  # also orjson.JSONDecodeError and _Inexact
+    except ValueError:  # also orjson.JSONDecodeError and an inexact number
         records.clear()  # the earlier pieces' records are built again
     return _records_in(json.loads(text), None)
 

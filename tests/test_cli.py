@@ -306,11 +306,21 @@ class TestSweep:
         assert code == 2
         assert "nope.json" in err
 
-    def test_malformed_json_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["config", "constants"])
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"],
+                             ids=["malformed", "not-utf-8"])
+    def test_malformed_json_exits_one(self, tmp_path, capsys, monkeypatch,
+                                      content, source):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, err = run_cli("sweep", "--config", str(path), capsys=capsys)
+        path.write_bytes(content)
+        config = path
+        if source == "constants":
+            config = tmp_path / "sweep.json"
+            config.write_text('{"t_low": 1, "theta_sq": 5, "r_low": 1e-7}')
+            monkeypatch.setenv("QTM_CONSTANTS", str(path))
+        code, _, err = run_cli("sweep", "--config", str(config), capsys=capsys)
         assert code == 1
+        assert f"qtmkit: error: {path} is not valid JSON: " in err
 
     @pytest.mark.parametrize("doc", ["[1, 2]", '"t_low"', "5"])
     def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys,

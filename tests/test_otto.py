@@ -12,9 +12,12 @@ from qtmkit import (
     InvalidTemperatureError,
     InvalidThetaError,
     LevelSpectrum,
+    MediumKind,
     OccupationMismatchError,
     OperationalRegion,
+    PhysicalConstants,
     SpectrumMismatchError,
+    SweepSpec,
     TwoLevelMedium,
     ValidationError,
     classify_region,
@@ -23,6 +26,7 @@ from qtmkit import (
     occupation,
     otto_cycle_energies,
     ring_medium,
+    run_sweep,
     work_exchange,
 )
 
@@ -174,6 +178,21 @@ class TestOttoCycleEnergies:
             "cycle energies vanished: the gaps 10000000000.0 and 2500000000.0 "
             f"are enormous compared to k_B * t_low = {CODATA.boltzmann_k * 1e-300!r} "
             "(check units and constants)")
+
+    @pytest.mark.parametrize("alpha_sq", [2.0, 8.0], ids=["forward", "reversed"])
+    def test_underflowed_exchanges_off_the_band_are_the_sweeps_unit_error(
+            self, alpha_sq):
+        # Finite Boltzmann exponents of 1e4 and more: x underflows to 0 on
+        # either side of theta_sq, where a sweep stops at the same point.
+        with pytest.raises(DegenerateExchangeError) as info:
+            otto_cycle_energies(gap_medium(1.0, alpha_sq), 1e-4, 5.0, 1.0)
+        assert str(info.value) == (
+            f"cycle energies vanished: the gaps 1.0 and {alpha_sq!r} are "
+            "enormous compared to k_B * t_low = 0.0001 (check units and constants)")
+        spec = SweepSpec(t_low=1e-4, theta_sq=5.0, rho_grid=(math.sqrt(alpha_sq),),
+                         medium_kind=MediumKind.GENERIC_GAP, gap_low=1.0)
+        with pytest.raises(DegenerateExchangeError, match="units"):
+            run_sweep(spec, PhysicalConstants.reduced())
 
     @given(
         gap_low=st.floats(0.1, 2.0),

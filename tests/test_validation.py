@@ -9,6 +9,7 @@ is rejected by name."""
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -198,8 +199,13 @@ def test_a_value_that_is_not_a_number_raises_the_fields_error(build, error,
     ("rho_grid", (None,), "rho_grid[0]=None"),
     ("rho_grid", 3, "got 3"),
     ("rho_grid", (1.0, 10**400), "(1.0, 1000"),
+    # numpy would parse these strings; an object array may hold one too.
+    ("rho_grid", ("1.5", 2, b"2.5"), "('1.5', 2, b'2.5')"),
+    ("rho_grid", (b"1.5",), "(b'1.5',)"),
+    ("rho_grid", (Fraction(1, 2), "2"), "(Fraction(1, 2), '2')"),
 ], ids=["normalization-str", "medium_kind-str", "rho_grid-str", "rho_grid-None",
-        "rho_grid-int", "rho_grid-big"])
+        "rho_grid-int", "rho_grid-big", "rho_grid-numeric-str", "rho_grid-bytes",
+        "rho_grid-object-str"])
 def test_a_sweep_spec_field_of_the_wrong_type_names_the_field_and_value(
         field, value, shown):
     fields = {"t_low": 1.0, "theta_sq": 5.0, "r_low": 1e-7, "rho_grid": (1.0,),

@@ -227,18 +227,19 @@ def test_curves_csv_of_an_int_beyond_the_float_range_names_its_column(column):
 
 
 @pytest.mark.parametrize("format, value", [
-    ("csv", "a"), ("csv", None),
+    ("csv", "a"), ("csv", None), ("csv", (0.5,)),
     ("json", "a"), ("json", None), ("json", np.float32(0.1)), ("json", True),
-], ids=["csv-str", "csv-None", "json-str", "json-None", "json-float32",
-        "json-bool"])
-@pytest.mark.parametrize("column", ["rho", "e_out_norm", "efficiency", "carnot"])
+], ids=["csv-str", "csv-None", "csv-tuple", "json-str", "json-None",
+        "json-float32", "json-bool"])
+@pytest.mark.parametrize("column", [*sweep._FLOAT_COLUMNS, "efficiency", "carnot"])
 def test_records_of_a_value_that_is_not_a_number_name_its_column(format, value,
                                                                  column):
     # csv.writer would write "a" and None as text, json.dumps "a" as a string,
     # None as null and True as true, and none is read back as a number;
     # json.dumps cannot write a float32 at all.  The CSV writer writes a
     # float32 as a float and True as 1
-    # (test_records_csv_of_other_number_types_matches_csv_writer).
+    # (test_records_csv_of_other_number_types_matches_csv_writer).  A lone
+    # "%.12g" % value would unpack a one-element tuple and format its float.
     floats = dict.fromkeys(sweep._FLOAT_COLUMNS, 0.5)
     entry = {"efficiency": 0.5, "carnot": 0.8}
     (floats if column in floats else entry)[column] = value
