@@ -19,7 +19,8 @@ at a time with one ``%``; the JSON writer formats a float column at a time
 ``json.dumps(indent=2)``.  The output is byte for byte what ``csv.writer`` and
 ``json.dumps(..., indent=2)`` write (``tests/test_writers.py``).  A value
 that cannot be written raises a :class:`ValidationError` naming its column.
-:func:`parse_records` reads with orjson, a piece at a time, and gives what
+:func:`parse_records` reads a piece at a time, with orjson, then with
+``json.loads``, and reads the whole text only to name a fault; it gives what
 ``json.loads`` gives.  orjson is imported by these two JSON paths only.
 """
 
@@ -259,6 +260,7 @@ def default_rho_grid(
     """
     if not (isinstance(num, Integral) and num >= 2
             and isinstance(rho_min, Real) and isinstance(rho_max, Real)
+            and bool not in {type(rho_min), type(rho_max)}
             and 0.0 < rho_min < rho_max < math.inf):
         raise ValidationError(
             f"need an integer num >= 2 and 0 < rho_min < rho_max < inf, got "
@@ -582,24 +584,6 @@ _MEMBER_OF = {enum: _member_of(enum) for enum in (OperationalRegion, QtmDesign)}
 _ORJSON_EXACT_BELOW = 2.0 ** 63
 
 
-def _records_of(objs: list, limit: Optional[float]) -> list[SweepRecord]:
-    """The records of parsed JSON record objects, built column-wise.
-
-    Raises a ``ValueError`` if a number's magnitude reaches ``limit``.
-    """
-    designs, floats, regions, names, *entry_floats = _columns(
-        objs, itemgetter, lambda name, enum, column: map(_MEMBER_OF[enum], column))
-    numbers = list(chain(*floats, *entry_floats))
-    if not ({list}.issuperset(map(type, designs))
-            and _NUMBERS.issuperset(map(type, numbers))):
-        raise TypeError("a record holds a value of the wrong type")
-    if limit is not None and max(map(abs, numbers)) >= limit:
-        raise ValueError(f"a number reaches {limit!r} in magnitude")
-    entries = _build(DesignEfficiency, len(entry_floats[0]), names, *entry_floats)
-    return _build(SweepRecord, len(objs), *floats, regions,
-                  map(tuple, map(islice, repeat(iter(entries)), map(len, designs))))
-
-
 def _require_keys(obj, keys, numbers, what: str) -> None:
     """Raise unless ``obj`` is an object with ``keys``, each of ``numbers``
     a JSON number."""
@@ -613,10 +597,10 @@ def _require_keys(obj, keys, numbers, what: str) -> None:
             raise ValidationError(f"{what}: {key} is not a number, got {obj[key]!r}")
 
 
-def _check_records(objs: list, start: int) -> None:
+def _check_records(objs: list) -> None:
     """Raise a :class:`ValidationError` naming the first malformed record
-    object in ``objs``, numbered from ``start``."""
-    for i, obj in enumerate(objs, start):
+    object in ``objs``."""
+    for i, obj in enumerate(objs):
         _require_keys(obj, SweepRecord.__slots__, _FLOAT_COLUMNS, f"record {i}")
         if not isinstance(obj["designs"], list):
             raise ValidationError(f"record {i}: designs is not a list")
@@ -626,27 +610,30 @@ def _check_records(objs: list, start: int) -> None:
 
 
 def _records_in(doc, limit: Optional[float]) -> list[SweepRecord]:
-    """The records of a parsed records document; ``limit`` as in
-    :func:`_records_of`."""
+    """The records of a parsed records document, built column-wise; a
+    ``ValueError`` if a number's magnitude reaches ``limit``."""
     if not isinstance(doc, list):
         raise ValidationError(
             f"records JSON must be a list at the top level, not {type(doc).__name__}")
-    # Chunks leave the parsed tree as their records are built.
-    doc.reverse()
-    records = []
-    while doc:
-        chunk = doc[-_CHUNK:][::-1]
-        del doc[-_CHUNK:]
-        try:
-            records += _records_of(chunk, limit)
-        except (KeyError, TypeError):
-            # Only a failed build pays for the check that names the fault.
-            _check_records(chunk, len(records))
-            raise
-    return records
+    try:
+        designs, floats, regions, names, *entry_floats = _columns(
+            doc, itemgetter, lambda name, enum, column: map(_MEMBER_OF[enum], column))
+        numbers = list(chain(*floats, *entry_floats))
+        if not ({list}.issuperset(map(type, designs))
+                and _NUMBERS.issuperset(map(type, numbers))):
+            raise TypeError("a record holds a value of the wrong type")
+    except (KeyError, TypeError):
+        # Only a failed build pays for the check that names the fault.
+        _check_records(doc)
+        raise
+    if limit is not None and max(map(abs, numbers), default=0) >= limit:
+        raise ValueError(f"a number reaches {limit!r} in magnitude")
+    entries = _build(DesignEfficiency, len(entry_floats[0]), names, *entry_floats)
+    return _build(SweepRecord, len(doc), *floats, regions,
+                  map(tuple, map(islice, repeat(iter(entries)), map(len, designs))))
 
 
-#: Characters of records JSON that orjson parses at a time.
+#: Characters of records JSON that a reader parses at a time.
 _PIECE = 1 << 17
 #: What JSON :func:`emit` writes between two records.
 _SEPARATOR = "\n  },\n  {\n"
@@ -675,21 +662,23 @@ def parse_records(text: str) -> list[SweepRecord]:
     first fault; an unknown region or design value raises the enum's
     ``ValueError``.
 
-    orjson reads the text a piece at a time (:func:`_pieces`).  ``json.loads``
-    reads the whole text when orjson rejects a piece (``NaN``, ``Infinity``,
-    a lone surrogate, bad JSON), when a number reaches 2**63 in magnitude
-    (orjson reads an integer literal outside [-2**63, 2**64) as a float), or
-    when a record is malformed; so the records, and any error, are the ones
-    ``json.loads`` gives.
+    The text is read a piece at a time (:func:`_pieces`) by orjson, or, if
+    orjson rejects a piece (``NaN``, ``Infinity``, a lone surrogate, bad
+    JSON) or a number reaches 2**63 in magnitude (orjson reads an integer
+    literal outside [-2**63, 2**64) as a float), by ``json.loads``.  Only if
+    both fail does ``json.loads`` read the whole text, which names the fault
+    or reads a document cut inside a record; so the records, and any error,
+    are the ones ``json.loads`` gives.
     """
     import orjson
-    records = []
-    try:
-        for piece in _pieces(text):
-            records += _records_in(orjson.loads(piece), _ORJSON_EXACT_BELOW)
-        return records
-    except ValueError:  # also orjson.JSONDecodeError and an inexact number
-        records.clear()  # the earlier pieces' records are built again
+    for loads, limit in ((orjson.loads, _ORJSON_EXACT_BELOW), (json.loads, None)):
+        records = []
+        try:
+            for piece in _pieces(text):
+                records += _records_in(loads(piece), limit)
+            return records
+        except ValueError:  # also a JSONDecodeError and an inexact number
+            records.clear()  # not held while the next reader parses
     return _records_in(json.loads(text), None)
 
 
@@ -742,6 +731,9 @@ def emit_curves(
     """Serialize efficiency curves: long-format CSV or per-design JSON."""
     if len(curves) == 0:
         raise ValidationError("no curves to emit")
+    _values("design", QtmDesign, list(curves))
+    _values("carnot_limit", CarnotLimitKind,
+            [curve.carnot_limit_kind for curve in curves.values()])
     for design in [d for d, c in curves.items() if len(c.rho) != len(c.efficiency)][:1]:
         raise ValidationError(f"curve {design.value}: len(rho) != len(efficiency)")
     _emit(format, destination, curves, _curves_csv, _curves_json)

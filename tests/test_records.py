@@ -362,3 +362,54 @@ def test_a_malformed_late_record_is_numbered_in_the_document(late, monkeypatch,
     assert len(pieces) == 7
     assert (type(info.value), str(info.value)) == by_json_loads(text)
     assert str(info.value).startswith(("record 6", "'NoSuchRegion'"))
+
+
+@pytest.fixture
+def json_loads(monkeypatch):
+    """Each text ``json.loads`` is given, in order."""
+    seen = []
+    loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        seen.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    return seen
+
+
+@pytest.mark.parametrize("late", [
+    {**RECORD, "rho": math.nan},
+    {**RECORD, "e_low": -math.inf},
+    {**RECORD, "designs": [{**ENTRY, "carnot": 2**64}]},
+], ids=["nan", "-inf", "2**64"])
+def test_a_document_orjson_cannot_read_exactly_is_read_by_json_loads_piece_by_piece(
+    late, monkeypatch, json_loads
+):
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
+    records = parse_records(text)
+    assert json_loads == list(sweep._pieces(text))
+    assert len(json_loads) == 8 and text not in json_loads
+    assert list(map(repr, records)) == list(map(repr, by_json_loads(text)))
+
+
+@pytest.mark.parametrize("late", [
+    {**RECORD, "designs": [{}]},
+    {**RECORD, "rho": "x"},
+    {**RECORD, "region": "NoSuchRegion"},
+], ids=["design-key", "value-type", "region"])
+def test_a_malformed_late_record_reaches_the_whole_text_once(late, monkeypatch,
+                                                             json_loads):
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
+    with pytest.raises(ValueError):
+        parse_records(text)
+    # json.loads reads the pieces up to the bad one, then the whole text.
+    assert json_loads == [*list(sweep._pieces(text))[:7], text]
+
+
+@pytest.mark.parametrize("text", ["[]", "[\n]\n"])
+def test_an_empty_document_is_read_by_orjson_alone(text, json_loads, pieces):
+    assert parse_records(text) == []
+    assert pieces == [text] and json_loads == []

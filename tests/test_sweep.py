@@ -112,6 +112,7 @@ class TestDefaultGrid:
         (600, 1.0, 1.0), (600, 0.05, math.inf), (600, 0.05, math.nan),
         (600, -math.inf, 3.0), (2.5, 0.05, 3.0), (600.0, 0.05, 3.0),
         (600, "0.1", 3.0), (600, 0.05, "3"), (600, None, 3.0),
+        (600, True, 3.0), (600, 0.05, True),
     ])
     def test_rejects_too_few_points_or_a_bad_range(self, num, rho_min, rho_max):
         with pytest.raises(ValidationError,

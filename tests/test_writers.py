@@ -294,6 +294,32 @@ def test_records_of_a_region_or_design_that_is_no_member_name_its_column(
     assert str(info.value) == f"cannot write {column}: not a member of {kind}: {value!r}"
 
 
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("column, value", [
+    ("design", "QEN"), ("design", None), ("design", CarnotLimitKind.MAXIMUM),
+    ("carnot_limit", "maximum"), ("carnot_limit", None),
+    ("carnot_limit", QtmDesign.QEN),
+], ids=["design-str", "design-None", "design-other-enum", "limit-str",
+        "limit-None", "limit-other-enum"])
+def test_curves_of_a_design_or_limit_that_is_no_member_name_its_column(
+    column, value, format
+):
+    # A curve's key and its limit kind are spelled by their values, which a
+    # string has not and another enum's member has.
+    design, limit = QtmDesign.QEN, CarnotLimitKind.MAXIMUM
+    if column == "design":
+        design = value
+    else:
+        limit = value
+    curve = EfficiencyCurve(QtmDesign.QEN, (1.5, 2.0), (0.3, 0.4), 0.8, limit)
+    kind = "QtmDesign" if column == "design" else "CarnotLimitKind"
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as info:
+        emit_curves({design: curve}, format, buffer)
+    assert str(info.value) == f"cannot write {column}: not a member of {kind}: {value!r}"
+    assert buffer.getvalue() == ""
+
+
 @settings(max_examples=100, deadline=None)
 @given(curve_maps())
 def test_curves_json_matches_json_dumps(curves):
