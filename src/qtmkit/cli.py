@@ -11,6 +11,7 @@ physically inadmissible inputs), 2 on I/O errors.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -303,7 +304,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     """Console-script entry point."""
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # so shutdown skips the cycle collector's passes over the heap
+    sys.exit(code)
 
 
 if __name__ == "__main__":

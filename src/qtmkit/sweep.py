@@ -654,10 +654,12 @@ def _pieces(text: str):
 
 
 @_gc_paused()
-def parse_records(text: str) -> list[SweepRecord]:
+def parse_records(text: str | bytes | bytearray) -> list[SweepRecord]:
     """Inverse of JSON :func:`emit`: rebuild records from serialized output.
 
-    A document that is not a list of record objects with every key, each
+    ``bytes`` and ``bytearray`` are decoded as ``json.loads`` decodes them;
+    any other type but ``str`` raises ``json.loads``'s ``TypeError``.  A
+    document that is not a list of record objects with every key, each
     float field a JSON number, raises :class:`ValidationError` naming the
     first fault; an unknown region or design value raises the enum's
     ``ValueError``.
@@ -670,6 +672,10 @@ def parse_records(text: str) -> list[SweepRecord]:
     or reads a document cut inside a record; so the records, and any error,
     are the ones ``json.loads`` gives.
     """
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    elif not isinstance(text, str):
+        json.loads(text)  # raises the TypeError that names the type
     import orjson
     for loads, limit in ((orjson.loads, _ORJSON_EXACT_BELOW), (json.loads, None)):
         records = []

@@ -1,9 +1,17 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qtmkit
 from qtmkit import parse_records
 from qtmkit.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, capsys=None):
@@ -385,3 +393,53 @@ class TestParsing:
         code, out, _ = run_cli("--help", capsys=capsys)
         assert code == 0
         assert "classify" in out
+
+
+def python(*args):
+    """Run the interpreter on ``args`` with this qtmkit importable."""
+    src = str(Path(qtmkit.__file__).parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+class TestConsoleEntry:
+    """``run()``, the console script and ``python -m qtmkit.cli``."""
+
+    def test_the_collector_is_frozen_before_exit(self):
+        result = python("-c", "\n".join([
+            "import atexit, gc, sys",
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))",
+            "sys.argv[1:] = ['table2', '--theta-sq', '5']",
+            "from qtmkit.cli import run",
+            "run()",
+        ]))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (DATA / "table2_theta5.txt").read_bytes() + b"True\n"
+
+    def test_main_leaves_the_collector_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["table2", "--theta-sq", "5"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_sweep_json_on_stdout_is_the_golden(self, tmp_path):
+        config = tmp_path / "ref.json"
+        config.write_text(json.dumps({"t_low": 1, "theta_sq": 5, "r_low": 1e-7}))
+        result = python("-W", "error::ResourceWarning", "-m", "qtmkit.cli",
+                        "sweep", "--config", str(config), "--out", "-",
+                        "--format", "json")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (DATA / "reference_sweep.json").read_bytes()
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["table2", "--theta-sq", "0.5"], 1, b"qtmkit: error: theta_sq"),
+        (["sweep", "--config", "no-such-config.json"], 2,
+         b"qtmkit: i/o error: cannot read no-such-config.json"),
+    ], ids=["bad-theta-sq", "missing-config"])
+    def test_a_failure_keeps_its_exit_code(self, args, code, message, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = python("-W", "error::ResourceWarning", "-m", "qtmkit.cli",
+                        *args)
+        assert (result.returncode, result.stdout) == (code, b"")
+        assert result.stderr.startswith(message)
+        assert result.stderr.count(b"\n") == 1

@@ -413,3 +413,28 @@ def test_a_malformed_late_record_reaches_the_whole_text_once(late, monkeypatch,
 def test_an_empty_document_is_read_by_orjson_alone(text, json_loads, pieces):
     assert parse_records(text) == []
     assert pieces == [text] and json_loads == []
+
+
+@pytest.mark.parametrize("encode", [
+    str.encode,
+    lambda text: text.encode("utf-8-sig"),
+    lambda text: text.encode("utf-16"),
+    lambda text: text.encode("utf-16-le"),
+    lambda text: bytearray(text.encode()),
+], ids=["utf-8", "utf-8-bom", "utf-16", "utf-16-le", "bytearray"])
+def test_bytes_are_decoded_as_json_loads_decodes_them(encode):
+    text = GOLDEN.read_text(encoding="utf-8")
+    data = encode(text)
+    records = parse_records(data)
+    assert records == sweep._records_in(json.loads(data), None)
+    assert json_text(records) == text
+
+
+@pytest.mark.parametrize("value", [None, 603, ["[]"], memoryview(b"[]")],
+                         ids=["None", "int", "list", "memoryview"])
+def test_any_other_type_raises_the_type_error_of_json_loads(value):
+    with pytest.raises(TypeError) as expected:
+        json.loads(value)
+    with pytest.raises(TypeError) as info:
+        parse_records(value)
+    assert str(info.value) == str(expected.value)
