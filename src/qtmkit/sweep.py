@@ -118,7 +118,8 @@ class SweepSpec:
     """Parameters of one sweep.
 
     Exactly one of ``r_low`` (ring medium, meters) or ``gap_low`` (generic
-    medium, energy units) must be set, matching ``medium_kind``.
+    medium, energy units) must be set, matching ``medium_kind``.  The
+    checked ``rho_grid`` is kept as a tuple of floats, not the caller's object.
     """
 
     t_low: float
@@ -160,6 +161,7 @@ class SweepSpec:
                 "rho_grid values must be positive, finite and strictly "
                 f"increasing, got rho_grid[{i}]={grid[i]!r}"
             )
+        object.__setattr__(self, "rho_grid", tuple(rho.tolist()))
         ring = self.medium_kind is MediumKind.QUANTUM_RING
         key, other = ("r_low", "gap_low") if ring else ("gap_low", "r_low")
         value = getattr(self, key)
@@ -357,7 +359,7 @@ def run_sweep(
 
     columns = [c.tolist() for c in (alpha_sq, e_high, e_low, e_out,
                                     e_high / scale, e_low / scale, e_out / scale)]
-    records = _build(SweepRecord, len(rho), map(float, spec.rho_grid), *columns,
+    records = _build(SweepRecord, len(rho), spec.rho_grid, *columns,
                      map(_REGIONS.__getitem__, index.tolist()), designs)
     return records, boundary_report(spec.theta_sq)
 
@@ -431,12 +433,12 @@ def _json_floats(name: str, values: list) -> list[str]:
 
 
 def _require(name: str, values):
-    """``values``, if each is a number that ``json.dumps`` writes as one;
-    else a ValidationError naming ``name``."""
+    """``values`` as a list, if each is a number that ``json.dumps`` writes
+    as one; else a ValidationError naming ``name``."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"cannot write {name}: not a number: {value!r}")
-    return values
+    return list(values)
 
 
 def _values(name: str, kind: type[Enum], members: list) -> list:
@@ -563,21 +565,9 @@ def _curves_json(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
     } for design, curve in curves.items()}, indent=2) + "\n"
 
 
-def _member_of(enum: type[Enum]):
-    """``enum(value)`` through a prebuilt value -> member map; a value
-    outside it goes to the enum call, which raises its ``ValueError``."""
-    members = {member.value: member for member in enum}
-
-    def member(value):
-        try:
-            return members[value]
-        except (KeyError, TypeError):
-            return enum(value)
-    return member
-
-
-#: The parser's value -> member lookup of each enum a record holds.
-_MEMBER_OF = {enum: _member_of(enum) for enum in (OperationalRegion, QtmDesign)}
+#: The parser's value -> member map of each enum a record holds.
+_MEMBER_OF = {enum: {member.value: member for member in enum}
+              for enum in (OperationalRegion, QtmDesign)}
 
 
 #: orjson reads an integer literal outside [-2**63, 2**64) as a float.
@@ -599,14 +589,17 @@ def _require_keys(obj, keys, numbers, what: str) -> None:
 
 def _check_records(objs: list) -> None:
     """Raise a :class:`ValidationError` naming the first malformed record
-    object in ``objs``."""
+    object in ``objs``, or the enum's ``ValueError`` for the first unknown
+    region or design value."""
     for i, obj in enumerate(objs):
         _require_keys(obj, SweepRecord.__slots__, _FLOAT_COLUMNS, f"record {i}")
+        OperationalRegion(obj["region"])
         if not isinstance(obj["designs"], list):
             raise ValidationError(f"record {i}: designs is not a list")
         for j, entry in enumerate(obj["designs"]):
             _require_keys(entry, DesignEfficiency.__slots__, _ENTRY_FLOATS,
                           f"record {i} design {j}")
+            QtmDesign(entry["design"])
 
 
 def _records_in(doc, limit: Optional[float]) -> list[SweepRecord]:
@@ -617,7 +610,8 @@ def _records_in(doc, limit: Optional[float]) -> list[SweepRecord]:
             f"records JSON must be a list at the top level, not {type(doc).__name__}")
     try:
         designs, floats, regions, names, *entry_floats = _columns(
-            doc, itemgetter, lambda name, enum, column: map(_MEMBER_OF[enum], column))
+            doc, itemgetter,
+            lambda name, enum, column: list(map(_MEMBER_OF[enum].__getitem__, column)))
         numbers = list(chain(*floats, *entry_floats))
         if not ({list}.issuperset(map(type, designs))
                 and _NUMBERS.issuperset(map(type, numbers))):
@@ -661,8 +655,8 @@ def parse_records(text: str | bytes | bytearray) -> list[SweepRecord]:
     any other type but ``str`` raises ``json.loads``'s ``TypeError``.  A
     document that is not a list of record objects with every key, each
     float field a JSON number, raises :class:`ValidationError` naming the
-    first fault; an unknown region or design value raises the enum's
-    ``ValueError``.
+    first fault in document order; if that fault is an unknown region or
+    design value, the enum's ``ValueError``.
 
     The text is read a piece at a time (:func:`_pieces`) by orjson, or, if
     orjson rejects a piece (``NaN``, ``Infinity``, a lone surrogate, bad

@@ -238,6 +238,35 @@ def test_wrong_value_types_raise_validation_error(doc, message):
         parse_records(json.dumps(doc))
 
 
+def test_the_first_fault_in_document_order_is_named():
+    # An unknown region in record 0 is named before a missing key in record 5.
+    doc = [{**RECORD, "region": "Bogus"}, *[RECORD] * 4,
+           {k: v for k, v in RECORD.items() if k != "rho"}]
+    with pytest.raises(ValueError) as info:
+        parse_records(json.dumps(doc))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "'Bogus' is not a valid OperationalRegion"
+    with pytest.raises(ValidationError, match="^record 4 lacks key 'rho'$"):
+        parse_records(json.dumps(doc[1:]))
+
+
+def test_an_unknown_design_in_a_late_piece_raises_the_enums_error(monkeypatch):
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    late = {**RECORD, "designs": [ENTRY, {**ENTRY, "design": "QXX"}]}
+    text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
+    with pytest.raises(ValueError) as info:
+        parse_records(text)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "'QXX' is not a valid QtmDesign"
+
+
+def test_an_unhashable_region_raises_the_enums_error():
+    with pytest.raises(ValueError) as info:
+        parse_records(json.dumps([RECORD, {**RECORD, "region": [1]}]))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "[1] is not a valid OperationalRegion"
+
+
 def test_big_integers_parse_as_the_ints_they_spell():
     # orjson reads an integer literal outside [-2**63, 2**64) as a float, or
     # rejects it beyond the float range; such a document is read by json.loads.

@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qtmkit import (
@@ -88,6 +89,29 @@ class TestSweepSpec:
     def test_both_medium_keys_are_rejected(self, kind):
         with pytest.raises(ValidationError, match="r_low.*gap_low|gap_low.*r_low"):
             ring_spec(medium_kind=kind, r_low=1e-7, gap_low=1e-24)
+
+    def test_grid_is_not_the_callers_object(self):
+        grid = [0.5, 1.5, 2.5]
+        spec = ring_spec(rho_grid=grid)
+        grid += [0.1, -3.0]
+        assert spec.rho_grid == (0.5, 1.5, 2.5)
+        records, _ = run_sweep(spec)
+        assert [r.rho for r in records] == [0.5, 1.5, 2.5]
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.5], np.array([0.5, 1.5]), (1, 2)],
+                             ids=["list", "ndarray", "ints"])
+    def test_spec_hashes_and_compares_as_its_float_tuple(self, grid):
+        spec = ring_spec(rho_grid=grid)
+        assert type(spec.rho_grid) is tuple
+        assert all(type(r) is float for r in spec.rho_grid)
+        twin = ring_spec(rho_grid=tuple(map(float, grid)))
+        assert hash(spec) == hash(twin)
+        assert spec == twin
+
+    def test_specs_of_array_grids_compare(self):
+        grids = (np.array([0.5, 1.5]), np.array([0.5, 1.5]), np.array([0.5, 2.5]))
+        first, same, other = (ring_spec(rho_grid=g) for g in grids)
+        assert first == same and first != other
 
 
 class TestDefaultGrid:

@@ -360,6 +360,27 @@ def test_curves_with_unequal_rho_and_efficiency_lengths_are_rejected(format):
     assert buffer.getvalue() == ""
 
 
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_curves_of_float_array_columns_are_written_as_of_tuples(format):
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, r_low=1e-7,
+                     rho_grid=default_rho_grid(5.0, num=50))
+    curves = efficiency_curves(spec)
+    arrays = {design: EfficiencyCurve(design, np.array(c.rho), np.array(c.efficiency),
+                                      c.carnot, c.carnot_limit_kind)
+              for design, c in curves.items()}
+    assert written(emit_curves, arrays, format) == written(emit_curves, curves, format)
+
+
+@pytest.mark.parametrize("column", ["rho", "efficiency"])
+def test_curves_json_of_an_int_array_names_its_column(column):
+    fields = {"rho": np.array([1.5]), "efficiency": np.array([0.5])}
+    fields[column] = np.array([1], dtype=np.int64)
+    curve = EfficiencyCurve(QtmDesign.QEN, **fields, carnot=0.8,
+                            carnot_limit_kind=CarnotLimitKind.MAXIMUM)
+    with pytest.raises(ValidationError, match=f"^cannot write {column}: not a number"):
+        emit_curves({QtmDesign.QEN: curve}, "json", io.StringIO())
+
+
 def test_a_regions_two_curves_share_one_rho_tuple():
     spec = SweepSpec(t_low=1.0, theta_sq=5.0, r_low=1e-7,
                      rho_grid=default_rho_grid(5.0, num=50))
