@@ -83,6 +83,7 @@ class QtmDesign(Enum):
     QLL = "QLL"
     QRE = "QRE"
     QHP = "QHP"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
     region = property(lambda self: CATALOG[self].region,
                       doc="Operational region (or subregion) the design runs in.")
@@ -174,13 +175,21 @@ _EFFICIENCY, _CARNOT, _BOUNDS, _FAR_LIMIT = (
 )
 
 
+def _not_a_design(design) -> ValidationError:
+    """The error of a catalog lookup by anything but a :class:`QtmDesign`."""
+    return ValidationError(f"design must be a QtmDesign, got {design!r}")
+
+
 def admissible_designs(region: OperationalRegion) -> frozenset[QtmDesign]:
     """The two designs that can operate in the given (sub)region."""
-    if region.is_boundary:
-        raise BoundaryRegionError(
-            f"no design operates on a region boundary ({region.value})"
-        )
-    return frozenset(_PAIRS[region])
+    try:
+        return frozenset(_PAIRS[region])
+    except (KeyError, TypeError):
+        if not isinstance(region, OperationalRegion):
+            raise ValidationError(
+                f"region must be an OperationalRegion, got {region!r}") from None
+    raise BoundaryRegionError(
+        f"no design operates on a region boundary ({region.value})")
 
 
 def efficiency(design: QtmDesign, alpha_sq: float) -> float:
@@ -191,7 +200,10 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     reversible/degenerate limits and raise instead of returning a value.
     """
     require_finite("alpha_sq", alpha_sq, OutOfRegionError)
-    form, lo, hi = _EFFICIENCY[design]
+    try:
+        form, lo, hi = _EFFICIENCY[design]
+    except (KeyError, TypeError):
+        raise _not_a_design(design) from None
     if alpha_sq == lo or alpha_sq == hi:
         raise SingularEfficiencyError(
             f"{design.value} efficiency is singular at alpha_sq={alpha_sq!r}"
@@ -220,7 +232,11 @@ def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
     ``a* = 1/theta_sq`` (2Acquirers designs) or ``a* = theta_sq`` (others).
     """
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    return _CARNOT[design](theta_sq)
+    try:
+        form = _CARNOT[design]
+    except (KeyError, TypeError):
+        raise _not_a_design(design) from None
+    return form(theta_sq)
 
 
 @dataclass(frozen=True)
@@ -254,7 +270,10 @@ def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
     """Admissible ``alpha_sq`` interval for the design between reservoirs
     with the given temperature ratio."""
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    lo, hi, limit, end = _BOUNDS[design]
+    try:
+        lo, hi, limit, end = _BOUNDS[design]
+    except (KeyError, TypeError):
+        raise _not_a_design(design) from None
     edges = _edges(theta_sq)
     return AlphaBounds(edges[lo], edges[hi], limit, edges[end])
 

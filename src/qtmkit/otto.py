@@ -179,8 +179,9 @@ def _exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
     b_high = gap_high / (boltzmann_k * (theta_sq * t_low))
     d = b_low - b_high
     w_low, w_high = np.exp(-b_low), np.exp(-b_high)
-    x = (np.sign(d) * np.maximum(w_low, w_high) * -np.expm1(-abs(d))
-         / ((1.0 + w_high) * (1.0 + w_low)))
+    # Exact max(w_low, w_high) of weights >= +0; np.maximum is slow on scalars.
+    x = (np.sign(d) * (w_high * (d > 0.0) + w_low * (d <= 0.0))
+         * -np.expm1(-abs(d)) / ((1.0 + w_high) * (1.0 + w_low)))
     return gap_high * x, -gap_low * x
 
 

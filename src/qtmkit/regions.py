@@ -100,6 +100,7 @@ class OperationalRegion(Enum):
     BOUNDARY_2ACQ_SUBREGIONS = "Boundary2AcqSubregions"
     BOUNDARY_2ACQ_OUTT = "Boundary2AcqOutT"
     BOUNDARY_OUTT_PUMP = "BoundaryOutTPump"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
     @property
     def is_boundary(self) -> bool:

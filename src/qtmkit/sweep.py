@@ -703,6 +703,22 @@ def _emit(format: str, destination, items, to_csv, to_json) -> None:
     _write(destination, (to_csv if format == "csv" else to_json)(items))
 
 
+def _check_emitted(records) -> None:
+    """Raise a :class:`ValidationError` naming the first of ``records`` that
+    is not a :class:`SweepRecord` with a tuple of :class:`DesignEfficiency`."""
+    for i, record in enumerate(records):
+        if not isinstance(record, SweepRecord):
+            raise ValidationError(
+                f"record {i} is not a SweepRecord, got {type(record).__name__}")
+        if not isinstance(designs := record.designs, (tuple, list)):
+            raise ValidationError(
+                f"record {i}: designs is not a tuple, got {type(designs).__name__}")
+        for j, entry in enumerate(designs):
+            if not isinstance(entry, DesignEfficiency):
+                raise ValidationError(f"record {i} design {j} is not a "
+                                      f"DesignEfficiency, got {type(entry).__name__}")
+
+
 def emit(
     records: Sequence[SweepRecord],
     format: str = "csv",
@@ -714,13 +730,19 @@ def emit(
     significant digits; boundary records leave the design columns empty.
     JSON keeps exact float values so ``parse_records(emitted)`` returns the
     original records.  ``destination`` may be a path, an open text stream, or
-    ``None``/``"-"`` for standard output.
+    ``None``/``"-"`` for standard output.  A record that is not a
+    :class:`SweepRecord` of :class:`DesignEfficiency` entries raises a
+    :class:`ValidationError` naming its index, and nothing is written.
     """
     if len(records) == 0:
         raise ValidationError("no records to emit")
-    _emit(format, destination, records,
-          lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
-          lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
+    try:
+        _emit(format, destination, records,
+              lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
+              lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
+    except (AttributeError, TypeError):
+        _check_emitted(records)  # only a failed write pays for the walk
+        raise
 
 
 def emit_curves(

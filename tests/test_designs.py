@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -408,3 +410,32 @@ class TestDesignMetadata:
         assert QtmDesign.QDP.region is OperationalRegion.TWO_ACQUIRERS_HIGH
         assert QtmDesign.QEN.region is OperationalRegion.OUT_TRANSFERS
         assert QtmDesign.QHP.region is OperationalRegion.PUMPERS
+
+
+@pytest.mark.parametrize("member", [*QtmDesign, *OperationalRegion],
+                         ids=lambda m: m.value)
+def test_a_member_is_a_key_and_its_copies_are_the_member(member):
+    # Both enums hash by identity (object.__hash__), not by name.
+    kind = type(member)
+    assert {member: 1}[member] == 1
+    assert member in {member} and member in frozenset(kind)
+    assert set(kind) == set(kind.__members__.values())
+    for other in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member),
+                  copy.copy(member), kind(member.value), kind[member.name]):
+        assert other is member
+        assert {member: 1}[other] == 1 and other in frozenset([member])
+        if kind is QtmDesign:
+            assert designs.CATALOG[other].region in designs._PAIRS
+            assert other in designs._PAIRS[other.region]
+        elif not other.is_boundary:
+            assert designs._PAIRS[other] == tuple(
+                d for d in QtmDesign if d.region is member)
+
+
+def test_the_identity_hash_adds_no_member():
+    assert QtmDesign.__hash__ is OperationalRegion.__hash__ is object.__hash__
+    assert [m.name for m in QtmDesign] == [
+        "QCO", "QHT", "QDP", "QHO", "QEN", "QLL", "QRE", "QHP"]
+    assert list(QtmDesign.__members__) == [m.name for m in QtmDesign]
+    assert list(OperationalRegion.__members__) == [m.name for m in OperationalRegion]
+    assert len(OperationalRegion) == 7

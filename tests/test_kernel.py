@@ -50,6 +50,7 @@ from qtmkit import (
     run_sweep,
 )
 
+from qtmkit import otto
 from qtmkit.regions import _REGIONS, _region_index
 from qtmkit.sweep import _classify
 
@@ -58,10 +59,6 @@ REDUCED = PhysicalConstants.reduced()
 
 def rel_err(value, exact):
     return float(abs((value - exact) / exact))
-
-
-def within_ulps(a, b, ulps=4):
-    return abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
 
 
 def test_reference_sweep_energies_match_mpmath():
@@ -185,7 +182,55 @@ def test_sweep_records_match_the_scalar_api(
         ]
         for entry, (_, eff, carnot) in zip(record.designs, designs):
             pairs += [(entry.efficiency, eff), (entry.carnot, carnot)]
-        assert all(within_ulps(a, b) for a, b in pairs), pairs
+        # Both paths run the same ``_exchanges`` through the same numpy loops.
+        assert all(a == b for a, b in pairs), pairs
+
+
+def max_exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
+    """``otto._exchanges`` written with ``np.maximum``: the select's oracle."""
+    b_low = gap_low / (boltzmann_k * t_low)
+    b_high = gap_high / (boltzmann_k * (theta_sq * t_low))
+    d = b_low - b_high
+    w_low, w_high = np.exp(-b_low), np.exp(-b_high)
+    x = (np.sign(d) * np.maximum(w_low, w_high) * -np.expm1(-abs(d))
+         / ((1.0 + w_high) * (1.0 + w_low)))
+    return gap_high * x, -gap_low * x
+
+
+def bits(*values):
+    """The float64 bit patterns of ``values``: signed zeros differ."""
+    return np.concatenate([np.asarray(v, dtype=float).ravel() for v in values]
+                          ).view(np.int64)
+
+
+@pytest.mark.parametrize("t_low, theta_sq", [
+    (1.0, 1.0 + 1e-7), (1.0, 5.0), (0.37, 30.0), (1.0, 1e10)])
+def test_exchanges_select_the_larger_weight_bit_for_bit(t_low, theta_sq):
+    rng = np.random.default_rng(7)
+    n = 20_000
+    # gap/kT from deep high temperature (1e-12) to freeze-out (1e4, where
+    # both weights underflow), gap ratios on both sides of theta_sq, and
+    # exactly reversible pairs, some with d == 0.
+    gap_low = t_low * 10.0 ** rng.uniform(-12.0, 4.0, n)
+    alpha_sq = theta_sq * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    alpha_sq[::4] = theta_sq * (1.0 + rng.choice([-1.0, 1.0], n // 4)
+                                * 10.0 ** rng.uniform(-15.0, -1.0, n // 4))
+    alpha_sq[1::8] = theta_sq
+    gap_high = gap_low * alpha_sq
+    # b_low and b_high are both exactly 1 here.
+    gap_low[0], gap_high[0] = t_low, theta_sq * t_low
+    d = gap_low / t_low - gap_high / (theta_sq * t_low)
+    assert (d == 0.0).any() and (d > 0.0).any() and (d < 0.0).any()
+    w_low, w_high = np.exp(-gap_low / t_low), np.exp(-gap_high / (theta_sq * t_low))
+    assert ((w_low == 0.0) & (w_high == 0.0)).any()
+    assert ((w_low == 0.0) != (w_high == 0.0)).any()
+    got = otto._exchanges(gap_low, gap_high, t_low, theta_sq, 1.0)
+    want = max_exchanges(gap_low, gap_high, t_low, theta_sq, 1.0)
+    assert np.array_equal(bits(*got), bits(*want))
+    for low, high in zip(gap_low[:2000].tolist(), gap_high[:2000].tolist()):
+        got = otto._exchanges(low, high, t_low, theta_sq, 1.0)
+        want = max_exchanges(low, high, t_low, theta_sq, 1.0)
+        assert np.array_equal(bits(*got), bits(*want)), (low, high)
 
 
 def classified(classify):

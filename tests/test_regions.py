@@ -249,8 +249,10 @@ class TestAdmissibleDesigns:
     )
     def test_boundaries_have_no_designs(self, region):
         assert region.is_boundary
-        with pytest.raises(BoundaryRegionError):
+        with pytest.raises(BoundaryRegionError) as info:
             admissible_designs(region)
+        assert str(info.value) == (
+            f"no design operates on a region boundary ({region.value})")
 
     def test_every_design_maps_back_to_its_region(self):
         for design in QtmDesign:

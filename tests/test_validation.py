@@ -4,7 +4,8 @@ with a message that names the key; a grid point whose medium leaves the
 float range raises the medium's own error, naming that point; a classifier
 tolerance must be finite and non-negative; a value that is not a number
 raises the checked field's own error; a sweep spec field of the wrong type
-is rejected by name."""
+is rejected by name; a catalog lookup by anything but a design or region
+member names the value."""
 
 import json
 import math
@@ -20,11 +21,13 @@ from qtmkit import (
     InvalidRingError,
     InvalidTemperatureError,
     InvalidThetaError,
+    OperationalRegion,
     OutOfRegionError,
     QtmDesign,
     SweepSpec,
     TwoLevelMedium,
     ValidationError,
+    admissible_designs,
     alpha_bounds,
     boundary_report,
     carnot_efficiency,
@@ -212,3 +215,25 @@ def test_a_sweep_spec_field_of_the_wrong_type_names_the_field_and_value(
               field: value}
     with pytest.raises(ValidationError, match=f"^{field} .*{re.escape(shown)}"):
         SweepSpec(**fields)
+
+
+@pytest.mark.parametrize("value", ["QEN", None, [1], OperationalRegion.PUMPERS],
+                         ids=["str", "None", "unhashable", "region"])
+@pytest.mark.parametrize("lookup", [
+    lambda design: efficiency(design, 2.0),
+    lambda design: carnot_efficiency(design, 5.0),
+    lambda design: alpha_bounds(design, 5.0),
+], ids=["efficiency", "carnot_efficiency", "alpha_bounds"])
+def test_a_catalog_lookup_by_anything_but_a_design_names_the_value(lookup, value):
+    with pytest.raises(ValidationError) as info:
+        lookup(value)
+    assert str(info.value) == f"design must be a QtmDesign, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["OutTransfers", None, [1], QtmDesign.QEN],
+                         ids=["str", "None", "unhashable", "design"])
+def test_admissible_designs_of_anything_but_a_region_names_the_value(value):
+    with pytest.raises(ValidationError) as info:
+        admissible_designs(value)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"region must be an OperationalRegion, got {value!r}"

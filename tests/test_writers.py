@@ -426,3 +426,40 @@ def test_parse_rejects_an_unknown_enum_value_with_value_error(field, bad):
         doc[0]["designs"][0]["design"] = bad
     with pytest.raises(ValueError, match="is not a valid"):
         parse_records(json.dumps(doc))
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("shape, message", [
+    ("designs-None", "record 290: designs is not a tuple, got NoneType"),
+    ("entry-tuple", "record 290 design 1 is not a DesignEfficiency, got tuple"),
+    ("record-dict", "record 290 is not a SweepRecord, got dict"),
+], ids=["designs-None", "entry-tuple", "record-dict"])
+def test_records_of_the_wrong_shape_are_named_by_their_index(shape, message,
+                                                             format, tmp_path):
+    # Record 290 lies in the second chunk of _CHUNK = 256 records; it is
+    # named by its index in the whole list, and nothing is written.
+    entry = DesignEfficiency(QtmDesign.QEN, 0.5, 0.8)
+    good = SweepRecord(*[0.5] * 8, OperationalRegion.OUT_TRANSFERS, (entry, entry))
+    bad = {
+        "designs-None": SweepRecord(*[0.5] * 8, OperationalRegion.PUMPERS, None),
+        "entry-tuple": SweepRecord(*[0.5] * 8, OperationalRegion.OUT_TRANSFERS,
+                                   (entry, (QtmDesign.QLL, 0.5, 0.8))),
+        "record-dict": record_dict(good),
+    }[shape]
+    records = [good] * 290 + [bad] + [good] * 9
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as info:
+        emit(records, format, buffer)
+    assert str(info.value) == message
+    assert buffer.getvalue() == ""
+    with pytest.raises(ValidationError):
+        emit(records, format, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_a_type_error_of_well_formed_records_is_raised_as_it_is(format):
+    # A text written to a binary stream: the walk finds no record to name.
+    record = SweepRecord(*[0.5] * 8, OperationalRegion.BOUNDARY_OUTT_PUMP)
+    with pytest.raises(TypeError, match="bytes-like"):
+        emit([record], format, io.BytesIO())
