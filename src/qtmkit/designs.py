@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, unique
+from enum import unique
 from typing import NamedTuple
 
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .regions import _REGIONS, OperationalRegion, _edges
+from .regions import _REGIONS, OperationalRegion, _edges, _Enum, _unchecked
 
 __all__ = [
     "QtmDesign",
@@ -59,7 +59,7 @@ __all__ = [
 
 
 @unique
-class EnergyRole(Enum):
+class EnergyRole(_Enum):
     """One of the six per-cycle energy exchanges a design can prioritize."""
 
     ABSORB_HIGH = "absorb_high"
@@ -71,7 +71,7 @@ class EnergyRole(Enum):
 
 
 @unique
-class QtmDesign(Enum):
+class QtmDesign(_Enum):
     """The eight machine designs: cooler, heater, damper, heating optimizer,
     engine, laser-like, refrigerator, heat pumper."""
 
@@ -83,7 +83,6 @@ class QtmDesign(Enum):
     QLL = "QLL"
     QRE = "QRE"
     QHP = "QHP"
-    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
     region = property(lambda self: CATALOG[self].region,
                       doc="Operational region (or subregion) the design runs in.")
@@ -94,7 +93,7 @@ class QtmDesign(Enum):
 
 
 @unique
-class CarnotLimitKind(Enum):
+class CarnotLimitKind(_Enum):
     """Whether the Carnot value caps the efficiency or floors it."""
 
     MAXIMUM = "maximum"
@@ -274,8 +273,9 @@ def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
         lo, hi, limit, end = _BOUNDS[design]
     except (KeyError, TypeError):
         raise _not_a_design(design) from None
-    edges = _edges(theta_sq)
-    return AlphaBounds(edges[lo], edges[hi], limit, edges[end])
+    edges = _edges(theta_sq)  # ascending for every theta_sq > 1, as checked
+    return _unchecked(AlphaBounds, alpha_sq_min=edges[lo], alpha_sq_max=edges[hi],
+                      carnot_limit_kind=limit, carnot_alpha_sq=edges[end])
 
 
 def classical_otto_efficiency(rho: float) -> float:

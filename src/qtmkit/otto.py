@@ -37,6 +37,7 @@ report as a unit mismatch away from the reversible ratio.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -52,7 +53,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .regions import ExchangeTriple, in_boundary_band
+from .regions import ExchangeTriple, _unchecked, in_boundary_band
 
 __all__ = [
     "LevelSpectrum",
@@ -117,10 +118,10 @@ class TwoLevelMedium:
                 ) from None
             require_finite(name, e_g, ValidationError)
             require_finite(name, e_e, ValidationError)
-            if e_e - e_g <= 0.0:
+            if not 0.0 < e_e - e_g <= sys.float_info.max:  # an int gap may pass inf
+                what = "finite" if e_e > e_g else "positive"
                 raise DegenerateMediumError(
-                    f"{name} gap must be positive, got {(e_g, e_e)!r}"
-                )
+                    f"{name} gap must be {what}, got {(e_g, e_e)!r}")
 
     @property
     def gap_low(self) -> float:
@@ -205,7 +206,8 @@ def otto_cycle_energies(
             f"cycle energies vanished: the gaps {medium.gap_low!r} and "
             f"{medium.gap_high!r} are enormous compared to k_B * t_low = "
             f"{boltzmann_k * t_low!r} (check units and constants)")
-    return ExchangeTriple(e_high, e_low)
+    # Finite: each is a finite gap times |x| <= 1, and NaN was caught above.
+    return _unchecked(ExchangeTriple, e_high=e_high, e_low=e_low)
 
 
 def multilevel_exchange(

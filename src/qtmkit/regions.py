@@ -44,16 +44,18 @@ __all__ = [
 DEFAULT_CLASSIFY_TOL = 1e-9
 
 
-def in_boundary_band(alpha_sq, threshold: float, tol: float = DEFAULT_CLASSIFY_TOL):
-    """Whether a finite ``alpha_sq`` lies within ``tol * alpha_sq`` of a
-    threshold; elementwise on arrays."""
-    return (abs(alpha_sq - threshold) <= tol * alpha_sq) & (alpha_sq < math.inf)
-
-
 def _edges(theta_sq: float) -> tuple[float, ...]:
     """The ``alpha_sq`` region edges ``(0, 1/theta_sq, 1, theta_sq, inf)``;
     the inner three are the thresholds of :func:`_region_index`."""
     return (0.0, 1.0 / theta_sq, 1.0, theta_sq, math.inf)
+
+
+def _unchecked(cls, **fields):
+    """Frozen dataclass ``cls`` with ``fields`` (declared order) as its ``__dict__``;
+    skipping ``__init__`` is sound only for fields its checks pass unconverted."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,14 @@ class ExchangeTriple:
         return self
 
 
+class _Enum(Enum):
+    """Base of the package enums: identity hash and ``value`` getter, in C."""
+    __hash__ = object.__hash__
+    value = property(attrgetter("_value_"))
+
+
 @unique
-class OperationalRegion(Enum):
+class OperationalRegion(_Enum):
     """The three operational regions, the 2Acquirers subregions, and the
     markers emitted when a triple sits on a region boundary within tolerance.
     """
@@ -100,7 +108,6 @@ class OperationalRegion(Enum):
     BOUNDARY_2ACQ_SUBREGIONS = "Boundary2AcqSubregions"
     BOUNDARY_2ACQ_OUTT = "Boundary2AcqOutT"
     BOUNDARY_OUTT_PUMP = "BoundaryOutTPump"
-    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
     @property
     def is_boundary(self) -> bool:
@@ -115,20 +122,26 @@ _MARKERS = _REGIONS[4:]
 
 def _region_index(a, forward, theta_sq: float, tol: float = DEFAULT_CLASSIFY_TOL):
     """Region index of ratio ``a`` with orientation ``forward`` (absorb hot),
-    elementwise: ``4 + k`` in the band of threshold ``k`` of ``(1/theta_sq,
-    1, theta_sq)`` (the first that holds; the lower two for forward ratios
-    only), else the count of thresholds at or below ``a`` if the orientation
-    is admissible (forward below ``theta_sq``, reversed above), or ``-1``
-    where the ratio would beat the Carnot bound."""
-    t = _edges(theta_sq)[1:4]
+    elementwise: ``4 + k`` if finite and within ``tol * a`` of threshold ``k``
+    of ``(1/theta_sq, 1, theta_sq)`` (the first band that holds; the lower two
+    for forward ratios only), else the count of thresholds at or below ``a``
+    if the orientation is admissible (forward below ``theta_sq``, reversed
+    above), or ``-1`` where the ratio would beat the Carnot bound."""
+    t = _edges(theta_sq)
+    width, finite = tol * a, a < math.inf
     # Start from an int: numpy adds two bool arrays as a logical or.
-    side = 0 + (t[0] <= a) + (t[1] <= a) + (t[2] <= a)
+    side = 0 + (t[1] <= a) + (t[2] <= a) + (t[3] <= a)
     index = side - (side + 1) * (forward == (side == 3))
-    for k in (2, 1, 0):  # the first band that holds is applied last
+    for k in (3, 2, 1):  # edge k is threshold k - 1; the first band wins, so last
         # Both orientations meet at theta_sq, the reversible Carnot limit.
-        band = in_boundary_band(a, t[k], tol) & (forward | (k == 2))
-        index = index + band * (4 + k - index)
+        band = (abs(a - t[k]) <= width) & finite & (forward | (k == 3))
+        index = index + band * (3 + k - index)
     return index
+
+
+def in_boundary_band(alpha_sq, theta_sq: float, tol: float = DEFAULT_CLASSIFY_TOL):
+    """In the ``theta_sq`` band, elementwise: a reversed ratio's only band, index 6."""
+    return _region_index(alpha_sq, False, theta_sq, tol) == 6
 
 
 def _pair_ratio(ex: ExchangeTriple) -> float:

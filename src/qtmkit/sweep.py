@@ -34,7 +34,7 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
-from enum import Enum, unique
+from enum import unique
 from itertools import chain, islice, repeat
 from numbers import Integral, Real
 from operator import attrgetter, itemgetter
@@ -53,7 +53,7 @@ from .media import (CODATA, PhysicalConstants, _ring_levels, gap_medium,
                     ring_medium)
 from .otto import _exchanges, otto_cycle_energies  # noqa: F401  (see below)
 from .regions import (_REGIONS, OperationalRegion, _edges,  # noqa: F401  (see below)
-                      _region_index, classify_region, in_boundary_band)
+                      _Enum, _region_index, classify_region, in_boundary_band)
 
 # The kernel evaluates on arrays what the scalar API does point by point; the
 # scalar API stays bound here for the spans perfbench/tracing.py wraps.
@@ -102,13 +102,13 @@ _NUMBERS = frozenset((float, int))
 
 
 @unique
-class MediumKind(Enum):
+class MediumKind(_Enum):
     QUANTUM_RING = "quantum_ring"
     GENERIC_GAP = "generic_gap"
 
 
 @unique
-class Normalization(Enum):
+class Normalization(_Enum):
     NONE = "none"
     MAX_ABS_ENERGY = "max_abs_energy"
 
@@ -441,7 +441,7 @@ def _require(name: str, values):
     return list(values)
 
 
-def _values(name: str, kind: type[Enum], members: list) -> list:
+def _values(name: str, kind: type[_Enum], members: list) -> list:
     """The value of each ``kind`` member of column ``name``, after one type
     scan: anything else there (a string, another enum's member) raises a
     ValidationError naming the column."""
@@ -449,7 +449,7 @@ def _values(name: str, kind: type[Enum], members: list) -> list:
         value = next(m for m in members if type(m) is not kind)
         raise ValidationError(
             f"cannot write {name}: not a member of {kind.__name__}: {value!r}")
-    # ``_value_`` is the enum value without the ``value`` property's call.
+    # ``_value_`` itself: the ``value`` property would add a call a member.
     return list(map(attrgetter("_value_"), members))
 
 

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+from enum import Enum, unique
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from qtmkit import (
     ExchangeTriple,
     InvalidRhoError,
     InvalidThetaError,
+    MediumKind,
+    Normalization,
     OperationalRegion,
     OutOfRegionError,
     QtmDesign,
@@ -28,6 +31,7 @@ from qtmkit import (
     designs,
     efficiency,
 )
+from qtmkit.regions import _Enum
 
 LOW_GROUP = (QtmDesign.QCO, QtmDesign.QHT, QtmDesign.QDP, QtmDesign.QHO)
 HIGH_GROUP = (QtmDesign.QEN, QtmDesign.QLL, QtmDesign.QRE, QtmDesign.QHP)
@@ -412,11 +416,18 @@ class TestDesignMetadata:
         assert QtmDesign.QHP.region is OperationalRegion.PUMPERS
 
 
-@pytest.mark.parametrize("member", [*QtmDesign, *OperationalRegion],
+#: Every enum of the package; each derives from the one member-less base.
+PACKAGE_ENUMS = (OperationalRegion, EnergyRole, QtmDesign, CarnotLimitKind,
+                 MediumKind, Normalization)
+
+
+@pytest.mark.parametrize("member", [m for kind in PACKAGE_ENUMS for m in kind],
                          ids=lambda m: m.value)
 def test_a_member_is_a_key_and_its_copies_are_the_member(member):
-    # Both enums hash by identity (object.__hash__), not by name.
+    # Every package enum hashes by identity (object.__hash__), not by name.
     kind = type(member)
+    assert hash(member) == object.__hash__(member)
+    assert (member.value, member.name) == (member._value_, member._name_)
     assert {member: 1}[member] == 1
     assert member in {member} and member in frozenset(kind)
     assert set(kind) == set(kind.__members__.values())
@@ -427,7 +438,7 @@ def test_a_member_is_a_key_and_its_copies_are_the_member(member):
         if kind is QtmDesign:
             assert designs.CATALOG[other].region in designs._PAIRS
             assert other in designs._PAIRS[other.region]
-        elif not other.is_boundary:
+        elif kind is OperationalRegion and not other.is_boundary:
             assert designs._PAIRS[other] == tuple(
                 d for d in QtmDesign if d.region is member)
 
@@ -439,3 +450,23 @@ def test_the_identity_hash_adds_no_member():
     assert list(QtmDesign.__members__) == [m.name for m in QtmDesign]
     assert list(OperationalRegion.__members__) == [m.name for m in OperationalRegion]
     assert len(OperationalRegion) == 7
+
+
+@pytest.mark.parametrize("kind", PACKAGE_ENUMS, ids=lambda k: k.__name__)
+def test_the_enum_base_changes_no_member(kind):
+    # against a plain Enum of the same members: lookups, order and spelling
+    twin = Enum(kind.__name__, [(m.name, m.value) for m in kind])
+    assert issubclass(kind, _Enum) and kind.__hash__ is object.__hash__
+    assert list(kind.__members__) == list(twin.__members__)
+    for member, plain in zip(kind, twin, strict=True):
+        assert kind(plain.value) is member and kind[plain.name] is member
+        assert (member.name, member.value) == (plain.name, plain.value)
+        assert (repr(member), str(member), f"{member}") == (repr(plain), str(plain), f"{plain}")
+    with pytest.raises(ValueError, match="duplicate values"):
+        unique(_Enum("Twice", [("A", 1), ("B", 1)]))
+
+
+def test_the_enum_properties_read_as_before():
+    assert [r.is_boundary for r in OperationalRegion] == [False] * 4 + [True] * 3
+    for design, row in designs.CATALOG.items():
+        assert (design.region, design.target, design.source) == tuple(row)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,7 +125,18 @@ class TestTwoLevelMedium:
         "low, high", [((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (2.0, 1.5))]
     )
     def test_rejects_non_positive_gap(self, low, high):
-        with pytest.raises(DegenerateMediumError):
+        with pytest.raises(DegenerateMediumError, match="gap must be positive, got"):
+            TwoLevelMedium(low, high)
+
+    @pytest.mark.parametrize("low, high, name", [
+        ((0.0, 1.0), (-1e308, 1e308), "high_config"),
+        ((-1e308, 1e308), (-1e308, 1e308), "low_config"),
+        ((0, 1), (-10**308, 10**308), "high_config"),  # an int gap past the floats
+    ])
+    def test_rejects_a_gap_that_overflows(self, low, high, name):
+        # finite levels whose difference is not: the cycle would see an inf gap
+        with pytest.raises(DegenerateMediumError,
+                           match=re.escape(f"{name} gap must be finite, got {high!r}")):
             TwoLevelMedium(low, high)
 
     @pytest.mark.parametrize("low", [(0.0, 1.0, 2.0), (0.0,), 1.0, None])

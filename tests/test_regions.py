@@ -18,7 +18,7 @@ from qtmkit import (
     alpha_squared,
     classify_region,
 )
-from qtmkit.regions import _REGIONS, _region_index
+from qtmkit.regions import _REGIONS, _region_index, in_boundary_band
 
 
 class TestExchangeTriple:
@@ -154,6 +154,28 @@ class TestClassifyRegion:
         index = _region_index(a, np.array([False, True, True, True]), 5.0)
         assert index.tolist() == [3, 2, 1, 0]
         assert _region_index(10.0, True, 5.0) == -1
+
+    @given(theta_sq=st.one_of(st.sampled_from([math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.5,
+                                               5.0, 1e308]),
+                              st.floats(1.0, 1e300, exclude_min=True)),
+           tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.5]),
+           near=st.lists(st.tuples(st.integers(0, 8), st.booleans()), min_size=1),
+           other=st.lists(st.tuples(st.floats(0.0, math.inf), st.booleans())))
+    def test_region_index_on_floats_is_the_array_paths(self, theta_sq, tol, near, other):
+        # each threshold and one ulp either side, inf, and random ratios, in
+        # both orientations; at tol 0.5 and small theta_sq the bands overlap
+        ratios = [x for t in (1.0 / theta_sq, 1.0, theta_sq)
+                  for x in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))]
+        cases = ([(ratios[i], forward) for i, forward in near] + other
+                 + [(math.inf, True), (math.inf, False)])
+        a, forward = (np.array(column) for column in zip(*cases))
+        with np.errstate(invalid="ignore"):  # tol 0 times inf: a NaN width, no band
+            index, band = (_region_index(a, forward, theta_sq, tol),
+                           in_boundary_band(a, theta_sq, tol))
+        assert index.tolist() == [_region_index(x, f, theta_sq, tol) for x, f in cases]
+        # the theta_sq band, as the rule reads: finite and within tol * x
+        assert band.tolist() == [in_boundary_band(x, theta_sq, tol) for x, _ in cases] == [
+            abs(x - theta_sq) <= tol * x and x < math.inf for x, _ in cases]
 
     def test_a_shared_sign_is_one_error_class(self):
         # the pair check behind both functions raises the same class
