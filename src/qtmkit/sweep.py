@@ -8,10 +8,12 @@ admissible there.  Records are built last, in ascending ``rho``.  Output goes
 to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
 round-trippable).
 
-Records are built a column at a time by ``_build``, in :func:`run_sweep` and
-in :func:`parse_records`, with the cyclic garbage collector paused: the
-builds make no reference cycles.  A program that toggles :mod:`gc` from
-another thread during either call may find it re-enabled afterwards.
+:func:`run_sweep` and :func:`parse_records` return records held as columns
+(:class:`_Records`); ``_build`` makes records of them a column at a time when
+the result is indexed or iterated.  The builds and :func:`parse_records` run
+with the cyclic garbage collector paused (neither makes reference cycles); a
+program that toggles :mod:`gc` from another thread meanwhile may find it
+re-enabled afterwards.
 
 The CSV writers fill a row template per record or per curve, a chunk of text
 at a time with one ``%``; the JSON writer formats a float column at a time
@@ -32,13 +34,15 @@ import math
 import reprlib
 import sys
 from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 from enum import unique
-from itertools import chain, islice, repeat
+from functools import cached_property
+from itertools import accumulate, chain, islice, repeat
 from numbers import Integral, Real
 from operator import attrgetter, itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -223,6 +227,49 @@ def _gc_paused():
             gc.enable()
 
 
+class _Records(Sequence):
+    """Read-only records held as the columns of :func:`_columns`, the floats
+    flattened.  A contiguous slice is a slice of the columns, any other a
+    list; an index or an iteration builds fresh records, a ``_CHUNK`` at a time."""
+
+    def __init__(self, held: tuple) -> None:
+        self._held = held
+
+    @cached_property
+    def _starts(self) -> list[int]:  # each record's first entry, then the end
+        return list(accumulate(self._held[0], initial=0))
+
+    def __len__(self) -> int:
+        return len(self._held[0])
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if not isinstance(index, slice):
+            return self[picked:picked + 1]._built()[0]
+        if picked.step != 1:
+            return list(map(self.__getitem__, picked))
+        lo, hi = picked.start, picked.stop  # hi < lo leaves every column empty
+        a, b = self._starts[lo], self._starts[hi]
+        return _Records((*(c[lo:hi] for c in self._held[:-3]),
+                         *(c[a:b] for c in self._held[-3:])))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _CHUNK):
+            yield from self[lo:lo + _CHUNK]._built()
+
+    @_gc_paused()
+    def _built(self) -> list[SweepRecord]:
+        counts, *floats, regions, names, effs, carnots = self._held
+        entries = iter(_build(DesignEfficiency, len(names), names, effs, carnots))
+        return _build(SweepRecord, len(counts), *floats, regions,
+                      map(tuple, map(islice, repeat(entries), counts)))
+
+    def __eq__(self, other):
+        if isinstance(other, _Records):
+            return self._held == other._held
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
 @dataclass(frozen=True)
 class BoundaryReport:
     """Region boundaries of one sweep, in both rho and alpha_sq."""
@@ -324,16 +371,16 @@ def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
     return _region_index(alpha_sq, forward, theta_sq)
 
 
-@_gc_paused()
 def run_sweep(
     spec: SweepSpec, constants: PhysicalConstants = CODATA
-) -> tuple[list[SweepRecord], BoundaryReport]:
+) -> tuple[Sequence[SweepRecord], BoundaryReport]:
     """Evaluate the Otto cycle over the whole rho grid.
 
-    Returns per-point records ordered by ascending rho plus the boundary
-    report.  With ``max_abs_energy`` normalization the three normalized
-    energy columns share a single scale: the largest absolute energy found
-    anywhere in the sweep.
+    Returns per-point records ordered by ascending rho, a read-only
+    sequence that holds their columns, plus the boundary report.  With
+    ``max_abs_energy`` normalization the three normalized energy columns
+    share a single scale: the largest absolute energy found anywhere in the
+    sweep.
     """
     rho = np.asarray(spec.rho_grid, dtype=float)
     gap_low, gap_high, alpha_sq = _gaps(spec, rho, constants)
@@ -347,21 +394,22 @@ def run_sweep(
         scale = max(float(np.abs(e).max()) for e in (e_high, e_low, e_out)) or 1.0
 
     # Region i is its two designs' open interval (a ring's alpha_sq may leave
-    # the float range): one mask places both entries, in QtmDesign order.
-    designs = [()] * len(rho)
+    # the float range): a point there has an entry of each, in QtmDesign order.
+    has = (index < len(_PAIRS)) & (0.0 < alpha_sq) & (alpha_sq < math.inf)
+    region, inside = index[has], alpha_sq[has]
+    effs = np.empty((len(region), 2))
     for i, pair in enumerate(_PAIRS.values()):
-        hits = np.flatnonzero((index == i) & (0.0 < alpha_sq) & (alpha_sq < math.inf))
-        entries = [_build(DesignEfficiency, len(hits), repeat(design),
-                          _efficiencies(design, alpha_sq[hits]).tolist(),
-                          repeat(carnot_efficiency(design, spec.theta_sq)))
-                   for design in pair]
-        deque(map(designs.__setitem__, hits.tolist(), zip(*entries)), 0)
-
+        for k, design in enumerate(pair):
+            effs[region == i, k] = _efficiencies(design, inside[region == i])
+    pairs = np.array(list(_PAIRS.values()), dtype=object)
+    carnots = np.array([[carnot_efficiency(d, spec.theta_sq) for d in pair]
+                        for pair in pairs], dtype=object)
     columns = [c.tolist() for c in (alpha_sq, e_high, e_low, e_out,
                                     e_high / scale, e_low / scale, e_out / scale)]
-    records = _build(SweepRecord, len(rho), spec.rho_grid, *columns,
-                     map(_REGIONS.__getitem__, index.tolist()), designs)
-    return records, boundary_report(spec.theta_sq)
+    held = ((2 * has).tolist(), list(spec.rho_grid), *columns,
+            list(map(_REGIONS.__getitem__, index.tolist())),
+            *(c.ravel().tolist() for c in (pairs[region], effs, carnots[region])))
+    return _Records(held), boundary_report(spec.theta_sq)
 
 
 @dataclass(frozen=True)
@@ -454,17 +502,23 @@ def _values(name: str, kind: type[_Enum], members: list) -> list:
 
 
 def _columns(objs, get, members) -> tuple:
-    """The columns of records ``objs``, each field read by ``get(name)``:
-    ``(designs, floats, regions, names, *entry_floats)``, the floats in
+    """The columns of records ``objs``: ``(counts, floats, regions, names,
+    *entry_floats)``, each record's design count, the floats in
     :data:`_FLOAT_COLUMNS` order; the names and the :data:`_ENTRY_FLOATS`
-    are those of the design entries, in record order.  The region and
-    design columns are given as ``members(name, enum, column)``."""
-    designs = list(map(get("designs"), objs))
-    entries = list(chain.from_iterable(designs))
-    return (designs, [list(map(get(name), objs)) for name in _FLOAT_COLUMNS],
-            members("region", OperationalRegion, list(map(get("region"), objs))),
-            members("design", QtmDesign, list(map(get("design"), entries))),
-            *(list(map(get(name), entries)) for name in _ENTRY_FLOATS))
+    are those of the design entries, in record order.  Those a
+    :class:`_Records` holds are taken as they are; others are read by
+    ``get(name)``.  Regions and names are given as ``members(name, enum, column)``."""
+    if not isinstance(objs, _Records):
+        designs = list(map(get("designs"), objs))
+        entries = list(chain.from_iterable(designs))
+        fields = SweepRecord.__slots__[:-1]  # all but the designs
+        objs = _Records((list(map(len, designs)),
+                         *(list(map(get(name), objs)) for name in fields),
+                         *(list(map(get(name), entries))
+                           for name in DesignEfficiency.__slots__)))
+    counts, *floats, regions, names, effs, carnots = objs._held
+    return (counts, floats, members("region", OperationalRegion, regions),
+            members("design", QtmDesign, names), effs, carnots)
 
 
 def _fill(template: str, *columns):
@@ -493,7 +547,7 @@ def _format(template: str, values: tuple, columns) -> str:
         raise
 
 
-#: Records formatted per pass: bounds the text columns held at once.
+#: Records formatted or built per pass: bounds the text columns held at once.
 _CHUNK = 256
 #: CSV row of 0, 1, 2+ designs: 15 values, ``%.0s`` eating a missing cell.
 _CSV_ROWS = tuple("%.12g," * 8 + "%s,%s,{0},%s,{1},{0},{1}\n".format(
@@ -517,11 +571,11 @@ def _chunked(records, text_of, head: str, sep: str, tail: str) -> str:
 
 
 def _csv_rows(records) -> str:
-    designs, floats, regions, names, *entry_floats = _columns(
+    counts, floats, regions, names, *entry_floats = _columns(
         records, attrgetter, _values)
     # Each record's first and second design entry by index; a missing one
     # points past the entries, at the blank cells appended to each column.
-    counts = np.array(list(map(len, designs)), dtype=np.intp)
+    counts = np.array(counts, dtype=np.intp)
     first, second = (np.where(counts > k, np.cumsum(counts) - counts + k,
                               len(names)).tolist() for k in (0, 1))
     names, effs, carnots = ([*column, ""] for column in (names, *entry_floats))
@@ -534,11 +588,11 @@ def _csv_rows(records) -> str:
 
 
 def _json_records(records) -> str:
-    designs, floats, regions, names, *entry_floats = _columns(
+    counts, floats, regions, names, *entry_floats = _columns(
         records, attrgetter, _values)
     cells = _fill(_JSON_ENTRY, names, *map(_json_floats, _ENTRY_FLOATS, entry_floats))
-    lists = ["[\n" + ",\n".join(islice(cells, len(d))) + "\n    ]" if d else "[]"
-             for d in designs]
+    lists = ["[\n" + ",\n".join(islice(cells, n)) + "\n    ]" if n else "[]"
+             for n in counts]
     return ",\n".join(_fill(_JSON_RECORD, *map(_json_floats, _FLOAT_COLUMNS, floats),
                              regions, lists))
 
@@ -602,29 +656,27 @@ def _check_records(objs: list) -> None:
             QtmDesign(entry["design"])
 
 
-def _records_in(doc, limit: Optional[float]) -> list[SweepRecord]:
-    """The records of a parsed records document, built column-wise; a
+def _records_in(doc, limit: Optional[float]) -> _Records:
+    """The records of a parsed records document, as columns; a
     ``ValueError`` if a number's magnitude reaches ``limit``."""
     if not isinstance(doc, list):
         raise ValidationError(
             f"records JSON must be a list at the top level, not {type(doc).__name__}")
     try:
-        designs, floats, regions, names, *entry_floats = _columns(
+        counts, floats, regions, names, *entry_floats = _columns(
             doc, itemgetter,
             lambda name, enum, column: list(map(_MEMBER_OF[enum].__getitem__, column)))
         numbers = list(chain(*floats, *entry_floats))
-        if not ({list}.issuperset(map(type, designs))
+        if not ({list}.issuperset(map(type, map(itemgetter("designs"), doc)))
                 and _NUMBERS.issuperset(map(type, numbers))):
             raise TypeError("a record holds a value of the wrong type")
     except (KeyError, TypeError):
-        # Only a failed build pays for the check that names the fault.
+        # Only a failed read pays for the check that names the fault.
         _check_records(doc)
         raise
     if limit is not None and max(map(abs, numbers), default=0) >= limit:
         raise ValueError(f"a number reaches {limit!r} in magnitude")
-    entries = _build(DesignEfficiency, len(entry_floats[0]), names, *entry_floats)
-    return _build(SweepRecord, len(doc), *floats, regions,
-                  map(tuple, map(islice, repeat(iter(entries)), map(len, designs))))
+    return _Records((counts, *floats, regions, names, *entry_floats))
 
 
 #: Characters of records JSON that a reader parses at a time.
@@ -648,8 +700,9 @@ def _pieces(text: str):
 
 
 @_gc_paused()
-def parse_records(text: str | bytes | bytearray) -> list[SweepRecord]:
-    """Inverse of JSON :func:`emit`: rebuild records from serialized output.
+def parse_records(text: str | bytes | bytearray) -> Sequence[SweepRecord]:
+    """Inverse of JSON :func:`emit`: the records of serialized output, as the
+    read-only sequence :func:`run_sweep` returns.
 
     ``bytes`` and ``bytearray`` are decoded as ``json.loads`` decodes them;
     any other type but ``str`` raises ``json.loads``'s ``TypeError``.  A
@@ -672,13 +725,13 @@ def parse_records(text: str | bytes | bytearray) -> list[SweepRecord]:
         json.loads(text)  # raises the TypeError that names the type
     import orjson
     for loads, limit in ((orjson.loads, _ORJSON_EXACT_BELOW), (json.loads, None)):
-        records = []
+        held = [[] for _ in range(len(_FLOAT_COLUMNS) + 5)]  # as a _Records holds
         try:
             for piece in _pieces(text):
-                records += _records_in(loads(piece), limit)
-            return records
+                deque(map(list.extend, held, _records_in(loads(piece), limit)._held), 0)
+            return _Records(tuple(held))
         except ValueError:  # also a JSONDecodeError and an inexact number
-            records.clear()  # not held while the next reader parses
+            held.clear()  # not held while the next reader parses
     return _records_in(json.loads(text), None)
 
 
@@ -734,6 +787,8 @@ def emit(
     :class:`SweepRecord` of :class:`DesignEfficiency` entries raises a
     :class:`ValidationError` naming its index, and nothing is written.
     """
+    if not hasattr(records, "__len__"):
+        raise ValidationError(f"records must be a sequence, got {type(records).__name__}")
     if len(records) == 0:
         raise ValidationError("no records to emit")
     try:

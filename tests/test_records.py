@@ -1,12 +1,14 @@
 """Records assembled column-wise behave like records built by their
-constructors.
+constructors, and the result that holds them behaves like a list.
 
-``run_sweep`` and ``parse_records`` fill whole columns of slotted
-``SweepRecord``s and ``DesignEfficiency``s without calling ``__init__``, with
-the cyclic garbage collector paused.  These tests rebuild every record field
-by field through the public constructors and compare; they check the
-dataclass protocol (``replace``, ``asdict``, pickle, deep copy, frozen
-fields), that the collector's state is restored, that malformed JSON
+``run_sweep`` and ``parse_records`` return the records as columns; indexing
+or iterating the result fills whole columns of slotted ``SweepRecord``s and
+``DesignEfficiency``s without calling ``__init__``, with the cyclic garbage
+collector paused.  These tests rebuild every record field by field through
+the public constructors and compare; they check the dataclass protocol
+(``replace``, ``asdict``, pickle, deep copy, frozen fields), that the result
+indexes, slices, compares, pickles and is written as the list of its
+records, that the collector's state is restored, that malformed JSON
 documents are reported as such, and that a records JSON read a piece at a
 time gives what ``json.loads`` gives.
 """
@@ -21,6 +23,8 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtmkit import (
     DesignEfficiency,
@@ -108,12 +112,18 @@ def test_replace_and_asdict_round_trip(records):
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trip(records, protocol):
     assert pickle.loads(pickle.dumps(records, protocol)) == records
+    for part in (records, records[250:530]):
+        copied = pickle.loads(pickle.dumps(part, protocol))
+        assert type(copied) is type(part)
+        assert list(copied) == list(part)
 
 
 def test_deepcopy_round_trip(records):
     copied = copy.deepcopy(records)
     assert copied == records
     assert copied[0] is not records[0]
+    assert type(copied) is type(records)
+    assert list(copied) == list(records)
 
 
 def test_fields_are_frozen(records):
@@ -131,6 +141,90 @@ def test_entries_keep_the_design_order(swept):
         assert designs == sorted(designs, key=order.index)
 
 
+@pytest.fixture(scope="module")
+def as_list(swept):
+    return list(swept)
+
+
+def test_the_result_indexes_as_its_list(records, as_list):
+    n = len(as_list)
+    assert len(records) == n == len(REFERENCE.rho_grid)
+    for i in (0, 1, 255, 256, 257, n - 1, -1, -2, -256, -n):
+        assert records[i] == as_list[i]
+    assert records[5] is not records[5]  # each index builds a fresh record
+    for i in (n, n + 1, 10**20, -n - 1, -(10**20)):
+        with pytest.raises(IndexError):
+            records[i]
+    with pytest.raises(TypeError):
+        records["0"]
+
+
+@pytest.mark.parametrize("window", [
+    slice(None), slice(10, 300), slice(250, 530), slice(-20, None),
+    slice(None, -590), slice(5, 5), slice(300, 10), slice(10**9, None),
+    slice(-(10**9), 2), slice(None, None, 3), slice(10, 300, 7),
+    slice(None, None, -1), slice(300, 10, -4), slice(10, 300, -1),
+])
+def test_a_slice_is_the_list_slice(records, as_list, window):
+    part = records[window]
+    assert len(part) == len(as_list[window])
+    assert list(part) == as_list[window]
+    assert part == as_list[window] and as_list[window] == part
+
+
+@given(st.one_of(st.none(), st.integers(-700, 700)),
+       st.one_of(st.none(), st.integers(-700, 700)),
+       st.one_of(st.none(), st.integers(-700, 700).filter(bool)))
+def test_any_slice_is_the_list_slice(swept, as_list, start, stop, step):
+    window = slice(start, stop, step)
+    part = swept[window]
+    assert list(part) == as_list[window]
+    assert part == as_list[window] and not part != as_list[window]
+    if len(part) and step in (None, 1):  # a slice of the columns
+        assert json_text(part) == json_text(as_list[window])
+
+
+def test_membership_index_count_and_reversed(records, as_list):
+    record = as_list[123]
+    assert record in records
+    assert records.index(record) == 123
+    assert records.count(record) == 1
+    assert list(reversed(records)) == as_list[::-1]
+    absent = dataclasses.replace(record, rho=-1.0)
+    assert absent not in records
+    assert records.count(absent) == 0
+    with pytest.raises(ValueError):
+        records.index(absent)
+
+
+def test_equality_with_the_list_and_another_result(swept, parsed, as_list):
+    for left, right in [(swept, as_list), (as_list, swept), (parsed, swept),
+                        (swept, parsed), (parsed, as_list), (as_list, parsed),
+                        (swept[:0], [])]:
+        assert left == right
+        assert not left != right
+    changed = list(as_list)
+    changed[7] = dataclasses.replace(changed[7], e_low=0.0)
+    unequal = [changed, parse_records(json_text(changed)), as_list[:-1], swept[1:],
+               swept[:-1], tuple(as_list), None]
+    for other in unequal:
+        for left, right in [(swept, other), (other, swept)]:
+            assert left != right
+            assert not left == right
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("window", [slice(None), slice(250, 530), slice(600, None),
+                                    slice(None, None, 5), slice(None, None, -1)])
+def test_a_slice_is_written_as_the_list_slice(records, as_list, window, format):
+    def text(records):
+        buffer = io.StringIO()
+        emit(records, format, buffer)
+        return buffer.getvalue()
+
+    assert text(records[window]) == text(as_list[window])
+
+
 def json_text(records) -> str:
     buffer = io.StringIO()
     emit(records, "json", buffer)
@@ -144,9 +238,9 @@ def bad_region_text() -> str:
     return json.dumps(doc)
 
 
-#: Each bulk build and a call that makes it raise.
+#: Each call that returns records held as columns, and a call that makes it raise.
 BUILDS = {
-    "run_sweep": (lambda: run_sweep(REFERENCE),
+    "run_sweep": (lambda: run_sweep(REFERENCE)[0],
                   lambda: run_sweep(SweepSpec(t_low=1.0, theta_sq=5.0,
                                               rho_grid=(1e-300, 0.5),
                                               r_low=1e-7)),
@@ -171,6 +265,8 @@ def test_collector_state_is_restored(name, enabled, gc_state):
 
 @pytest.mark.parametrize("name", BUILDS)
 def test_collector_is_paused_during_the_build(name, gc_state, monkeypatch):
+    # The call holds columns; the records are built where the result is
+    # indexed or iterated.
     states = []
     build = sweep._build
 
@@ -180,9 +276,17 @@ def test_collector_is_paused_during_the_build(name, gc_state, monkeypatch):
 
     monkeypatch.setattr(sweep, "_build", recording)
     gc.enable()
-    BUILDS[name][0]()
-    assert states and not any(states)
-    assert gc.isenabled()
+    records = BUILDS[name][0]()
+    assert states == []
+    for use in (lambda: records[3], lambda: records[-1], lambda: list(records),
+                lambda: records[::7]):
+        use()
+        assert states and not any(states)
+        assert gc.isenabled()
+        states.clear()
+    gc.disable()
+    list(records)
+    assert states and not gc.isenabled()
 
 
 RECORD = {"rho": 1.5, "alpha_sq": 2.25, "e_high": 1.0, "e_low": -0.5,

@@ -463,3 +463,15 @@ def test_a_type_error_of_well_formed_records_is_raised_as_it_is(format):
     record = SweepRecord(*[0.5] * 8, OperationalRegion.BOUNDARY_OUTT_PUMP)
     with pytest.raises(TypeError, match="bytes-like"):
         emit([record], format, io.BytesIO())
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("records", [
+    lambda: iter([SweepRecord(*[0.5] * 8, OperationalRegion.OUT_TRANSFERS)]),
+    lambda: (r for r in [SweepRecord(*[0.5] * 8, OperationalRegion.PUMPERS)]),
+], ids=["list_iterator", "generator"])
+def test_records_that_are_no_sequence_are_rejected_by_name(records, format):
+    records = records()
+    message = f"records must be a sequence, got {type(records).__name__}$"
+    with pytest.raises(ValidationError, match=message):
+        emit(records, format, io.StringIO())
