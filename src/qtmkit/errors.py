@@ -14,8 +14,7 @@ __all__ = [
     "InvalidTemperatureError", "InvalidRhoError", "DegenerateExchangeError",
     "InvalidSignsError", "UnclassifiableExchangeError", "BoundaryRegionError",
     "OutOfRegionError", "SingularEfficiencyError", "DegenerateMediumError",
-    "SpectrumMismatchError", "OccupationMismatchError", "InvalidRingError",
-    "InvalidGapError", "EmptyGridError", "EmitIOError",
+    "InvalidRingError", "InvalidGapError", "EmptyGridError", "EmitIOError",
 ]
 
 
@@ -65,14 +64,6 @@ class SingularEfficiencyError(ValidationError):
 
 class DegenerateMediumError(ValidationError):
     """Working-medium spectrum has a non-positive or missing gap."""
-
-
-class SpectrumMismatchError(ValidationError):
-    """An isolation stroke's two spectra differ in length."""
-
-
-class OccupationMismatchError(ValidationError):
-    """Occupations do not match the length of their spectrum."""
 
 
 class InvalidRingError(ValidationError):

@@ -31,8 +31,8 @@ evaluates
         / ((1 + w_high) * (1 + w_low))
 
 which cannot overflow and takes no difference but ``d``.  In deep freeze-out
-``x`` underflows to 0, which both the sweep and :func:`otto_cycle_energies`
-report as a unit mismatch away from the reversible ratio.
+``x`` underflows to 0, which :func:`otto_cycle_energies` reports, also for a
+sweep, as a unit mismatch away from the reversible ratio.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ from .errors import (
     DegenerateMediumError,
     InvalidTemperatureError,
     InvalidThetaError,
-    OccupationMismatchError,
-    SpectrumMismatchError,
     ValidationError,
     require_finite,
 )
@@ -196,16 +194,22 @@ def otto_cycle_energies(
     stroke thermalizes the high gap at ``t_high = theta_sq * t_low``, the cold
     stroke the low gap at ``t_low``; each exchange is its gap times ``x``.
     Exchanges that vanished off the ``theta_sq`` band, or are NaN, raise the
-    sweep's unit-mismatch error."""
+    unit-mismatch error, worded here only: a sweep raises it for its first
+    frozen-out point through this function, with that point's rho in front."""
     e_high, e_low = map(float, _exchanges(
         medium.gap_low, medium.gap_high, t_low, theta_sq, boltzmann_k))
     # NaN: both Boltzmann exponents overflowed; 0: the occupations froze out.
     if e_high != e_high or not (e_high and e_low) and not in_boundary_band(
             medium.alpha_sq, theta_sq):
+        b_low = medium.gap_low / (boltzmann_k * t_low)
+        b_high = medium.gap_high / (boltzmann_k * (theta_sq * t_low))
         raise DegenerateExchangeError(
             f"cycle energies vanished: the gaps {medium.gap_low!r} and "
             f"{medium.gap_high!r} are enormous compared to k_B * t_low = "
-            f"{boltzmann_k * t_low!r} (check units and constants)")
+            f"{boltzmann_k * t_low!r}, with Boltzmann exponents b_low = {b_low:.4g} "
+            f"and b_high = {b_high:.4g}: an exchange, about gap * exp(-min(b_low, "
+            f"b_high)), fell below the smallest double, about exp(-745) "
+            f"(check units and constants)")
     # Finite: each is a finite gap times |x| <= 1, and NaN was caught above.
     return _unchecked(ExchangeTriple, e_high=e_high, e_low=e_low)
 
@@ -240,12 +244,12 @@ def work_exchange(
     outside-exchange contribution of the stroke is the negative of this value.
     """
     if len(start) != len(end):
-        raise SpectrumMismatchError(
+        raise ValidationError(
             f"spectra must have equal length, got {len(start)} and {len(end)}"
         )
     p = np.asarray(occupations, dtype=float)
     if p.shape != (len(start),):
-        raise OccupationMismatchError(
+        raise ValidationError(
             f"occupations must match the spectrum length {len(start)}, "
             f"got shape {p.shape}"
         )

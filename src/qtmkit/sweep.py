@@ -50,12 +50,12 @@ from .designs import (  # noqa: F401  (admissible_designs, efficiency: see below
     _PAIRS, CarnotLimitKind, QtmDesign, _efficiencies, admissible_designs,
     alpha_bounds, carnot_efficiency, efficiency,
 )
-from .errors import (DegenerateExchangeError, EmitIOError, EmptyGridError,
-                     InvalidTemperatureError, InvalidThetaError,
-                     UnclassifiableExchangeError, ValidationError, require_finite)
+from .errors import (EmitIOError, EmptyGridError, InvalidTemperatureError,
+                     InvalidThetaError, UnclassifiableExchangeError,
+                     ValidationError, require_finite)
 from .media import (CODATA, PhysicalConstants, _ring_levels, gap_medium,
                     ring_medium)
-from .otto import _exchanges, otto_cycle_energies  # noqa: F401  (see below)
+from .otto import _exchanges, otto_cycle_energies
 from .regions import (_REGIONS, OperationalRegion, _edges,  # noqa: F401  (see below)
                       _Enum, _region_index, classify_region, in_boundary_band)
 
@@ -322,53 +322,57 @@ def default_rho_grid(
     return tuple(grid[np.append(True, grid[1:] != grid[:-1])].tolist())
 
 
+def _medium(spec: SweepSpec, r: float, constants: PhysicalConstants):
+    """The scalar medium of the grid point ``rho = r``."""
+    if spec.medium_kind is MediumKind.QUANTUM_RING:
+        return ring_medium(spec.r_low, spec.r_low / r, constants)
+    return gap_medium(spec.gap_low, r * r)
+
+
+def _at(r: float, call, *args) -> None:
+    """``call(*args)``, re-raising its ValidationError as ``at rho=r: <message>``."""
+    try:
+        call(*args)
+    except ValidationError as exc:
+        raise type(exc)(f"at rho={r!r}: {exc}") from None
+
+
 def _gaps(spec: SweepSpec, rho: np.ndarray, constants: PhysicalConstants):
     """``(gap_low, gap_high, alpha_sq)`` at every grid point.  The first point
     whose gaps leave the float range is rebuilt by the scalar constructor,
     which raises the medium's own error, prefixed with that point's rho."""
-    ring = spec.medium_kind is MediumKind.QUANTUM_RING
-
-    def medium(r: float):
-        if ring:
-            return ring_medium(spec.r_low, spec.r_low / r, constants)
-        return gap_medium(spec.gap_low, r * r)
-
-    gap_low = medium(1.0).gap_low  # at rho = 1 both configurations are low
+    gap_low = _medium(spec, 1.0, constants).gap_low  # at rho = 1 both are low
     with np.errstate(all="ignore"):  # what leaves the float range is caught below
-        if ring:
+        if spec.medium_kind is MediumKind.QUANTUM_RING:
             ground, excited = _ring_levels(spec.r_low / rho, constants)
             gap_high = excited - ground
         else:
             gap_high = rho * rho * gap_low
         alpha_sq = gap_high / gap_low
     for r in rho[~((0.0 < gap_high) & (gap_high < math.inf))][:1].tolist():
-        try:
-            medium(r)
-        except ValidationError as exc:
-            raise type(exc)(f"at rho={r!r}: {exc}") from None
+        _at(r, _medium, spec, r, constants)
     return gap_low, gap_high, alpha_sq
 
 
-def _classify(rho, e_high, e_low, alpha_sq, theta_sq: float) -> np.ndarray:
+def _classify(spec: SweepSpec, constants: PhysicalConstants,
+              rho, e_high, e_low, alpha_sq) -> np.ndarray:
     """The :func:`_region_index` of each gap ratio ``alpha_sq``: the cycle
     absorbs hot exactly below ``theta_sq``.  Off its band, the energies must
-    agree: vanished ones raise the unit-mismatch error (as do NaN ones, a
-    freeze-out, anywhere), and other wrong signs are a kernel fault."""
-    forward = alpha_sq < theta_sq
+    agree.  The first point where they do not, or are NaN anywhere, is re-run
+    through :func:`otto_cycle_energies`, which words the freeze-out error; if
+    that passes, the point is a kernel fault.  Either error names its rho."""
+    forward = alpha_sq < spec.theta_sq
     sign = np.sign(e_high) - np.sign(e_low)  # 2 forward, -2 reversed, NaN frozen
-    bad = (sign != 4.0 * forward - 2.0) & ~(in_boundary_band(alpha_sq, theta_sq)
+    bad = (sign != 4.0 * forward - 2.0) & ~(in_boundary_band(alpha_sq, spec.theta_sq)
                                             & ~np.isnan(sign))
     for i in np.flatnonzero(bad)[:1].tolist():
         r, a, high, low = (float(c[i]) for c in (rho, alpha_sq, e_high, e_low))
-        if not (abs(high) > 0.0 and abs(low) > 0.0):
-            raise DegenerateExchangeError(
-                f"cycle energies vanished at rho={r!r} away from the reversible ratio; "
-                f"the gaps are probably enormous compared to k_B * t_low "
-                f"(check units and constants)")
+        _at(r, otto_cycle_energies, _medium(spec, r, constants), spec.t_low,
+            spec.theta_sq, constants.boltzmann_k)
         raise UnclassifiableExchangeError(
             f"cycle kernel fault at rho={r!r}: e_high={high!r} and e_low={low!r} "
-            f"disagree in sign with alpha_sq={a!r} against theta_sq={theta_sq!r}")
-    return _region_index(alpha_sq, forward, theta_sq)
+            f"disagree in sign with alpha_sq={a!r} against theta_sq={spec.theta_sq!r}")
+    return _region_index(alpha_sq, forward, spec.theta_sq)
 
 
 def run_sweep(
@@ -387,7 +391,7 @@ def run_sweep(
     e_high, e_low = _exchanges(gap_low, gap_high, spec.t_low, spec.theta_sq,
                                constants.boltzmann_k)
     e_out = e_high + e_low
-    index = _classify(rho, e_high, e_low, alpha_sq, spec.theta_sq)
+    index = _classify(spec, constants, rho, e_high, e_low, alpha_sq)
 
     scale = 1.0
     if spec.normalization is Normalization.MAX_ABS_ENERGY:
@@ -666,14 +670,14 @@ def _records_in(doc, limit: Optional[float]) -> _Records:
         counts, floats, regions, names, *entry_floats = _columns(
             doc, itemgetter,
             lambda name, enum, column: list(map(_MEMBER_OF[enum].__getitem__, column)))
-        numbers = list(chain(*floats, *entry_floats))
         if not ({list}.issuperset(map(type, map(itemgetter("designs"), doc)))
-                and _NUMBERS.issuperset(map(type, numbers))):
+                and _NUMBERS.issuperset(map(type, chain(*floats, *entry_floats)))):
             raise TypeError("a record holds a value of the wrong type")
     except (KeyError, TypeError):
         # Only a failed read pays for the check that names the fault.
         _check_records(doc)
         raise
+    numbers = chain(*floats, *entry_floats)  # scanned once more, not held
     if limit is not None and max(map(abs, numbers), default=0) >= limit:
         raise ValueError(f"a number reaches {limit!r} in magnitude")
     return _Records((counts, *floats, regions, names, *entry_floats))

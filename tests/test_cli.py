@@ -246,6 +246,17 @@ class TestSweep:
         )
         assert code == 0
 
+    def test_a_frozen_out_ring_exits_one_naming_rho_and_b_low(self, tmp_path, capsys):
+        # the reference ring at r_low = 1 nm freezes out from rho ~ 1.63 on
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"t_low": 1, "theta_sq": 5, "r_low": 1e-9}))
+        out_path = tmp_path / "records.csv"
+        code, out, err = run_cli("sweep", "--config", str(path), "--out",
+                                 str(out_path), capsys=capsys)
+        assert (code, out, out_path.exists()) == (1, "", False)
+        assert "at rho=1.6259599332220367: cycle energies vanished" in err
+        assert "b_low = 1326 and b_high = 701.3" in err
+
     def test_default_grid_when_config_omits_it(self, tmp_path, capsys):
         config = {"t_low": 1.0, "theta_sq": 5.0, "r_low": 100e-9}
         path = tmp_path / "sweep.json"

@@ -44,15 +44,14 @@ PUBLIC_NAMES = {
     "DegenerateExchangeError", "InvalidSignsError",
     "UnclassifiableExchangeError", "BoundaryRegionError", "OutOfRegionError",
     "SingularEfficiencyError", "DegenerateMediumError",
-    "SpectrumMismatchError", "OccupationMismatchError", "InvalidRingError",
-    "InvalidGapError", "EmptyGridError", "EmitIOError",
+    "InvalidRingError", "InvalidGapError", "EmptyGridError", "EmitIOError",
 }
 
 
 def test_package_exports_exactly_the_module_lists():
     modules = (regions, designs, otto, media, sweep, errors)
     union = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 59
+    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 57
     assert set(qtmkit.__all__) == union == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qtmkit, name)

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import astuple
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -84,6 +85,70 @@ def test_near_reversible_high_temperature_cycle_does_not_cancel():
     assert energies.e_high_gamma == pytest.approx(float(e_high), rel=1e-8)
     assert energies.e_low_gamma == pytest.approx(float(e_low), rel=1e-8)
     assert 1e-27 < energies.e_high_gamma < 2e-27
+
+
+#: The unit roundoff of a double, and its smallest subnormal.
+U, TINY = 2.0**-53, math.ldexp(1.0, -1074)
+
+
+@st.composite
+def random_sweeps(draw, ring):
+    """A random sweep of either medium kind, with half of its grid packed
+    within 1e-15 to 1e-3 (relative) of the reversible ratio sqrt(theta_sq)."""
+    exponent = st.floats  # of 10
+    theta_sq = 1.0 + 10.0 ** draw(exponent(-10.0, 4.0) if ring
+                                  else exponent(-13.0, 6.0))
+    root = math.sqrt(theta_sq)
+    n = draw(st.integers(2, 20))
+    near = [root * (1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0**e)
+            for e in draw(st.lists(exponent(-15.0, -3.0), min_size=n, max_size=n))]
+    wide = draw(st.lists(st.floats(0.05, 1.5 * root), min_size=n, max_size=n))
+    grid = tuple(sorted(set(near + wide)))
+    t_low = 10.0 ** draw(exponent(-2.0, 3.0))
+    if ring:
+        return SweepSpec(t_low=t_low, theta_sq=theta_sq, rho_grid=grid,
+                         r_low=10.0 ** draw(exponent(-9.0, -5.5)))
+    return SweepSpec(t_low=t_low, theta_sq=theta_sq, rho_grid=grid,
+                     medium_kind=MediumKind.GENERIC_GAP,
+                     gap_low=t_low * 10.0 ** draw(exponent(-8.0, 2.5)))
+
+
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "generic"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_sweep_energies_meet_the_conditioned_bound(ring, data):
+    # Against 50 digits, each exchange is off by at most
+    # 16 u (1 + b_max) cond: the rounding of a Boltzmann exponent b, which
+    # exp amplifies, and the cancellation in d = b_low - b_high near the
+    # reversible ratio, cond = 1 + alpha_sq / |theta_sq - alpha_sq|.  In the
+    # subnormal range a rounding is absolute: a few 2**-1075 of x, times its gap.
+    spec = data.draw(random_sweeps(ring))
+    constants = CODATA if ring else REDUCED
+    try:
+        records, _ = run_sweep(spec, constants)
+    except DegenerateExchangeError:
+        assume(False)  # an exact exchange underflowed: the unit-mismatch error
+    gap_low = (ring_medium(spec.r_low, spec.r_low, constants) if ring
+               else gap_medium(spec.gap_low, 1.0)).gap_low
+    with mpmath.workdps(50):
+        kt_low = mpmath.mpf(constants.boltzmann_k) * spec.t_low
+        for record in records:
+            rho_sq = mpmath.mpf(record.rho) ** 2
+            gaps = (gap_low * rho_sq, mpmath.mpf(gap_low))
+            if ring:
+                exact = mpmath_ring_energies(record.rho, spec.r_low, spec.t_low,
+                                             spec.theta_sq, constants)
+            else:
+                exact = mpmath_cycle_energies(gap_low, gaps[0], kt_low,
+                                              kt_low * spec.theta_sq)
+            b_max = max(gaps[1] / kt_low, gaps[0] / (kt_low * spec.theta_sq))
+            cond = (1 + rho_sq / abs(spec.theta_sq - rho_sq)
+                    if rho_sq != spec.theta_sq else mpmath.inf)
+            for value, ex, gap in zip((record.e_high, record.e_low), exact, gaps):
+                if abs(ex) < TINY:
+                    continue
+                slack = 16 * U * (1 + b_max) * cond * abs(ex) + 2 * TINY * (1 + gap)
+                assert abs(value - ex) <= slack, (record.rho, value, float(ex))
 
 
 @given(
@@ -298,51 +363,83 @@ def test_a_ring_gap_ratio_that_overflows_warns_nothing():
     assert record.alpha_sq == math.inf and record.designs == ()
 
 
-UNITS = ("cycle energies vanished at rho=0.5 away from the reversible ratio; "
-         "the gaps are probably enormous compared to k_B * t_low "
-         "(check units and constants)")
+#: Generic media at b_low = gap_low / (k_B * t_low) of 1 (warm), 1e5 (the
+#: exchanges underflow to 0) and inf (k_B * t_low is subnormal: NaN).
+WARM, FROZEN, NAN = (SweepSpec(t_low=t_low, theta_sq=5.0, rho_grid=(0.5,),
+                               medium_kind=MediumKind.GENERIC_GAP, gap_low=1.0)
+                     for t_low in (1.0, 1e-5, 1e-320))
+#: The unit-mismatch error of otto_cycle_energies at the point, after its rho.
+UNITS = object()
 
 
-@pytest.mark.parametrize("alpha_sq, e_high, e_low, expected", [
-    # off the theta_sq band, energies whose signs disagree with alpha_sq
-    (0.25, -1.0, 1.0, "rho=0.5: .*alpha_sq=0.25"),  # reversed below theta_sq
-    (9.0, 1.0, -1.0, "rho=0.5: .*alpha_sq=9.0"),  # forward above theta_sq
-    (0.25, 1.0, 1.0, "rho=0.5: .*alpha_sq=0.25"),  # one sign
+@pytest.mark.parametrize("spec, rho, alpha_sq, e_high, e_low, expected", [
+    # off the theta_sq band, energies whose signs disagree with alpha_sq,
+    # where the scalar API passes: a kernel fault
+    (WARM, 0.5, 0.25, -1.0, 1.0, "rho=0.5: .*alpha_sq=0.25"),  # reversed below
+    (WARM, 0.5, 9.0, 1.0, -1.0, "rho=0.5: .*alpha_sq=9.0"),  # forward above
+    (WARM, 0.5, 0.25, 1.0, 1.0, "rho=0.5: .*alpha_sq=0.25"),  # one sign
     # off the band, vanished or frozen-out energies: the unit-mismatch error
-    (0.25, 0.0, 0.0, UNITS),
-    (9.0, 0.0, -0.0, UNITS),
-    (0.25, math.nan, math.nan, UNITS),
+    (FROZEN, 0.5, 0.25, 0.0, 0.0, UNITS),
+    (FROZEN, 3.0, 9.0, 0.0, -0.0, UNITS),
+    (NAN, 0.5, 0.25, math.nan, math.nan, UNITS),
     # in the band, the gap ratio alone decides, whatever the energies' ratio
-    (5.0, 0.0, 0.0, OperationalRegion.BOUNDARY_OUTT_PUMP),
-    (5.0 * (1.0 + 5e-10), 1.0, -1.0, OperationalRegion.BOUNDARY_OUTT_PUMP),
-    (5.0, math.nan, math.nan, UNITS),
+    (WARM, 0.5, 5.0, 0.0, 0.0, OperationalRegion.BOUNDARY_OUTT_PUMP),
+    (WARM, 0.5, 5.0 * (1.0 + 5e-10), 1.0, -1.0, OperationalRegion.BOUNDARY_OUTT_PUMP),
+    (NAN, math.sqrt(5.0), 5.0, math.nan, math.nan, UNITS),
 ], ids=["reversed-below", "forward-above", "one-sign", "vanished",
         "vanished-reversed", "nan", "vanished-in-band", "forward-in-band",
         "nan-in-band"])
 def test_sweep_checks_the_energies_against_the_gap_ratio(
-    alpha_sq, e_high, e_low, expected
+    spec, rho, alpha_sq, e_high, e_low, expected
 ):
     def classify():
-        return _REGIONS[_classify(np.array([0.5]), np.array([e_high]),
-                                  np.array([e_low]), np.array([alpha_sq]), 5.0)[0]]
+        return _REGIONS[_classify(spec, REDUCED, np.array([rho]), np.array([e_high]),
+                                  np.array([e_low]), np.array([alpha_sq]))[0]]
     if isinstance(expected, OperationalRegion):
         assert classify() is expected
     elif expected is UNITS:
+        with pytest.raises(DegenerateExchangeError) as scalar:
+            otto_cycle_energies(gap_medium(1.0, rho * rho), spec.t_low, 5.0, 1.0)
         with pytest.raises(DegenerateExchangeError) as info:
             classify()
-        assert str(info.value) == UNITS
+        assert str(info.value) == f"at rho={rho!r}: {scalar.value}"
     else:
         with pytest.raises(UnclassifiableExchangeError, match=expected) as info:
             classify()
         assert type(info.value) is UnclassifiableExchangeError
 
 
-@pytest.mark.parametrize("rho", [1.5, 3.0])
-def test_freeze_out_on_either_side_of_theta_is_a_unit_error(rho):
-    spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=(rho,),
-                     medium_kind=MediumKind.GENERIC_GAP, gap_low=0.5)
-    with pytest.raises(DegenerateExchangeError, match="units"):
+@pytest.mark.parametrize("rho", [1.5, 3.0], ids=["forward", "reversed"])
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "generic"])
+def test_freeze_out_on_either_side_of_theta_is_a_unit_error(ring, rho):
+    # A sweep names a frozen-out point by the scalar API's own error.
+    if ring:
+        spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=(rho,), r_low=1e-10)
+        medium = ring_medium(1e-10, 1e-10 / rho, CODATA)
+    else:
+        spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=(rho,),
+                         medium_kind=MediumKind.GENERIC_GAP, gap_low=0.5)
+        medium = gap_medium(0.5, rho * rho)
+    with pytest.raises(DegenerateExchangeError) as scalar:
+        otto_cycle_energies(medium, 1.0, 5.0, CODATA.boltzmann_k)
+    with pytest.raises(DegenerateExchangeError) as swept:
         run_sweep(spec, CODATA)
+    assert str(swept.value) == f"at rho={rho!r}: {scalar.value}"
+    assert "b_low = " in str(swept.value) and "units" in str(swept.value)
+
+
+def test_the_reference_ring_at_1_nm_stops_at_its_first_frozen_out_point():
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=default_rho_grid(5.0),
+                     r_low=1e-9)
+    with pytest.raises(DegenerateExchangeError) as info:
+        run_sweep(spec, CODATA)
+    assert str(info.value) == (
+        "at rho=1.6259599332220367: cycle energies vanished: the gaps "
+        "1.8312792944942366e-20 and 4.841436768455297e-20 are enormous compared "
+        "to k_B * t_low = 1.380649e-23, with Boltzmann exponents b_low = 1326 "
+        "and b_high = 701.3: an exchange, about gap * exp(-min(b_low, b_high)), "
+        "fell below the smallest double, about exp(-745) (check units and "
+        "constants)")
 
 
 def test_curves_keep_the_scalar_error_for_a_rejected_ratio():

@@ -14,10 +14,8 @@ from qtmkit import (
     InvalidThetaError,
     LevelSpectrum,
     MediumKind,
-    OccupationMismatchError,
     OperationalRegion,
     PhysicalConstants,
-    SpectrumMismatchError,
     SweepSpec,
     TwoLevelMedium,
     ValidationError,
@@ -188,23 +186,32 @@ class TestOttoCycleEnergies:
                                 CODATA.boltzmann_k)
         assert str(info.value) == (
             "cycle energies vanished: the gaps 10000000000.0 and 2500000000.0 "
-            f"are enormous compared to k_B * t_low = {CODATA.boltzmann_k * 1e-300!r} "
-            "(check units and constants)")
+            f"are enormous compared to k_B * t_low = {CODATA.boltzmann_k * 1e-300!r}, "
+            "with Boltzmann exponents b_low = inf and b_high = inf: an exchange, "
+            "about gap * exp(-min(b_low, b_high)), fell below the smallest double, "
+            "about exp(-745) (check units and constants)")
 
-    @pytest.mark.parametrize("alpha_sq", [2.0, 8.0], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("alpha_sq, b_high", [(2.25, "4500"), (9.0, "1.8e+04")],
+                             ids=["forward", "reversed"])
     def test_underflowed_exchanges_off_the_band_are_the_sweeps_unit_error(
-            self, alpha_sq):
+            self, alpha_sq, b_high):
         # Finite Boltzmann exponents of 1e4 and more: x underflows to 0 on
-        # either side of theta_sq, where a sweep stops at the same point.
+        # either side of theta_sq, where a sweep stops at the same point
+        # with the same message, prefixed with that point's rho.
         with pytest.raises(DegenerateExchangeError) as info:
             otto_cycle_energies(gap_medium(1.0, alpha_sq), 1e-4, 5.0, 1.0)
         assert str(info.value) == (
             f"cycle energies vanished: the gaps 1.0 and {alpha_sq!r} are "
-            "enormous compared to k_B * t_low = 0.0001 (check units and constants)")
-        spec = SweepSpec(t_low=1e-4, theta_sq=5.0, rho_grid=(math.sqrt(alpha_sq),),
+            "enormous compared to k_B * t_low = 0.0001, with Boltzmann exponents "
+            f"b_low = 1e+04 and b_high = {b_high}: an exchange, about gap * "
+            "exp(-min(b_low, b_high)), fell below the smallest double, about "
+            "exp(-745) (check units and constants)")
+        rho = math.sqrt(alpha_sq)  # exact, so the sweep builds the same medium
+        spec = SweepSpec(t_low=1e-4, theta_sq=5.0, rho_grid=(rho,),
                          medium_kind=MediumKind.GENERIC_GAP, gap_low=1.0)
-        with pytest.raises(DegenerateExchangeError, match="units"):
+        with pytest.raises(DegenerateExchangeError) as swept:
             run_sweep(spec, PhysicalConstants.reduced())
+        assert str(swept.value) == f"at rho={rho!r}: {info.value}"
 
     @given(
         gap_low=st.floats(0.1, 2.0),
@@ -316,11 +323,14 @@ class TestWorkExchange:
         assert compress + expand == pytest.approx(-energies.e_out, rel=1e-12)
 
     def test_spectrum_length_mismatch(self):
-        with pytest.raises(SpectrumMismatchError):
+        with pytest.raises(ValidationError) as info:
             work_exchange(LevelSpectrum((0.0, 1.0)),
                           LevelSpectrum((0.0, 1.0, 2.0)), (0.7, 0.3))
+        assert str(info.value) == "spectra must have equal length, got 2 and 3"
 
     def test_occupation_length_mismatch(self):
         spectrum = LevelSpectrum((0.0, 1.0))
-        with pytest.raises(OccupationMismatchError):
+        with pytest.raises(ValidationError) as info:
             work_exchange(spectrum, spectrum, (0.7, 0.2, 0.1))
+        assert str(info.value) == (
+            "occupations must match the spectrum length 2, got shape (3,)")

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qtmkit import (
     BoundaryRegionError,
@@ -246,6 +247,56 @@ class TestClassifyRegion:
         # same ratio, other orientation: now super-Carnot, hence rejected
         with pytest.raises(UnclassifiableExchangeError):
             classify_region(mirrored, 4.0)
+
+
+def entropy_production(e_high, e_low, theta_sq) -> Fraction:
+    """The reservoirs' entropy change per cycle, times ``t_low``, exactly:
+    ``-e_high/theta_sq - e_low`` (the reservoirs lose what the medium absorbs)."""
+    return -Fraction(e_high) / Fraction(theta_sq) - Fraction(e_low)
+
+
+#: theta_sq = 1 + 10**U(-6, 3), as in the sign draws below.
+THETAS = st.floats(-6.0, 3.0).map(lambda k: 1.0 + 10.0**k)
+MAGNITUDES = st.floats(-5.0, 5.0).map(lambda k: 10.0**k)
+
+
+class TestSecondLaw:
+    """The second law as an oracle for the admissibility rule, independent of
+    the closed forms: it follows from the sign convention alone."""
+
+    @given(theta_sq=THETAS, e_low=MAGNITUDES, forward=st.booleans(),
+           ratio=MAGNITUDES | st.tuples(st.floats(-11.9, 1.0), st.booleans()))
+    @settings(max_examples=300)
+    def test_opposite_signs_are_admitted_exactly_when_entropy_grows(
+            self, theta_sq, e_low, forward, ratio):
+        # alpha_sq drawn at random, or at a relative distance of 10**U(-11.9, 1)
+        # from theta_sq; outside 1e-12 of it the rounded ratio keeps its side.
+        if isinstance(ratio, tuple):
+            k, above = ratio
+            ratio = theta_sq * (1.0 + 10.0**k if above else 1.0 / (1.0 + 10.0**k))
+        sign = 1.0 if forward else -1.0
+        e_high, e_low = sign * ratio * e_low, -sign * e_low
+        alpha_sq = -Fraction(e_high) / Fraction(e_low)
+        assume(abs(alpha_sq / Fraction(theta_sq) - 1) > Fraction(1e-12))
+        try:
+            classify_region(ExchangeTriple(e_high, e_low), theta_sq, tol=0.0)
+            admitted = True
+        except UnclassifiableExchangeError as exc:
+            assert type(exc) is UnclassifiableExchangeError  # past Carnot
+            admitted = False
+        assert admitted is (entropy_production(e_high, e_low, theta_sq) >= 0)
+
+    @given(theta_sq=THETAS, e_high=MAGNITUDES, e_low=MAGNITUDES,
+           sign=st.sampled_from((1.0, -1.0)))
+    def test_same_signs_are_rejected_whatever_the_entropy(
+            self, theta_sq, e_high, e_low, sign):
+        # Both absorbed: the second law rejects them (sigma < 0).  Both
+        # released: sigma > 0, and the three-pattern rule rejects them.
+        sigma = entropy_production(sign * e_high, sign * e_low, theta_sq)
+        assert (sigma < 0) is (sign > 0)
+        with pytest.raises(InvalidSignsError):
+            classify_region(ExchangeTriple(sign * e_high, sign * e_low), theta_sq,
+                            tol=0.0)
 
 
 class TestAdmissibleDesigns:
