@@ -38,7 +38,6 @@ from .regions import (
 from .sweep import (
     _NUMBERS,
     MediumKind,
-    Normalization,
     SweepSpec,
     boundary_report,
     default_rho_grid,
@@ -206,7 +205,6 @@ def _grid(value) -> tuple[float, ...]:
 _READERS = {
     "rho_grid": _grid,
     "medium_kind": MediumKind,
-    "normalization": Normalization,
 }
 
 

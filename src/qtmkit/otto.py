@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,15 +80,6 @@ class LevelSpectrum:
             raise DegenerateMediumError(
                 f"levels must be strictly increasing, got {self.levels!r}"
             )
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.levels)
-
-    def __getitem__(self, index: int) -> float:
-        return self.levels[index]
 
 
 @dataclass(frozen=True)
@@ -243,14 +234,15 @@ def work_exchange(
     positive value means the medium gained energy from the outside; the
     outside-exchange contribution of the stroke is the negative of this value.
     """
-    if len(start) != len(end):
+    n = len(start.levels)
+    if n != len(end.levels):
         raise ValidationError(
-            f"spectra must have equal length, got {len(start)} and {len(end)}"
+            f"spectra must have equal length, got {n} and {len(end.levels)}"
         )
     p = np.asarray(occupations, dtype=float)
-    if p.shape != (len(start),):
+    if p.shape != (n,):
         raise ValidationError(
-            f"occupations must match the spectrum length {len(start)}, "
+            f"occupations must match the spectrum length {n}, "
             f"got shape {p.shape}"
         )
     shift = np.asarray(end.levels, dtype=float) - np.asarray(start.levels, dtype=float)

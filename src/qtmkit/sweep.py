@@ -64,7 +64,6 @@ from .regions import (_REGIONS, OperationalRegion, _edges,  # noqa: F401  (see b
 
 __all__ = [
     "MediumKind",
-    "Normalization",
     "SweepSpec",
     "DesignEfficiency",
     "SweepRecord",
@@ -111,12 +110,6 @@ class MediumKind(_Enum):
     GENERIC_GAP = "generic_gap"
 
 
-@unique
-class Normalization(_Enum):
-    NONE = "none"
-    MAX_ABS_ENERGY = "max_abs_energy"
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Parameters of one sweep.
@@ -130,18 +123,15 @@ class SweepSpec:
     theta_sq: float
     rho_grid: tuple[float, ...]
     medium_kind: MediumKind = MediumKind.QUANTUM_RING
-    normalization: Normalization = Normalization.MAX_ABS_ENERGY
     r_low: Optional[float] = None
     gap_low: Optional[float] = None
 
     def __post_init__(self) -> None:
         require_finite("t_low", self.t_low, InvalidTemperatureError, 0.0)
         require_finite("theta_sq", self.theta_sq, InvalidThetaError, 1.0)
-        for name, enum in (("medium_kind", MediumKind),
-                           ("normalization", Normalization)):
-            if not isinstance(getattr(self, name), enum):
-                raise ValidationError(f"{name} must be a {enum.__name__}, "
-                                      f"got {getattr(self, name)!r}")
+        if not isinstance(self.medium_kind, MediumKind):
+            raise ValidationError("medium_kind must be a MediumKind, "
+                                  f"got {self.medium_kind!r}")
         grid = self.rho_grid
         try:
             # Not ``dtype=float``, which parses strings: a string entry makes
@@ -381,10 +371,9 @@ def run_sweep(
     """Evaluate the Otto cycle over the whole rho grid.
 
     Returns per-point records ordered by ascending rho, a read-only
-    sequence that holds their columns, plus the boundary report.  With
-    ``max_abs_energy`` normalization the three normalized energy columns
-    share a single scale: the largest absolute energy found anywhere in the
-    sweep.
+    sequence that holds their columns, plus the boundary report.  The three
+    normalized energy columns share a single scale: the largest absolute
+    energy found anywhere in the sweep, or 1.0 when every energy is 0.
     """
     rho = np.asarray(spec.rho_grid, dtype=float)
     gap_low, gap_high, alpha_sq = _gaps(spec, rho, constants)
@@ -393,9 +382,7 @@ def run_sweep(
     e_out = e_high + e_low
     index = _classify(spec, constants, rho, e_high, e_low, alpha_sq)
 
-    scale = 1.0
-    if spec.normalization is Normalization.MAX_ABS_ENERGY:
-        scale = max(float(np.abs(e).max()) for e in (e_high, e_low, e_out)) or 1.0
+    scale = max(float(np.abs(e).max()) for e in (e_high, e_low, e_out)) or 1.0
 
     # Region i is its two designs' open interval (a ring's alpha_sq may leave
     # the float range): a point there has an entry of each, in QtmDesign order.

@@ -257,6 +257,17 @@ class TestSweep:
         assert "at rho=1.6259599332220367: cycle energies vanished" in err
         assert "b_low = 1326 and b_high = 701.3" in err
 
+    def test_the_removed_normalization_key_exits_one_naming_it(self, tmp_path, capsys):
+        # The normalized columns always share the sweep's largest |E|.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"t_low": 1, "theta_sq": 5, "r_low": 1e-7,
+                                    "normalization": "none"}))
+        out_path = tmp_path / "records.csv"
+        code, out, err = run_cli("sweep", "--config", str(path), "--out",
+                                 str(out_path), capsys=capsys)
+        assert (code, out, out_path.exists()) == (1, "", False)
+        assert err == f"qtmkit: error: unknown config keys in {path}: normalization\n"
+
     def test_default_grid_when_config_omits_it(self, tmp_path, capsys):
         config = {"t_low": 1.0, "theta_sq": 5.0, "r_low": 100e-9}
         path = tmp_path / "sweep.json"

@@ -3,11 +3,13 @@ import math
 import pickle
 import re
 from enum import Enum, unique
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qtmkit import (
     AlphaBounds,
@@ -17,7 +19,6 @@ from qtmkit import (
     InvalidRhoError,
     InvalidThetaError,
     MediumKind,
-    Normalization,
     OperationalRegion,
     OutOfRegionError,
     QtmDesign,
@@ -123,6 +124,12 @@ SIGNED_EXCHANGE = {
     EnergyRole.GENERATE_OUTSIDE: lambda ex: ex.e_out,
     EnergyRole.RECEIVE_OUTSIDE: lambda ex: -ex.e_out,
 }
+
+
+def exact_ratio(design, e_high, e_low):
+    """|target|/|source| of ``design`` at an exact triple of Fractions."""
+    ex = SimpleNamespace(e_high=e_high, e_low=e_low, e_out=e_high + e_low)
+    return SIGNED_EXCHANGE[design.target](ex) / SIGNED_EXCHANGE[design.source](ex)
 
 
 def test_readme_sign_table_names_every_design():
@@ -278,6 +285,46 @@ class TestCarnotEfficiency:
                 carnot_efficiency(design, theta_sq), rel=1e-12
             )
 
+    # The second law pins the Carnot value of the four designs whose interval
+    # ends at alpha_sq = theta_sq, the one ratio where sigma = 0.  The
+    # 2Acquirers designs meet theirs at alpha_sq = 1/theta_sq, where
+    # sigma * t_low = |e_low| * (1 - theta_sq**-2) > 0: there the value is the
+    # paper's subregion definition, not the second law.
+    @given(design=st.sampled_from(HIGH_GROUP), k=st.floats(-12.0, 6.0),
+           j=st.floats(-12.0, 6.0))
+    @settings(max_examples=300)
+    def test_the_second_law_puts_the_efficiency_on_its_carnot_side(
+            self, design, k, j):
+        theta_sq = 1.0 + 10.0**k
+        bounds = alpha_bounds(design, theta_sq)
+        # Pumpers: alpha_sq = theta_sq * (1 + 10**j) and the triple (-a, 1).
+        # OutTransfers: alpha_sq a share 10**j/(1 + 10**j) of the way from
+        # theta_sq down to 1, and the triple (a, -1).
+        pumpers = bounds.alpha_sq_max == math.inf
+        alpha_sq = (theta_sq * (1.0 + 10.0**j) if pumpers
+                    else theta_sq - (theta_sq - 1.0) * (10.0**j / (1.0 + 10.0**j)))
+        assume(bounds.contains(alpha_sq))
+        a, t = Fraction(alpha_sq), Fraction(theta_sq)
+        assume(abs(a / t - 1) > Fraction(1e-12))
+        sign = -1 if pumpers else 1
+        # sigma * t_low = -e_high/theta_sq - e_low, exactly.
+        assert -sign * a / t + sign > 0
+        exact = exact_ratio(design, sign * a, Fraction(-sign))
+        exact_carnot = exact_ratio(design, sign * t, Fraction(-sign))
+        value = efficiency(design, alpha_sq)
+        carnot = carnot_efficiency(design, theta_sq)
+        # In floats a far alpha_sq at a large theta_sq may round to a tie.
+        if bounds.carnot_limit_kind is CarnotLimitKind.MAXIMUM:
+            assert exact < exact_carnot and value <= carnot
+        else:
+            assert exact > exact_carnot and value >= carnot
+
+    @pytest.mark.parametrize("theta_sq", [1.0 + 1e-12, 1.5, 5.0, 1e6])
+    @pytest.mark.parametrize("design", HIGH_GROUP)
+    def test_the_efficiency_at_zero_entropy_production_is_the_carnot_value(
+            self, design, theta_sq):
+        assert efficiency(design, theta_sq) == carnot_efficiency(design, theta_sq)
+
 
 class TestAlphaBounds:
     def test_rejects_inverted_bounds(self):
@@ -418,7 +465,7 @@ class TestDesignMetadata:
 
 #: Every enum of the package; each derives from the one member-less base.
 PACKAGE_ENUMS = (OperationalRegion, EnergyRole, QtmDesign, CarnotLimitKind,
-                 MediumKind, Normalization)
+                 MediumKind)
 
 
 @pytest.mark.parametrize("member", [m for kind in PACKAGE_ENUMS for m in kind],

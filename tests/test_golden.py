@@ -33,7 +33,7 @@ PUBLIC_NAMES = {
     "PhysicalConstants", "CODATA",
     "ring_levels", "ring_medium", "gap_medium",
     # sweep
-    "MediumKind", "Normalization", "SweepSpec", "SweepRecord",
+    "MediumKind", "SweepSpec", "SweepRecord",
     "DesignEfficiency", "BoundaryReport", "EfficiencyCurve", "CSV_COLUMNS",
     "default_rho_grid", "boundary_report",
     "run_sweep", "efficiency_curves", "emit", "emit_curves",
@@ -51,7 +51,7 @@ PUBLIC_NAMES = {
 def test_package_exports_exactly_the_module_lists():
     modules = (regions, designs, otto, media, sweep, errors)
     union = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 57
+    assert len(qtmkit.__all__) == len(set(qtmkit.__all__)) == 56
     assert set(qtmkit.__all__) == union == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qtmkit, name)

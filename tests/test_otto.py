@@ -56,12 +56,6 @@ class TestLevelSpectrum:
         with pytest.raises(DegenerateMediumError):
             LevelSpectrum(levels)
 
-    def test_sequence_protocol(self):
-        spectrum = LevelSpectrum((0.0, 1.0, 2.5))
-        assert len(spectrum) == 3
-        assert spectrum[1] == 1.0
-        assert list(spectrum) == [0.0, 1.0, 2.5]
-
 
 class TestOccupation:
     def test_infinite_temperature_limit(self):

@@ -12,7 +12,6 @@ from qtmkit import (
     EmitIOError,
     EmptyGridError,
     MediumKind,
-    Normalization,
     OperationalRegion,
     PhysicalConstants,
     QtmDesign,
@@ -260,16 +259,6 @@ class TestRunSweep:
         with pytest.raises(DegenerateExchangeError, match="units"):
             run_sweep(spec, CODATA)
 
-    def test_normalization_none_keeps_raw_values(self):
-        spec = ring_spec(
-            rho_grid=(0.5, 1.5), normalization=Normalization.NONE
-        )
-        records, _ = run_sweep(spec, CODATA)
-        for record in records:
-            assert record.e_high_norm == record.e_high
-            assert record.e_low_norm == record.e_low
-            assert record.e_out_norm == record.e_out
-
 
 class TestEfficiencyCurves:
     def test_all_designs_present(self, curves):
@@ -424,3 +413,40 @@ def test_boundary_report_standalone():
     assert report.alpha_sq_subregion == 0.25
     assert report.alpha_sq_2acq_outt == 1.0
     assert report.alpha_sq_outt_pump == 4.0
+
+
+def max_work_alpha_sq(theta_sq, gap_low):
+    """The alpha_sq of the largest ``e_out`` of a generic sweep in reduced
+    units (``t_low`` = 1) on 20 001 points inside (1, sqrt(theta_sq)): the
+    vertex of the parabola, in alpha_sq, through the grid maximum and its
+    two neighbours."""
+    grid = np.linspace(1.0, math.sqrt(theta_sq), 20003)[1:-1]
+    spec = SweepSpec(t_low=1.0, theta_sq=theta_sq, rho_grid=tuple(grid.tolist()),
+                     medium_kind=MediumKind.GENERIC_GAP, gap_low=gap_low)
+    records, _ = run_sweep(spec, PhysicalConstants.reduced())
+    e_out = [r.e_out for r in records]
+    i = int(np.argmax(e_out))
+    assert 0 < i < len(e_out) - 1
+    (x0, x1, x2), (f0, f1, f2) = ([r.alpha_sq for r in records[i - 1:i + 2]],
+                                  e_out[i - 1:i + 2])
+    num = (x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)
+    den = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
+    return x1 - 0.5 * num / den
+
+
+@pytest.mark.parametrize("theta_sq, coefficient", [
+    (1.5, -1.48e-2), (5.0, -1.22e-2), (30.0, -2.64e-3)])
+def test_the_max_work_point_tends_to_the_low_dissipation_upper_bound(
+        theta_sq, coefficient):
+    # At high temperature e_out ~ (rho**2 - 1)(1 - rho**2/theta_sq), which
+    # peaks at alpha_sq = (1 + theta_sq)/2, where eta = 1 - 1/alpha_sq is
+    # eta_C/(2 - eta_C): the upper end of eta_C/2 <= eta* <= eta_C/(2 - eta_C)
+    # (Esposito, Kawai, Lindenberg & Van den Broeck, PRL 105, 150603 (2010)).
+    # The relative error shrinks like the square of gap_low/(k_B t_low).
+    eta_c = 1.0 - 1.0 / theta_sq
+    upper = eta_c / (2.0 - eta_c)
+    for ratio in (0.4, 0.2, 0.1):
+        eta = 1.0 - 1.0 / max_work_alpha_sq(theta_sq, ratio)
+        assert eta_c / 2.0 < eta < upper
+        assert (eta - upper) / upper / ratio**2 == pytest.approx(coefficient,
+                                                                 rel=0.01)

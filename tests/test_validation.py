@@ -196,7 +196,6 @@ def test_a_value_that_is_not_a_number_raises_the_fields_error(build, error,
 
 
 @pytest.mark.parametrize("field, value, shown", [
-    ("normalization", "max_abs_energy", "'max_abs_energy'"),
     ("medium_kind", "quantum_ring", "'quantum_ring'"),
     ("rho_grid", ("a", "b"), "('a', 'b')"),
     ("rho_grid", (None,), "rho_grid[0]=None"),
@@ -206,7 +205,7 @@ def test_a_value_that_is_not_a_number_raises_the_fields_error(build, error,
     ("rho_grid", ("1.5", 2, b"2.5"), "('1.5', 2, b'2.5')"),
     ("rho_grid", (b"1.5",), "(b'1.5',)"),
     ("rho_grid", (Fraction(1, 2), "2"), "(Fraction(1, 2), '2')"),
-], ids=["normalization-str", "medium_kind-str", "rho_grid-str", "rho_grid-None",
+], ids=["medium_kind-str", "rho_grid-str", "rho_grid-None",
         "rho_grid-int", "rho_grid-big", "rho_grid-numeric-str", "rho_grid-bytes",
         "rho_grid-object-str"])
 def test_a_sweep_spec_field_of_the_wrong_type_names_the_field_and_value(
