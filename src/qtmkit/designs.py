@@ -18,10 +18,12 @@ QRE    Pumpers            absorb low        receive outside  1 / (a - 1)
 QHP    Pumpers            release high      receive outside  a / (a - 1)
 ====== ================== ================= ================ ================
 
-Operating a design in the reversible limit pins ``alpha_sq`` at ``1/theta_sq``
-(2Acquirers designs) or ``theta_sq`` (the rest), which turns the efficiency
-into the design's Carnot value.  That value caps the efficiency for every
-design except QLL, where it is a floor.
+Each efficiency takes the design's Carnot value at one edge of its interval:
+``alpha_sq = theta_sq`` for QEN, QLL, QRE and QHP, where the cycle is
+reversible, and the subregion edge ``alpha_sq = 1/theta_sq`` for the
+2Acquirers designs, where it is not (``sigma * t_low = |e_low| *
+(1 - theta_sq**-2) > 0``).  That value caps the efficiency for every design
+except QLL, where it is a floor.
 
 :data:`CATALOG` holds region and roles; the efficiency, Carnot value,
 ``alpha_sq`` interval and limit kind are derived from them at import.
@@ -227,8 +229,10 @@ def _efficiencies(design: QtmDesign, alpha_sq):
 def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
     """Carnot-limit efficiency, a function of the temperature ratio only.
 
-    Equals ``efficiency(design, a*)`` at the design's reversible ratio
-    ``a* = 1/theta_sq`` (2Acquirers designs) or ``a* = theta_sq`` (others).
+    Equals ``efficiency(design, a*)`` at the edge where the efficiency meets
+    it: the subregion edge ``a* = 1/theta_sq`` (2Acquirers designs, reached
+    with positive entropy production) or the reversible ratio
+    ``a* = theta_sq`` (others).
     """
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     try:
@@ -243,8 +247,10 @@ class AlphaBounds:
     """Admissible ``alpha_sq`` interval of a design at a fixed theta_sq.
 
     ``carnot_alpha_sq`` is the endpoint where the efficiency meets its Carnot
-    value; it is the only physically reachable endpoint (in the reversible
-    limit).  ``carnot_limit_kind`` records whether that value is the maximum
+    value; the other is a singular or degenerate limit.  Only the
+    ``theta_sq``-end designs reach their Carnot endpoint reversibly; at the
+    2Acquirers edge ``1/theta_sq`` the cycle still produces entropy.
+    ``carnot_limit_kind`` records whether that value is the maximum
     of the efficiency over the interval or -- uniquely for QLL -- the minimum.
     """
 

@@ -194,13 +194,15 @@ def otto_cycle_energies(
             medium.alpha_sq, theta_sq):
         b_low = medium.gap_low / (boltzmann_k * t_low)
         b_high = medium.gap_high / (boltzmann_k * (theta_sq * t_low))
+        why = ("gap / (k_B * t_low) overflowed the largest double, about 1.8e308, "
+               "in both" if e_high != e_high else "an exchange, about gap * "
+               "exp(-min(b_low, b_high)), fell below the smallest double, about "
+               "exp(-745)")
         raise DegenerateExchangeError(
             f"cycle energies vanished: the gaps {medium.gap_low!r} and "
             f"{medium.gap_high!r} are enormous compared to k_B * t_low = "
             f"{boltzmann_k * t_low!r}, with Boltzmann exponents b_low = {b_low:.4g} "
-            f"and b_high = {b_high:.4g}: an exchange, about gap * exp(-min(b_low, "
-            f"b_high)), fell below the smallest double, about exp(-745) "
-            f"(check units and constants)")
+            f"and b_high = {b_high:.4g}: {why} (check units and constants)")
     # Finite: each is a finite gap times |x| <= 1, and NaN was caught above.
     return _unchecked(ExchangeTriple, e_high=e_high, e_low=e_low)
 

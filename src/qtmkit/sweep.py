@@ -9,8 +9,9 @@ to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
 round-trippable).
 
 :func:`run_sweep` and :func:`parse_records` return records held as columns
-(:class:`_Records`); ``_build`` makes records of them a column at a time when
-the result is indexed or iterated.  The builds and :func:`parse_records` run
+(:class:`_Records`), a column of finite floats as a float64 array; ``_build``
+makes records of them a column at a time when the result is indexed or
+iterated.  The builds and :func:`parse_records` run
 with the cyclic garbage collector paused (neither makes reference cycles); a
 program that toggles :mod:`gc` from another thread meanwhile may find it
 re-enabled afterwards.
@@ -39,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 from enum import unique
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from numbers import Integral, Real
 from operator import attrgetter, itemgetter
 from typing import Optional
@@ -203,6 +204,19 @@ def _build(cls, n: int, *columns) -> list:
     return objs
 
 
+def _held(values):
+    """A float column as a :class:`_Records` holds it: a float64 array if
+    every value is finite, else a list.  ``values`` is an array or a list
+    of ``float`` values."""
+    array = np.asarray(values, dtype=float)
+    return array if np.isfinite(array).all() else _as_list(values)
+
+
+def _as_list(column) -> list:
+    """``column`` as a list: an array's values as Python floats."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector for a bulk build that makes no
@@ -219,15 +233,16 @@ def _gc_paused():
 
 class _Records(Sequence):
     """Read-only records held as the columns of :func:`_columns`, the floats
-    flattened.  A contiguous slice is a slice of the columns, any other a
-    list; an index or an iteration builds fresh records, a ``_CHUNK`` at a time."""
+    flattened, each float column as :func:`_held` keeps it.  A contiguous
+    slice is a slice of the columns, any other a list; an index or an
+    iteration builds fresh records, a ``_CHUNK`` at a time."""
 
     def __init__(self, held: tuple) -> None:
         self._held = held
 
     @cached_property
-    def _starts(self) -> list[int]:  # each record's first entry, then the end
-        return list(accumulate(self._held[0], initial=0))
+    def _starts(self) -> np.ndarray:  # each record's first entry, then the end
+        return np.cumsum([0, *self._held[0]], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._held[0])
@@ -249,14 +264,16 @@ class _Records(Sequence):
 
     @_gc_paused()
     def _built(self) -> list[SweepRecord]:
-        counts, *floats, regions, names, effs, carnots = self._held
+        counts, *floats, regions, names, effs, carnots = map(_as_list, self._held)
         entries = iter(_build(DesignEfficiency, len(names), names, effs, carnots))
         return _build(SweepRecord, len(counts), *floats, regions,
                       map(tuple, map(islice, repeat(entries), counts)))
 
     def __eq__(self, other):
         if isinstance(other, _Records):
-            return self._held == other._held
+            return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+                       and isinstance(b, np.ndarray) else _as_list(a) == _as_list(b)
+                       for a, b in zip(self._held, other._held))
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
@@ -377,8 +394,9 @@ def run_sweep(
     """
     rho = np.asarray(spec.rho_grid, dtype=float)
     gap_low, gap_high, alpha_sq = _gaps(spec, rho, constants)
-    e_high, e_low = _exchanges(gap_low, gap_high, spec.t_low, spec.theta_sq,
-                               constants.boltzmann_k)
+    with np.errstate(all="ignore"):  # a frozen-out point is named by _classify
+        e_high, e_low = _exchanges(gap_low, gap_high, spec.t_low, spec.theta_sq,
+                                   constants.boltzmann_k)
     e_out = e_high + e_low
     index = _classify(spec, constants, rho, e_high, e_low, alpha_sq)
 
@@ -394,12 +412,12 @@ def run_sweep(
             effs[region == i, k] = _efficiencies(design, inside[region == i])
     pairs = np.array(list(_PAIRS.values()), dtype=object)
     carnots = np.array([[carnot_efficiency(d, spec.theta_sq) for d in pair]
-                        for pair in pairs], dtype=object)
-    columns = [c.tolist() for c in (alpha_sq, e_high, e_low, e_out,
-                                    e_high / scale, e_low / scale, e_out / scale)]
-    held = ((2 * has).tolist(), list(spec.rho_grid), *columns,
-            list(map(_REGIONS.__getitem__, index.tolist())),
-            *(c.ravel().tolist() for c in (pairs[region], effs, carnots[region])))
+                        for pair in pairs])
+    floats = map(_held, (rho, alpha_sq, e_high, e_low, e_out,
+                         e_high / scale, e_low / scale, e_out / scale))
+    held = ((2 * has).tolist(), *floats,
+            list(map(_REGIONS.__getitem__, index.tolist())), pairs[region].ravel().tolist(),
+            _held(effs.ravel()), _held(carnots[region].ravel()))
     return _Records(held), boundary_report(spec.theta_sq)
 
 
@@ -445,25 +463,26 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     return curves
 
 
-def _json_floats(name: str, values: list) -> list[str]:
+def _json_floats(name: str, values) -> list[str]:
     """Each value of column ``name`` as ``json.dumps`` writes it.
 
-    A column of finite, exact ``float`` values is formatted by one
-    ``orjson.dumps`` call, which spells a float as ``repr`` does outside a
-    band of magnitudes; the cells inside it are re-spelled by
+    A float64 array, or a list of finite, exact ``float`` values, is
+    formatted by one ``orjson.dumps`` call, which spells a float as ``repr``
+    does outside a band of magnitudes; the cells inside it are re-spelled by
     ``float.__repr__``.  Any other column (``NaN``, ``Infinity``, ints,
     bools, float subclasses) goes through the encoder value by value; a
     value it would not write as a number raises a :class:`ValidationError`
     naming the column (:func:`_require`).
     """
-    if values and {float}.issuperset(map(type, values)):
+    if len(values) and (isinstance(values, np.ndarray)
+                        or {float}.issuperset(map(type, values))):
         import orjson
-        text = orjson.dumps(values)
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
         if b"n" not in text:  # orjson writes a non-finite float as null
             cells = text[1:-1].decode().split(",")
             # orjson spells |x| in [1e-9, 1e-4) and from 1e16 on otherwise
             # than repr (0.000025, 1e-9, 1e16); the band is a decade wider.
-            size = np.abs(np.array(values))
+            size = np.abs(values)
             band = (1e-10 <= size) & (size < 1e-3) | (size >= 1e15)
             for i in np.flatnonzero(band).tolist():
                 cells[i] = float.__repr__(values[i])
@@ -564,6 +583,7 @@ def _chunked(records, text_of, head: str, sep: str, tail: str) -> str:
 def _csv_rows(records) -> str:
     counts, floats, regions, names, *entry_floats = _columns(
         records, attrgetter, _values)
+    floats, entry_floats = ([*map(_as_list, c)] for c in (floats, entry_floats))
     # Each record's first and second design entry by index; a missing one
     # points past the entries, at the blank cells appended to each column.
     counts = np.array(counts, dtype=np.intp)
@@ -657,17 +677,21 @@ def _records_in(doc, limit: Optional[float]) -> _Records:
         counts, floats, regions, names, *entry_floats = _columns(
             doc, itemgetter,
             lambda name, enum, column: list(map(_MEMBER_OF[enum].__getitem__, column)))
+        floats += entry_floats
+        kinds = [set(map(type, column)) for column in floats]
         if not ({list}.issuperset(map(type, map(itemgetter("designs"), doc)))
-                and _NUMBERS.issuperset(map(type, chain(*floats, *entry_floats)))):
+                and _NUMBERS.issuperset(chain(*kinds))):
             raise TypeError("a record holds a value of the wrong type")
     except (KeyError, TypeError):
         # Only a failed read pays for the check that names the fault.
         _check_records(doc)
         raise
-    numbers = chain(*floats, *entry_floats)  # scanned once more, not held
-    if limit is not None and max(map(abs, numbers), default=0) >= limit:
+    floats = [_held(c) if k <= {float} else c for c, k in zip(floats, kinds)]
+    if limit is not None and max(
+            np.abs(c).max(initial=0.0) if isinstance(c, np.ndarray)
+            else max(map(abs, c), default=0) for c in floats) >= limit:
         raise ValueError(f"a number reaches {limit!r} in magnitude")
-    return _Records((counts, *floats, regions, names, *entry_floats))
+    return _Records((counts, *floats[:8], regions, names, *floats[8:]))
 
 
 #: Characters of records JSON that a reader parses at a time.
@@ -716,13 +740,15 @@ def parse_records(text: str | bytes | bytearray) -> Sequence[SweepRecord]:
         json.loads(text)  # raises the TypeError that names the type
     import orjson
     for loads, limit in ((orjson.loads, _ORJSON_EXACT_BELOW), (json.loads, None)):
-        held = [[] for _ in range(len(_FLOAT_COLUMNS) + 5)]  # as a _Records holds
+        parts = [[] for _ in range(len(_FLOAT_COLUMNS) + 5)]  # each column's pieces
         try:
             for piece in _pieces(text):
-                deque(map(list.extend, held, _records_in(loads(piece), limit)._held), 0)
-            return _Records(tuple(held))
+                deque(map(list.append, parts, _records_in(loads(piece), limit)._held), 0)
+            return _Records(tuple(
+                np.concatenate(p) if all(isinstance(c, np.ndarray) for c in p)
+                else list(chain.from_iterable(map(_as_list, p))) for p in parts))
         except ValueError:  # also a JSONDecodeError and an inexact number
-            held.clear()  # not held while the next reader parses
+            parts.clear()  # not held while the next reader parses
     return _records_in(json.loads(text), None)
 
 

@@ -6,6 +6,7 @@ that does not cancel, so the exchanges stay non-zero, and the region right,
 arbitrarily close to the reversible ratio.
 """
 
+import io
 import json
 import math
 import os
@@ -45,8 +46,10 @@ from qtmkit import (
     default_rho_grid,
     efficiency,
     efficiency_curves,
+    emit,
     gap_medium,
     otto_cycle_energies,
+    parse_records,
     ring_medium,
     run_sweep,
 )
@@ -359,8 +362,14 @@ def test_a_ring_gap_ratio_that_overflows_warns_nothing():
     spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=(1e160,), r_low=1e100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (record,), _ = run_sweep(spec, CODATA)
+        records, _ = run_sweep(spec, CODATA)
+    (record,) = records
     assert record.alpha_sq == math.inf and record.designs == ()
+    # A column holding inf stays a list, written as json.dumps writes it.
+    buffer = io.StringIO()
+    emit(records, "json", buffer)
+    assert '"alpha_sq": Infinity,' in buffer.getvalue()
+    assert parse_records(buffer.getvalue()) == records
 
 
 #: Generic media at b_low = gap_low / (k_B * t_low) of 1 (warm), 1e5 (the

@@ -181,9 +181,14 @@ class TestOttoCycleEnergies:
         assert str(info.value) == (
             "cycle energies vanished: the gaps 10000000000.0 and 2500000000.0 "
             f"are enormous compared to k_B * t_low = {CODATA.boltzmann_k * 1e-300!r}, "
-            "with Boltzmann exponents b_low = inf and b_high = inf: an exchange, "
-            "about gap * exp(-min(b_low, b_high)), fell below the smallest double, "
-            "about exp(-745) (check units and constants)")
+            "with Boltzmann exponents b_low = inf and b_high = inf: gap / "
+            "(k_B * t_low) overflowed the largest double, about 1.8e308, in both "
+            "(check units and constants)")
+        spec = SweepSpec(t_low=1e-300, theta_sq=5.0, rho_grid=(0.5,),
+                         medium_kind=MediumKind.GENERIC_GAP, gap_low=1e10)
+        with pytest.raises(DegenerateExchangeError) as swept:
+            run_sweep(spec, CODATA)
+        assert str(swept.value) == f"at rho=0.5: {info.value}"
 
     @pytest.mark.parametrize("alpha_sq, b_high", [(2.25, "4500"), (9.0, "1.8e+04")],
                              ids=["forward", "reversed"])

@@ -20,8 +20,10 @@ import io
 import json
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -213,6 +215,45 @@ def test_equality_with_the_list_and_another_result(swept, parsed, as_list):
             assert not left == right
 
 
+def test_array_held_and_list_held_results_compare_as_their_records(swept):
+    # The float columns of a result are float64 arrays where every value is
+    # a finite float; a column holding an int, NaN or inf stays a list.
+    listed = sweep._Records(tuple(map(sweep._as_list, swept._held)))
+    assert isinstance(swept._held[1], np.ndarray) and type(listed._held[1]) is list
+    assert swept == listed and listed == swept
+    assert swept[:-1] != listed and listed != swept[1:]
+    floats = parse_records(json.dumps([{**RECORD, "rho": 2.0}] * 3))
+    ints = parse_records(json.dumps([{**RECORD, "rho": 2}] * 3))
+    assert isinstance(floats._held[1], np.ndarray) and type(ints._held[1]) is list
+    assert floats == ints and ints == floats
+    assert floats != parse_records(json.dumps([{**RECORD, "rho": 3}] * 3))
+
+
+#: The paper's ring case on the 1e5-point grid: about 1.2 M floats.
+DENSE = SweepSpec(t_low=1.0, theta_sq=5.0,
+                  rho_grid=default_rho_grid(5.0, num=100_000), r_low=1e-7)
+
+
+def held_bytes(call):
+    """What ``call()`` returns, and the bytes still allocated after it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dense_result_and_its_parsed_twin_hold_their_floats_as_arrays():
+    # As lists of float objects they held 32.8 and 41.1 MB.
+    swept, size = held_bytes(lambda: run_sweep(DENSE)[0])
+    text = json_text(swept)
+    parsed, parsed_size = held_bytes(lambda: parse_records(text))
+    assert size <= 16e6 and parsed_size <= 16e6
+    assert parsed == swept
+
+
 @pytest.mark.parametrize("format", ["csv", "json"])
 @pytest.mark.parametrize("window", [slice(None), slice(250, 530), slice(600, None),
                                     slice(None, None, 5), slice(None, None, -1)])
@@ -399,6 +440,24 @@ def test_integer_values_parse_as_before():
     assert record.rho == 2 and type(record.rho) is int
     assert record.designs[0].carnot == 1
     emit([record], "csv", io.StringIO())
+
+
+def test_ints_and_non_finite_values_parse_and_re_emit_as_json_loads_reads_them():
+    # Their columns stay lists, so each value keeps the type json.loads gives.
+    doc = [{**RECORD, "rho": 1}, {**RECORD, "e_high": 2**63},
+           {**RECORD, "designs": [{**ENTRY, "carnot": math.nan}]}, RECORD]
+    text = json.dumps(doc, indent=2) + "\n"
+
+    def numbers(records):
+        return [(type(v), repr(v)) for r in records for v in (
+            *(r[key] for key in sweep._FLOAT_COLUMNS),
+            *(e[key] for e in r["designs"] for key in sweep._ENTRY_FLOATS))]
+
+    records = parse_records(text)
+    as_dicts = [{**dataclasses.asdict(r), "region": r.region.value} for r in records]
+    assert numbers(as_dicts) == numbers(json.loads(text))
+    assert json_text(records) == text
+    assert records[:] == records  # a list holds each NaN once, an array would not
 
 
 GOLDEN = Path(__file__).parent / "data" / "reference_sweep.json"

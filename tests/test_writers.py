@@ -164,10 +164,26 @@ def test_records_csv_matches_csv_writer(records, chunk):
 @settings(max_examples=150, deadline=None)
 @given(record_lists(), chunks)
 def test_records_json_round_trips(records, chunk):
-    parsed = parse_records(written(emit, records, "json", chunk))
+    text = written(emit, records, "json", chunk)
+    parsed = parse_records(text)
     assert list(map(exact, parsed)) == list(map(exact, records))
     if not any(math.isnan(v) for r in records for v in numbers(r)):
         assert parsed == records
+    # A column of finite floats is parsed into an array, which orjson spells.
+    assert written(emit, parsed, "json", chunk) == text
+
+
+def test_float_arrays_are_spelled_as_json_dumps_spells_their_floats():
+    finite = [x for x in SPECIAL if math.isfinite(x)]
+    records = [SweepRecord(*[x] * 8, OperationalRegion.OUT_TRANSFERS,
+                           (DesignEfficiency(QtmDesign.QEN, x, -x),))
+               for x in finite]
+    text = written(emit, records, "json")
+    parsed = parse_records(text)
+    assert all(isinstance(column, np.ndarray) for column in (
+        *parsed._held[1:9], *parsed._held[-2:]))
+    assert written(emit, parsed, "json", 3) == text
+    assert text == json.dumps([record_dict(r) for r in records], indent=2) + "\n"
 
 
 class Real(float):
