@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 from typing import Optional, Sequence
 
 from .designs import (
@@ -46,9 +46,6 @@ from .sweep import (
     emit_curves,
     run_sweep,
 )
-
-#: Environment variable naming a JSON file with constants overrides.
-CONSTANTS_ENV_VAR = "QTM_CONSTANTS"
 
 _CONSTANTS_KEYS = tuple(f.name for f in fields(PhysicalConstants))
 _SPEC_KEYS = tuple(f.name for f in fields(SweepSpec))
@@ -224,14 +221,12 @@ def _read(doc: dict, path: str, keys: Sequence[str]) -> dict:
 
 
 def _load_sweep_config(path: str) -> tuple[SweepSpec, PhysicalConstants]:
+    if os.environ.get("QTM_CONSTANTS"):
+        raise ValidationError(
+            "QTM_CONSTANTS is no longer read; set "
+            f"{', '.join(_CONSTANTS_KEYS)} in the sweep config instead")
     doc = _load_json(path, _SPEC_KEYS + _CONSTANTS_KEYS)
-    constants = PhysicalConstants()
-    env_path = os.environ.get(CONSTANTS_ENV_VAR)
-    if env_path:
-        env_doc = _load_json(env_path, _CONSTANTS_KEYS)
-        constants = replace(constants, **_read(env_doc, env_path, _CONSTANTS_KEYS))
-    constants = replace(constants, **_read(doc, path, _CONSTANTS_KEYS))
-
+    constants = PhysicalConstants(**_read(doc, path, _CONSTANTS_KEYS))
     values = _read(doc, path, _SPEC_KEYS)
     if "theta_sq" not in values or "t_low" not in values:
         raise ValidationError(f"{path} must define t_low and theta_sq")

@@ -197,8 +197,10 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     """Efficiency (or coefficient of performance) at the given energy ratio.
 
     Defined on the open interval of the design's region: (0, 1) for the
-    2Acquirers designs, (1, inf) for the rest.  Interval endpoints are the
-    reversible/degenerate limits and raise instead of returning a value.
+    2Acquirers designs, (1, inf) for the rest.  The endpoints are region
+    edges, where one exchange vanishes (e_high at 0, e_out at 1, e_low at
+    inf), and raise instead of returning a value.  None of them is
+    reversible: the reversible ratio theta_sq lies inside (1, inf).
     """
     require_finite("alpha_sq", alpha_sq, OutOfRegionError)
     try:

@@ -153,6 +153,20 @@ class TestTable2:
         assert "2.24" in out
 
 
+@pytest.mark.parametrize("args", [
+    ("classify", "--e-high", "2", "--e-low", "-1", "--theta-sq", "5"),
+    ("efficiency", "--design", "QEN", "--alpha-sq", "2", "--theta-sq", "5"),
+    ("bounds", "--theta-sq", "5"),
+    ("table2", "--theta-sq", "5"),
+], ids=lambda args: args[0])
+def test_only_sweep_reads_the_constants_variable(args, capsys, monkeypatch):
+    monkeypatch.delenv("QTM_CONSTANTS", raising=False)
+    unset = run_cli(*args, capsys=capsys)
+    monkeypatch.setenv("QTM_CONSTANTS", "constants.json")
+    assert run_cli(*args, capsys=capsys) == unset
+    assert unset[0] == 0
+
+
 @pytest.fixture
 def ring_config(tmp_path):
     config = {
@@ -301,25 +315,56 @@ class TestSweep:
         (record,) = parse_records(out)
         assert record.e_high > 0.01  # reduced-unit scale, not joules
 
-    def test_constants_env_file(self, ring_config, tmp_path, capsys,
-                                 monkeypatch):
-        override = tmp_path / "constants.json"
-        override.write_text(json.dumps({"hbar": 2.109143634e-34}))
-        monkeypatch.setenv("QTM_CONSTANTS", str(override))
-        code, out, _ = run_cli(
-            "sweep", "--config", str(ring_config), "--format", "json",
-            capsys=capsys,
+    @pytest.mark.parametrize("override", [
+        {"hbar": 2 * qtmkit.CODATA.hbar},
+        {"electron_mass": qtmkit.CODATA.electron_mass / 4},
+    ], ids=["hbar", "electron_mass"])
+    def test_a_config_constant_reaches_a_ring_sweep_exactly(self, tmp_path,
+                                                            capsys, override):
+        # Ring levels go as hbar**2 / m, so either override quadruples them;
+        # a quadrupled t_low keeps every Boltzmann exponent bit-identical.
+        def sweep(**config):
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps({"theta_sq": 5, "r_low": 1e-7, **config}))
+            code, out, _ = run_cli("sweep", "--config", str(path), "--format",
+                                   "json", capsys=capsys)
+            assert code == 0
+            return parse_records(out)
+
+        reference, scaled = sweep(t_low=1.0), sweep(t_low=4.0, **override)
+        assert len(scaled) == len(reference) == 603
+        for ref, rec in zip(reference, scaled):
+            assert (rec.e_high, rec.e_low, rec.e_out) == (
+                4 * ref.e_high, 4 * ref.e_low, 4 * ref.e_out)
+            same = ("rho", "alpha_sq", "e_high_norm", "e_low_norm",
+                    "e_out_norm", "region", "designs")
+            assert [getattr(rec, f) for f in same] == [getattr(ref, f) for f in same]
+
+    def test_the_removed_constants_file_exits_one_naming_the_config_keys(
+            self, ring_config, tmp_path, capsys, monkeypatch):
+        # QTM_CONSTANTS once named a JSON file of constants; only the config
+        # sets them now, and a set variable must not fall back to CODATA.
+        constants = tmp_path / "constants.json"
+        constants.write_text(json.dumps({"hbar": 2.109143634e-34}))
+        monkeypatch.setenv("QTM_CONSTANTS", str(constants))
+        records, curves = tmp_path / "records.csv", tmp_path / "curves.csv"
+        code, out, err = run_cli(
+            "sweep", "--config", str(ring_config), "--out", str(records),
+            "--curves-out", str(curves), capsys=capsys,
         )
-        assert code == 0
-        doubled_hbar = parse_records(out)
-        monkeypatch.delenv("QTM_CONSTANTS")
-        code, out, _ = run_cli(
-            "sweep", "--config", str(ring_config), "--format", "json",
-            capsys=capsys,
-        )
-        default = parse_records(out)
-        # quadrupled hbar^2 scales every ring energy up at fixed radius
-        assert doubled_hbar[0].e_high != default[0].e_high
+        assert (code, out, records.exists(), curves.exists()) == (1, "", False, False)
+        assert err == ("qtmkit: error: QTM_CONSTANTS is no longer read; set "
+                       "hbar, boltzmann_k, electron_mass in the sweep config "
+                       "instead\n")
+
+    def test_an_empty_constants_variable_is_ignored(self, ring_config, capsys,
+                                                    monkeypatch):
+        monkeypatch.delenv("QTM_CONSTANTS", raising=False)
+        unset = run_cli("sweep", "--config", str(ring_config), capsys=capsys)
+        monkeypatch.setenv("QTM_CONSTANTS", "")
+        assert run_cli("sweep", "--config", str(ring_config),
+                       capsys=capsys) == unset
+        assert unset[0] == 0
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
@@ -336,19 +381,12 @@ class TestSweep:
         assert code == 2
         assert "nope.json" in err
 
-    @pytest.mark.parametrize("source", ["config", "constants"])
     @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"],
                              ids=["malformed", "not-utf-8"])
-    def test_malformed_json_exits_one(self, tmp_path, capsys, monkeypatch,
-                                      content, source):
+    def test_malformed_json_exits_one(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        config = path
-        if source == "constants":
-            config = tmp_path / "sweep.json"
-            config.write_text('{"t_low": 1, "theta_sq": 5, "r_low": 1e-7}')
-            monkeypatch.setenv("QTM_CONSTANTS", str(path))
-        code, _, err = run_cli("sweep", "--config", str(config), capsys=capsys)
+        code, _, err = run_cli("sweep", "--config", str(path), capsys=capsys)
         assert code == 1
         assert f"qtmkit: error: {path} is not valid JSON: " in err
 

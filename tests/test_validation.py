@@ -1,7 +1,7 @@
 """One rule per input: every theta_sq entry point raises the same class; a
-sweep config or constants file with a wrong type or an unknown key exits 1
-with a message that names the key; a grid point whose medium leaves the
-float range raises the medium's own error, naming that point; a classifier
+sweep config value of the wrong type exits 1 with a message that names the
+key; a grid point whose medium leaves the float range raises the medium's
+own error, naming that point; a classifier
 tolerance must be finite and non-negative; a value that is not a number
 raises the checked field's own error; a sweep spec field of the wrong type
 is rejected by name; a catalog lookup by anything but a design or region
@@ -112,18 +112,6 @@ def test_both_medium_keys_in_config_exit_one(tmp_path, capsys):
     assert err.startswith("qtmkit: error: ")
     assert "r_low" in err and "gap_low" in err
     assert not (tmp_path / "records.csv").exists()
-
-
-def test_unknown_key_in_constants_file_exits_one(tmp_path, capsys,
-                                                  monkeypatch):
-    constants = tmp_path / "constants.json"
-    constants.write_text(json.dumps({"boltzman_k": 2}))
-    monkeypatch.setenv("QTM_CONSTANTS", str(constants))
-    code, err = run_sweep_cli(
-        tmp_path, capsys, {"t_low": 1, "theta_sq": 5, "r_low": 1e-7}
-    )
-    assert code == 1
-    assert "boltzman_k" in err
 
 
 @pytest.mark.parametrize("rho_grid, bad_rho, error", [
