@@ -199,8 +199,9 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     Defined on the open interval of the design's region: (0, 1) for the
     2Acquirers designs, (1, inf) for the rest.  The endpoints are region
     edges, where one exchange vanishes (e_high at 0, e_out at 1, e_low at
-    inf), and raise instead of returning a value.  None of them is
-    reversible: the reversible ratio theta_sq lies inside (1, inf).
+    inf), and raise instead of returning a value, saying whether the form
+    diverges there or what it tends to.  None of them is reversible: the
+    reversible ratio theta_sq lies inside (1, inf).
     """
     require_finite("alpha_sq", alpha_sq, OutOfRegionError)
     try:
@@ -208,9 +209,12 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     except (KeyError, TypeError):
         raise _not_a_design(design) from None
     if alpha_sq == lo or alpha_sq == hi:
-        raise SingularEfficiencyError(
-            f"{design.value} efficiency is singular at alpha_sq={alpha_sq!r}"
-        )
+        try:
+            limit = f"tends to {form(float(alpha_sq))!r}"
+        except ZeroDivisionError:
+            limit = "diverges"
+        raise SingularEfficiencyError(f"{design.value} efficiency is undefined at the "
+                                      f"region edge alpha_sq={alpha_sq!r}, where it {limit}")
     if not lo < alpha_sq < hi:
         raise OutOfRegionError(
             f"{design.value} requires alpha_sq in ({lo:g}, {hi:g}), "

@@ -59,7 +59,8 @@ class OutOfRegionError(ValidationError):
 
 
 class SingularEfficiencyError(ValidationError):
-    """Energy ratio sits exactly on a region-interval endpoint."""
+    """Energy ratio sits exactly on a region-interval endpoint, where the
+    efficiency diverges or only tends to a value."""
 
 
 class DegenerateMediumError(ValidationError):

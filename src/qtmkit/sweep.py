@@ -9,12 +9,11 @@ to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
 round-trippable).
 
 :func:`run_sweep` and :func:`parse_records` return records held as columns
-(:class:`_Records`), a column of finite floats as a float64 array; ``_build``
-makes records of them a column at a time when the result is indexed or
-iterated.  The builds and :func:`parse_records` run
-with the cyclic garbage collector paused (neither makes reference cycles); a
-program that toggles :mod:`gc` from another thread meanwhile may find it
-re-enabled afterwards.
+(:class:`_Records`), each float column a float64 array; ``_build`` makes
+records of them a column at a time when the result is indexed or iterated.
+The builds and :func:`parse_records` run with the cyclic garbage collector
+paused (neither makes reference cycles); a program that toggles :mod:`gc`
+from another thread meanwhile may find it re-enabled afterwards.
 
 The CSV writers fill a row template per record or per curve, a chunk of text
 at a time with one ``%``; the JSON writer formats a float column at a time
@@ -23,8 +22,8 @@ at a time with one ``%``; the JSON writer formats a float column at a time
 ``json.dumps(..., indent=2)`` write (``tests/test_writers.py``).  A value
 that cannot be written raises a :class:`ValidationError` naming its column.
 :func:`parse_records` reads a piece at a time, with orjson, then with
-``json.loads``, and reads the whole text only to name a fault; it gives what
-``json.loads`` gives.  orjson is imported by these two JSON paths only.
+``json.loads``, and reads the whole text only to name a fault; it reads a
+number as ``float()`` does.  orjson is imported by these two JSON paths only.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import reprlib
 import sys
 from collections import deque
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, field
 from enum import unique
 from functools import cached_property
@@ -204,14 +203,6 @@ def _build(cls, n: int, *columns) -> list:
     return objs
 
 
-def _held(values):
-    """A float column as a :class:`_Records` holds it: a float64 array if
-    every value is finite, else a list.  ``values`` is an array or a list
-    of ``float`` values."""
-    array = np.asarray(values, dtype=float)
-    return array if np.isfinite(array).all() else _as_list(values)
-
-
 def _as_list(column) -> list:
     """``column`` as a list: an array's values as Python floats."""
     return column.tolist() if isinstance(column, np.ndarray) else column
@@ -233,9 +224,9 @@ def _gc_paused():
 
 class _Records(Sequence):
     """Read-only records held as the columns of :func:`_columns`, the floats
-    flattened, each float column as :func:`_held` keeps it.  A contiguous
-    slice is a slice of the columns, any other a list; an index or an
-    iteration builds fresh records, a ``_CHUNK`` at a time."""
+    flattened, each float column a float64 array, NaN and inf included.  A
+    contiguous slice is a slice of the columns, any other a list; an index
+    or an iteration builds fresh records, a ``_CHUNK`` at a time."""
 
     def __init__(self, held: tuple) -> None:
         self._held = held
@@ -270,10 +261,9 @@ class _Records(Sequence):
                       map(tuple, map(islice, repeat(entries), counts)))
 
     def __eq__(self, other):
-        if isinstance(other, _Records):
-            return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
-                       and isinstance(b, np.ndarray) else _as_list(a) == _as_list(b)
-                       for a, b in zip(self._held, other._held))
+        if isinstance(other, _Records):  # a NaN equals a NaN in the same place
+            return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+                       else a == b for a, b in zip(self._held, other._held))
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
@@ -413,11 +403,10 @@ def run_sweep(
     pairs = np.array(list(_PAIRS.values()), dtype=object)
     carnots = np.array([[carnot_efficiency(d, spec.theta_sq) for d in pair]
                         for pair in pairs])
-    floats = map(_held, (rho, alpha_sq, e_high, e_low, e_out,
-                         e_high / scale, e_low / scale, e_out / scale))
-    held = ((2 * has).tolist(), *floats,
+    held = ((2 * has).tolist(), rho, alpha_sq, e_high, e_low, e_out,
+            e_high / scale, e_low / scale, e_out / scale,
             list(map(_REGIONS.__getitem__, index.tolist())), pairs[region].ravel().tolist(),
-            _held(effs.ravel()), _held(carnots[region].ravel()))
+            effs.ravel(), carnots[region].ravel())
     return _Records(held), boundary_report(spec.theta_sq)
 
 
@@ -466,13 +455,13 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
 def _json_floats(name: str, values) -> list[str]:
     """Each value of column ``name`` as ``json.dumps`` writes it.
 
-    A float64 array, or a list of finite, exact ``float`` values, is
-    formatted by one ``orjson.dumps`` call, which spells a float as ``repr``
-    does outside a band of magnitudes; the cells inside it are re-spelled by
-    ``float.__repr__``.  Any other column (``NaN``, ``Infinity``, ints,
-    bools, float subclasses) goes through the encoder value by value; a
-    value it would not write as a number raises a :class:`ValidationError`
-    naming the column (:func:`_require`).
+    A float64 array, or a list of exact ``float`` values, is formatted by
+    one ``orjson.dumps`` call, which spells a float as ``repr`` does outside
+    a band of magnitudes; the cells inside it are re-spelled by
+    ``float.__repr__``.  Any other column (``NaN`` or ``Infinity``, which
+    orjson writes as ``null``; a hand-built list of ints, bools or float
+    subclasses) goes through the encoder value by value; a value it would
+    not write as a number raises a :class:`ValidationError` naming the column.
     """
     if len(values) and (isinstance(values, np.ndarray)
                         or {float}.issuperset(map(type, values))):
@@ -635,21 +624,22 @@ _MEMBER_OF = {enum: {member.value: member for member in enum}
               for enum in (OperationalRegion, QtmDesign)}
 
 
-#: orjson reads an integer literal outside [-2**63, 2**64) as a float.
-_ORJSON_EXACT_BELOW = 2.0 ** 63
-
-
 def _require_keys(obj, keys, numbers, what: str) -> None:
     """Raise unless ``obj`` is an object with ``keys``, each of ``numbers``
-    a JSON number."""
+    a JSON number within the float range."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} is not an object")
     for key in keys:
         if key not in obj:
             raise ValidationError(f"{what} lacks key {key!r}")
     for key in numbers:
-        if type(obj[key]) not in _NUMBERS:
-            raise ValidationError(f"{what}: {key} is not a number, got {obj[key]!r}")
+        if type(value := obj[key]) not in _NUMBERS:
+            raise ValidationError(f"{what}: {key} is not a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(f"{what}: {key} is beyond the float range, "
+                                  f"got {reprlib.repr(value)}") from None
 
 
 def _check_records(objs: list) -> None:
@@ -667,9 +657,8 @@ def _check_records(objs: list) -> None:
             QtmDesign(entry["design"])
 
 
-def _records_in(doc, limit: Optional[float]) -> _Records:
-    """The records of a parsed records document, as columns; a
-    ``ValueError`` if a number's magnitude reaches ``limit``."""
+def _records_in(doc) -> _Records:
+    """The records of a parsed records document, each float column an array."""
     if not isinstance(doc, list):
         raise ValidationError(
             f"records JSON must be a list at the top level, not {type(doc).__name__}")
@@ -678,19 +667,14 @@ def _records_in(doc, limit: Optional[float]) -> _Records:
             doc, itemgetter,
             lambda name, enum, column: list(map(_MEMBER_OF[enum].__getitem__, column)))
         floats += entry_floats
-        kinds = [set(map(type, column)) for column in floats]
         if not ({list}.issuperset(map(type, map(itemgetter("designs"), doc)))
-                and _NUMBERS.issuperset(chain(*kinds))):
+                and all(_NUMBERS.issuperset(map(type, c)) for c in floats)):
             raise TypeError("a record holds a value of the wrong type")
-    except (KeyError, TypeError):
+        floats = [np.array(c, dtype=float) for c in floats]
+    except (KeyError, TypeError, OverflowError):
         # Only a failed read pays for the check that names the fault.
         _check_records(doc)
         raise
-    floats = [_held(c) if k <= {float} else c for c, k in zip(floats, kinds)]
-    if limit is not None and max(
-            np.abs(c).max(initial=0.0) if isinstance(c, np.ndarray)
-            else max(map(abs, c), default=0) for c in floats) >= limit:
-        raise ValueError(f"a number reaches {limit!r} in magnitude")
     return _Records((counts, *floats[:8], regions, names, *floats[8:]))
 
 
@@ -726,30 +710,26 @@ def parse_records(text: str | bytes | bytearray) -> Sequence[SweepRecord]:
     first fault in document order; if that fault is an unknown region or
     design value, the enum's ``ValueError``.
 
-    The text is read a piece at a time (:func:`_pieces`) by orjson, or, if
-    orjson rejects a piece (``NaN``, ``Infinity``, a lone surrogate, bad
-    JSON) or a number reaches 2**63 in magnitude (orjson reads an integer
-    literal outside [-2**63, 2**64) as a float), by ``json.loads``.  Only if
-    both fail does ``json.loads`` read the whole text, which names the fault
-    or reads a document cut inside a record; so the records, and any error,
-    are the ones ``json.loads`` gives.
+    Each number of a float field is held as the float64 ``float()`` makes
+    of it, NaN and infinities included; an integer beyond the float range
+    raises a :class:`ValidationError` naming its record and field.  The text
+    is read a piece at a time (:func:`_pieces`) by orjson, or, if orjson
+    rejects a piece (``NaN``, ``Infinity``, ``1e400``, a lone surrogate, bad
+    JSON), by ``json.loads``.  Only if both fail does ``json.loads`` read the
+    whole text, which names the fault or reads a document cut inside a record.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text), "surrogatepass")
     elif not isinstance(text, str):
         json.loads(text)  # raises the TypeError that names the type
     import orjson
-    for loads, limit in ((orjson.loads, _ORJSON_EXACT_BELOW), (json.loads, None)):
-        parts = [[] for _ in range(len(_FLOAT_COLUMNS) + 5)]  # each column's pieces
-        try:
-            for piece in _pieces(text):
-                deque(map(list.append, parts, _records_in(loads(piece), limit)._held), 0)
-            return _Records(tuple(
-                np.concatenate(p) if all(isinstance(c, np.ndarray) for c in p)
-                else list(chain.from_iterable(map(_as_list, p))) for p in parts))
-        except ValueError:  # also a JSONDecodeError and an inexact number
-            parts.clear()  # not held while the next reader parses
-    return _records_in(json.loads(text), None)
+    for loads in (orjson.loads, json.loads):
+        # A JSONDecodeError is a ValueError; the columns read so far go with it.
+        with suppress(ValueError):
+            parts = zip(*[_records_in(loads(piece))._held for piece in _pieces(text)])
+            return _Records(tuple(np.concatenate(p) if isinstance(p[0], np.ndarray)
+                                  else list(chain.from_iterable(p)) for p in parts))
+    return _records_in(json.loads(text))
 
 
 def _write(destination, text: str) -> None:

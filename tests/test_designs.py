@@ -191,6 +191,23 @@ class TestEfficiency:
         with pytest.raises(OutOfRegionError):
             efficiency(design, math.inf)
 
+    @pytest.mark.parametrize("design, edge, limit", [
+        (Q.QCO, 0.0, 0.0), (Q.QCO, 1.0, None), (Q.QHT, 0.0, 1.0), (Q.QHT, 1.0, None),
+        (Q.QDP, 0.0, None), (Q.QDP, 1.0, 0.0), (Q.QHO, 0.0, None), (Q.QHO, 1.0, 1.0),
+        (Q.QEN, 1.0, 0.0), (Q.QLL, 1.0, 1.0), (Q.QRE, 1.0, None), (Q.QHP, 1.0, None),
+    ])
+    def test_each_finite_edge_names_its_limit(self, design, edge, limit):
+        # The twelve finite ends of the design intervals; None: it diverges.
+        with pytest.raises(SingularEfficiencyError) as info:
+            efficiency(design, edge)
+        tail = "diverges" if limit is None else f"tends to {limit!r}"
+        assert str(info.value) == (f"{design.value} efficiency is undefined at the "
+                                   f"region edge alpha_sq={edge!r}, where it {tail}")
+        # The paper's form one ulp inside the interval agrees.
+        near = PAPER_EFFICIENCY[design](
+            math.nextafter(edge, 0.5 if design in LOW_GROUP else 2.0))
+        assert near > 1e15 if limit is None else near == pytest.approx(limit, abs=1e-15)
+
     @given(alpha_sq=inside_low)
     def test_low_group_positive(self, alpha_sq):
         for design in LOW_GROUP:

@@ -452,7 +452,7 @@ def test_the_reference_ring_at_1_nm_stops_at_its_first_frozen_out_point():
 
 
 def test_curves_keep_the_scalar_error_for_a_rejected_ratio():
-    # rho**2 underflows to 0, where QCO's efficiency is singular
+    # rho**2 underflows to 0, QCO's region edge: its efficiency tends to 0 there
     spec = SweepSpec(t_low=1.0, theta_sq=5.0, rho_grid=(1e-300, 0.5),
                      r_low=1e-7)
     with pytest.raises(SingularEfficiencyError):

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +334,84 @@ class TestWorkExchange:
             work_exchange(spectrum, spectrum, (0.7, 0.2, 0.1))
         assert str(info.value) == (
             "occupations must match the spectrum length 2, got shape (3,)")
+
+
+U = 2.0**-53  # the unit roundoff of a double
+
+
+def stroke_cond(levels, t_start, t_end, exchange):
+    """The condition number of a reservoir stroke's sum
+    ``sum E_n (p_n(t_end) - p_n(t_start))``, the multilevel analogue of the
+    ``cond`` of the sweep's bound in ``test_kernel.py``: it grows as the two
+    temperatures meet (``alpha_sq -> theta_sq`` in a cycle) and, since the
+    occupations are differenced directly, at high temperature."""
+    p_start, p_end = (boltzmann_probabilities(levels, t, 1.0) for t in (t_start, t_end))
+    return sum(abs(e) * (a + b) for e, a, b in zip(levels, p_start, p_end)) / abs(exchange)
+
+
+class TestMultilevelOracle:
+    """The scalar multilevel strokes against the physics they must obey, for
+    any spectrum (Quan et al., PRE 76, 031105 (2007); Kosloff and Rezek,
+    Entropy 19, 136 (2017))."""
+
+    @staticmethod
+    def cycles(count=200):
+        """Random cycles: a strictly increasing spectrum of 2 to 6 levels and
+        the same spectrum scaled by ``alpha_sq``, with ``theta_sq`` and ``t``."""
+        rng = np.random.default_rng(15)
+        for _ in range(count):
+            levels = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 7))) + rng.uniform(-1, 1)
+            alpha_sq, theta_sq = rng.uniform(0.2, 10.0), rng.uniform(1.1, 10.0)
+            yield (LevelSpectrum(tuple(levels.tolist())),
+                   LevelSpectrum(tuple((alpha_sq * levels).tolist())),
+                   float(alpha_sq), float(theta_sq), float(10.0 ** rng.uniform(-1, 1)))
+
+    def test_a_uniformly_scaled_spectrum_exchanges_in_the_ratio_alpha_sq(self):
+        # The cold-side occupations are thermal on the high spectrum at
+        # alpha_sq * t, the hot-side ones on the low spectrum at
+        # theta_sq * t / alpha_sq, so e_high / e_low = -alpha_sq exactly.
+        for low, high, alpha_sq, theta_sq, t in self.cycles():
+            e_high = multilevel_exchange(high, alpha_sq * t, theta_sq * t, 1.0)
+            e_low = multilevel_exchange(low, theta_sq * t / alpha_sq, t, 1.0)
+            cond = (stroke_cond(high.levels, alpha_sq * t, theta_sq * t, e_high)
+                    + stroke_cond(low.levels, theta_sq * t / alpha_sq, t, e_low))
+            b_max = (low.levels[-1] - low.levels[0]) / min(t, theta_sq * t / alpha_sq)
+            error = abs(e_high / e_low + alpha_sq) / alpha_sq
+            assert error <= 16 * U * (1 + b_max) * cond, (low, alpha_sq, theta_sq, t)
+
+    def test_the_four_strokes_of_a_cycle_sum_to_zero(self):
+        for low, high, alpha_sq, theta_sq, t in self.cycles():
+            p_cold, p_hot = occupation(low, t, 1.0), occupation(high, theta_sq * t, 1.0)
+            strokes = (work_exchange(low, high, p_cold),
+                       multilevel_exchange(high, alpha_sq * t, theta_sq * t, 1.0),
+                       work_exchange(high, low, p_hot),
+                       multilevel_exchange(low, theta_sq * t / alpha_sq, t, 1.0))
+            assert abs(sum(strokes)) <= 1e-13 * max(map(abs, strokes))
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 10, 30])
+    @pytest.mark.parametrize("t_start, t_end", [(0.5, 2.0), (3.0, 1.0), (0.2, 0.25)])
+    def test_a_truncated_oscillator_meets_its_finite_sum(self, size, t_start, t_end):
+        # E_n = n (hbar omega = k_B = 1) for n < size, against 50 digits.
+        levels = tuple(map(float, range(size)))
+        value = multilevel_exchange(LevelSpectrum(levels), t_start, t_end, 1.0)
+        with mpmath.workdps(50):
+            def mean(t):
+                weights = [mpmath.exp(-n / mpmath.mpf(t)) for n in range(size)]
+                return sum(n * w for n, w in zip(range(size), weights)) / sum(weights)
+            exact = mean(t_end) - mean(t_start)
+        bound = 16 * U * (1 + size / min(t_start, t_end)) * stroke_cond(
+            levels, t_start, t_end, value)
+        assert abs(value - exact) <= bound * abs(exact)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 4.0])
+    def test_a_truncated_oscillator_tends_to_the_closed_form(self, t):
+        # From the ground state (t = 1e-3 leaves every excited weight 0), the
+        # stroke absorbs <E>_L = 1/expm1(1/t) - L/expm1(L/t): the closed form
+        # of the infinite ladder is met exponentially fast in L.
+        closed = 1.0 / math.expm1(1.0 / t)
+        for size in (5, 10, 20, 40, 80, 160):
+            levels = LevelSpectrum(tuple(map(float, range(size))))
+            value = multilevel_exchange(levels, 1e-3, t, 1.0)
+            tail = size / math.expm1(size / t)
+            assert closed - value == pytest.approx(tail, rel=1e-9, abs=64 * U * closed)
+        assert value == pytest.approx(closed, rel=64 * U)

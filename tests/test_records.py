@@ -10,7 +10,8 @@ the public constructors and compare; they check the dataclass protocol
 indexes, slices, compares, pickles and is written as the list of its
 records, that the collector's state is restored, that malformed JSON
 documents are reported as such, and that a records JSON read a piece at a
-time gives what ``json.loads`` gives.
+time gives the records of the text ``json.loads`` reads, each number held as
+the float64 ``float()`` makes of it.
 """
 
 import copy
@@ -20,6 +21,7 @@ import io
 import json
 import math
 import pickle
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -215,18 +217,31 @@ def test_equality_with_the_list_and_another_result(swept, parsed, as_list):
             assert not left == right
 
 
-def test_array_held_and_list_held_results_compare_as_their_records(swept):
-    # The float columns of a result are float64 arrays where every value is
-    # a finite float; a column holding an int, NaN or inf stays a list.
-    listed = sweep._Records(tuple(map(sweep._as_list, swept._held)))
-    assert isinstance(swept._held[1], np.ndarray) and type(listed._held[1]) is list
-    assert swept == listed and listed == swept
-    assert swept[:-1] != listed and listed != swept[1:]
+def float_columns(result):
+    """The float columns a result holds: the record floats, then the design
+    entries' efficiencies and Carnot values."""
+    return (*result._held[1:9], *result._held[-2:])
+
+
+def test_every_float_column_is_a_float64_array(swept, parsed):
+    # Ints, 2**63, NaN and infinities included: each is held as float() makes it.
+    doc = [{**RECORD, "rho": 1}, {**RECORD, "e_high": 2**63},
+           {**RECORD, "e_low": math.nan, "designs": [{**ENTRY, "carnot": -math.inf}]}]
+    for result in (swept, parsed, swept[3:9], parse_records(json.dumps(doc)),
+                   parse_records("[]")):
+        assert all(type(c) is np.ndarray and c.dtype == np.float64
+                   for c in float_columns(result))
+
+
+def test_results_compare_by_column_and_a_nan_equals_a_nan_in_its_place():
     floats = parse_records(json.dumps([{**RECORD, "rho": 2.0}] * 3))
     ints = parse_records(json.dumps([{**RECORD, "rho": 2}] * 3))
-    assert isinstance(floats._held[1], np.ndarray) and type(ints._held[1]) is list
     assert floats == ints and ints == floats
     assert floats != parse_records(json.dumps([{**RECORD, "rho": 3}] * 3))
+    nan = parse_records(json.dumps([RECORD, {**RECORD, "e_low": math.nan}]))
+    assert nan == nan and nan[:] == nan and nan == parse_records(json_text(nan))
+    assert nan != parse_records(json.dumps([{**RECORD, "e_low": math.nan}, RECORD]))
+    assert nan != parse_records(json.dumps([RECORD, {**RECORD, "e_low": math.inf}]))
 
 
 #: The paper's ring case on the 1e5-point grid: about 1.2 M floats.
@@ -412,20 +427,47 @@ def test_an_unhashable_region_raises_the_enums_error():
     assert str(info.value) == "[1] is not a valid OperationalRegion"
 
 
-def test_big_integers_parse_as_the_ints_they_spell():
-    # orjson reads an integer literal outside [-2**63, 2**64) as a float, or
-    # rejects it beyond the float range; such a document is read by json.loads.
-    doc = [{**RECORD, "rho": 10**30, "designs": [{**ENTRY, "carnot": -(2**63) - 1}]}]
+def test_big_integers_parse_as_the_floats_they_round_to():
+    # orjson reads an integer literal outside [-2**63, 2**64) as the float
+    # that float() makes of it, and one inside as an int that is then rounded.
+    doc = [{**RECORD, "rho": 10**30, "e_high": 2**63 + 1,
+            "designs": [{**ENTRY, "carnot": -(2**63) - 1}]}]
     (record,) = parse_records(json.dumps(doc))
     carnot = record.designs[0].carnot
-    assert type(record.rho) is int and record.rho == 10**30
-    assert type(carnot) is int and carnot == -(2**63) - 1
-    huge = SweepRecord(10**400, 2.0, 1.0, -0.5, 0.5, 1.0, -0.5, 0.5,
-                       OperationalRegion.OUT_TRANSFERS)
-    buffer = io.StringIO()
-    emit([huge], "json", buffer)
-    (parsed,) = parse_records(buffer.getvalue())
-    assert type(parsed.rho) is int and parsed == huge
+    assert type(record.rho) is float and record.rho == float(10**30)
+    assert type(record.e_high) is float and record.e_high == float(2**63 + 1)
+    assert type(carnot) is float and carnot == float(-(2**63) - 1)
+
+
+#: Integer literals past the 53-bit mantissa, up to the largest double.
+BIG = st.integers(2**53, int(sys.float_info.max))
+
+
+@given(st.lists(st.tuples(st.sampled_from(sweep._FLOAT_COLUMNS), BIG, st.booleans()),
+                min_size=1, max_size=4), st.booleans())
+def test_big_integer_literals_parse_as_float_of_the_int(cells, with_nan):
+    # A NaN record sends the whole document to json.loads, which gives ints.
+    doc = [{**RECORD, key: -n if negative else n} for key, n, negative in cells]
+    doc += [{**RECORD, "e_low": math.nan}] if with_nan else []
+    records = parse_records(json.dumps(doc))
+    for record, (key, n, negative) in zip(records, cells):
+        value = getattr(record, key)
+        assert type(value) is float and value == float(-n if negative else n)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{**RECORD, "rho": 10**400}], "record 0: rho is beyond the float range"),
+    ([RECORD, {**RECORD, "designs": [ENTRY, {**ENTRY, "carnot": -(10**400)}]}],
+     "record 1 design 1: carnot is beyond the float range"),
+    ([RECORD] * 6 + [{**RECORD, "e_low": 10**400}, {**RECORD, "rho": "x"}],
+     "record 6: e_low is beyond the float range"),
+], ids=["record", "entry", "late"])
+def test_an_integer_beyond_the_float_range_names_its_record_and_field(
+    doc, message, monkeypatch
+):
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    with pytest.raises(ValidationError, match=f"^{message}, got -?1000"):
+        parse_records(json.dumps(doc, indent=2))
 
 
 def test_an_error_quotes_a_big_integer_as_spelled():
@@ -434,30 +476,31 @@ def test_an_error_quotes_a_big_integer_as_spelled():
         parse_records(json.dumps(doc))
 
 
-def test_integer_values_parse_as_before():
+def test_integer_values_parse_as_floats():
     doc = [{**RECORD, "rho": 2, "designs": [{**ENTRY, "carnot": 1}]}]
     (record,) = parse_records(json.dumps(doc))
-    assert record.rho == 2 and type(record.rho) is int
-    assert record.designs[0].carnot == 1
+    assert record.rho == 2.0 and type(record.rho) is float
+    assert record.designs[0].carnot == 1.0 and type(record.designs[0].carnot) is float
     emit([record], "csv", io.StringIO())
 
 
-def test_ints_and_non_finite_values_parse_and_re_emit_as_json_loads_reads_them():
-    # Their columns stay lists, so each value keeps the type json.loads gives.
+def test_ints_and_non_finite_values_parse_and_re_emit_as_their_float64():
     doc = [{**RECORD, "rho": 1}, {**RECORD, "e_high": 2**63},
            {**RECORD, "designs": [{**ENTRY, "carnot": math.nan}]}, RECORD]
     text = json.dumps(doc, indent=2) + "\n"
 
     def numbers(records):
-        return [(type(v), repr(v)) for r in records for v in (
+        return [v for r in records for v in (
             *(r[key] for key in sweep._FLOAT_COLUMNS),
             *(e[key] for e in r["designs"] for key in sweep._ENTRY_FLOATS))]
 
     records = parse_records(text)
-    as_dicts = [{**dataclasses.asdict(r), "region": r.region.value} for r in records]
-    assert numbers(as_dicts) == numbers(json.loads(text))
-    assert json_text(records) == text
-    assert records[:] == records  # a list holds each NaN once, an array would not
+    parsed = numbers(dataclasses.asdict(r) for r in records)
+    assert all(type(v) is float for v in parsed)
+    assert list(map(repr, parsed)) == [repr(float(v)) for v in numbers(json.loads(text))]
+    floats = [{**RECORD, "rho": 1.0}, {**RECORD, "e_high": float(2**63)}, *doc[2:]]
+    assert json_text(records) == json.dumps(floats, indent=2) + "\n"
+    assert records[:] == records and records == parse_records(json_text(records))
 
 
 GOLDEN = Path(__file__).parent / "data" / "reference_sweep.json"
@@ -481,7 +524,7 @@ def pieces(monkeypatch):
 def by_json_loads(text):
     """The records, or the error, of the whole document read by json.loads."""
     try:
-        return sweep._records_in(json.loads(text), None)
+        return sweep._records_in(json.loads(text))
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -524,18 +567,26 @@ def test_a_cut_inside_a_record_reads_the_whole_document(monkeypatch, pieces):
     assert len(pieces) == 4
 
 
+def test_a_late_piece_orjson_cannot_read_reads_the_whole_document(monkeypatch,
+                                                                  pieces):
+    monkeypatch.setattr(sweep, "_PIECE", 1)
+    text = json.dumps([RECORD] * 6 + [{**RECORD, "rho": math.nan}, RECORD], indent=2)
+    records = parse_records(text)
+    assert len(pieces) == 7  # one piece per record, up to the late one
+    assert list(map(repr, records)) == list(map(repr, by_json_loads(text)))
+    assert repr(records[6]) != repr(records[0])
+
+
 @pytest.mark.parametrize("late", [
-    {**RECORD, "rho": math.nan},
     {**RECORD, "e_high": 2**63},
     {**RECORD, "designs": [{**ENTRY, "carnot": -(2**64)}]},
-], ids=["nan", "2**63", "-2**64"])
-def test_a_late_piece_orjson_cannot_read_exactly_reads_the_whole_document(
-    late, monkeypatch, pieces
-):
+], ids=["2**63", "-2**64"])
+def test_a_late_piece_of_big_integers_is_read_by_orjson_alone(late, monkeypatch,
+                                                             pieces, json_loads):
     monkeypatch.setattr(sweep, "_PIECE", 1)
     text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
     records = parse_records(text)
-    assert len(pieces) == 7  # one piece per record, up to the late one
+    assert pieces == list(sweep._pieces(text)) and json_loads == []
     assert list(map(repr, records)) == list(map(repr, by_json_loads(text)))
     assert repr(records[6]) != repr(records[0])
 
@@ -573,13 +624,14 @@ def json_loads(monkeypatch):
 @pytest.mark.parametrize("late", [
     {**RECORD, "rho": math.nan},
     {**RECORD, "e_low": -math.inf},
-    {**RECORD, "designs": [{**ENTRY, "carnot": 2**64}]},
-], ids=["nan", "-inf", "2**64"])
-def test_a_document_orjson_cannot_read_exactly_is_read_by_json_loads_piece_by_piece(
+    {**RECORD, "designs": [{**ENTRY, "carnot": 12345.0}]},
+], ids=["nan", "-inf", "1e400"])
+def test_a_document_orjson_cannot_read_is_read_by_json_loads_piece_by_piece(
     late, monkeypatch, json_loads
 ):
     monkeypatch.setattr(sweep, "_PIECE", 1)
-    text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
+    # orjson rejects 1e400; json.loads reads it as inf.
+    text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2).replace("12345.0", "1e400")
     records = parse_records(text)
     assert json_loads == list(sweep._pieces(text))
     assert len(json_loads) == 8 and text not in json_loads
@@ -618,7 +670,7 @@ def test_bytes_are_decoded_as_json_loads_decodes_them(encode):
     text = GOLDEN.read_text(encoding="utf-8")
     data = encode(text)
     records = parse_records(data)
-    assert records == sweep._records_in(json.loads(data), None)
+    assert records == sweep._records_in(json.loads(data))
     assert json_text(records) == text
 
 
