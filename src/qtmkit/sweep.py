@@ -8,9 +8,9 @@ admissible there.  Records are built last, in ascending ``rho``.  Output goes
 to CSV (fixed column order, 12 significant digits) or JSON (exact floats,
 round-trippable).
 
-:func:`run_sweep` and :func:`parse_records` return records held as columns
-(:class:`_Records`), each float column a float64 array; ``_build`` makes
-records of them a column at a time when the result is indexed or iterated.
+:func:`run_sweep` and :func:`parse_records` return records held as numpy
+arrays (:class:`_Records`), regions and designs as int8 indexes; ``_build``
+makes records of them a column at a time when the result is indexed or iterated.
 The builds and :func:`parse_records` run with the cyclic garbage collector
 paused (neither makes reference cycles); a program that toggles :mod:`gc`
 from another thread meanwhile may find it re-enabled afterwards.
@@ -18,9 +18,10 @@ from another thread meanwhile may find it re-enabled afterwards.
 The CSV writers fill a row template per record or per curve, a chunk of text
 at a time with one ``%``; the JSON writer formats a float column at a time
 (:func:`_json_floats`) and joins the cells with the literals of
-``json.dumps(indent=2)``.  The output is byte for byte what ``csv.writer`` and
-``json.dumps(..., indent=2)`` write (``tests/test_writers.py``).  A value
-that cannot be written raises a :class:`ValidationError` naming its column.
+``json.dumps(indent=2)``.  The chunk texts go out unjoined, one ``write`` each;
+joined, they are what ``csv.writer`` and ``json.dumps(..., indent=2)`` write
+(``tests/test_writers.py``).  A value that cannot be written raises a
+:class:`ValidationError` naming its column.
 :func:`parse_records` reads a piece at a time, with orjson, then with
 ``json.loads``, and reads the whole text only to name a fault; it reads a
 number as ``float()`` does.  orjson is imported by these two JSON paths only.
@@ -39,7 +40,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, field
 from enum import unique
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from numbers import Integral, Real
 from operator import attrgetter, itemgetter
 from typing import Optional
@@ -222,18 +223,25 @@ def _gc_paused():
             gc.enable()
 
 
+#: What a held region or design index stands for: its member, and its value.
+_DESIGNS = tuple(QtmDesign)
+_VALUES = {enum: tuple(m.value for m in members)
+           for enum, members in ((OperationalRegion, _REGIONS), (QtmDesign, _DESIGNS))}
+
+
 class _Records(Sequence):
-    """Read-only records held as the columns of :func:`_columns`, the floats
-    flattened, each float column a float64 array, NaN and inf included.  A
-    contiguous slice is a slice of the columns, any other a list; an index
-    or an iteration builds fresh records, a ``_CHUNK`` at a time."""
+    """Read-only records held as arrays ``(counts, *floats, regions, names,
+    efficiencies, carnots)``: int32 design counts, float64 values (NaN and
+    inf too), int8 indexes into ``_REGIONS`` and ``_DESIGNS``; the last three
+    are the entries'.  A contiguous slice is a slice of the columns, any other
+    a list; an index or iteration builds fresh records ``_CHUNK`` at a time."""
 
     def __init__(self, held: tuple) -> None:
         self._held = held
 
     @cached_property
     def _starts(self) -> np.ndarray:  # each record's first entry, then the end
-        return np.cumsum([0, *self._held[0]], dtype=np.int64)
+        return np.cumsum(np.append(0, self._held[0]), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._held[0])
@@ -256,14 +264,15 @@ class _Records(Sequence):
     @_gc_paused()
     def _built(self) -> list[SweepRecord]:
         counts, *floats, regions, names, effs, carnots = map(_as_list, self._held)
-        entries = iter(_build(DesignEfficiency, len(names), names, effs, carnots))
-        return _build(SweepRecord, len(counts), *floats, regions,
+        designs = map(_DESIGNS.__getitem__, names)
+        entries = iter(_build(DesignEfficiency, len(names), designs, effs, carnots))
+        return _build(SweepRecord, len(counts), *floats, map(_REGIONS.__getitem__, regions),
                       map(tuple, map(islice, repeat(entries), counts)))
 
     def __eq__(self, other):
         if isinstance(other, _Records):  # a NaN equals a NaN in the same place
-            return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
-                       else a == b for a, b in zip(self._held, other._held))
+            return all(np.array_equal(a, b, equal_nan=True)
+                       for a, b in zip(self._held, other._held))
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
@@ -400,13 +409,12 @@ def run_sweep(
     for i, pair in enumerate(_PAIRS.values()):
         for k, design in enumerate(pair):
             effs[region == i, k] = _efficiencies(design, inside[region == i])
-    pairs = np.array(list(_PAIRS.values()), dtype=object)
+    pairs = np.array([list(map(_DESIGNS.index, p)) for p in _PAIRS.values()], np.int8)
     carnots = np.array([[carnot_efficiency(d, spec.theta_sq) for d in pair]
-                        for pair in pairs])
-    held = ((2 * has).tolist(), rho, alpha_sq, e_high, e_low, e_out,
-            e_high / scale, e_low / scale, e_out / scale,
-            list(map(_REGIONS.__getitem__, index.tolist())), pairs[region].ravel().tolist(),
-            effs.ravel(), carnots[region].ravel())
+                        for pair in _PAIRS.values()])
+    held = ((2 * has).astype(np.int32), rho, alpha_sq, e_high, e_low, e_out,
+            e_high / scale, e_low / scale, e_out / scale, index.astype(np.int8),
+            pairs[region].ravel(), effs.ravel(), carnots[region].ravel())
     return _Records(held), boundary_report(spec.theta_sq)
 
 
@@ -431,7 +439,7 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     design's ``alpha_sq`` interval; only its Carnot endpoint is closed, the
     other one being a singular or degenerate limit.  A region's two designs
     share one interval, so their curves share one ``rho`` tuple, which
-    halves the memory the rho columns take.
+    halves the memory the rho columns take; each holds the grid's own floats.
     """
     grid = np.asarray(spec.rho_grid, dtype=float)
     curves = {}
@@ -440,8 +448,9 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
         if design is _PAIRS[design.region][0]:  # one rho tuple per region
             lo, hi, end = map(math.sqrt, (bounds.alpha_sq_min, bounds.alpha_sq_max,
                                           bounds.carnot_alpha_sq))
-            rhos = grid[((lo < grid) & (grid < hi)) | (grid == end)]
-            rho = tuple(rhos.tolist())
+            inside = ((lo < grid) & (grid < hi)) | (grid == end)
+            rhos = grid[inside]
+            rho = tuple(compress(spec.rho_grid, inside.tolist()))
         curves[design] = EfficiencyCurve(
             design=design,
             rho=rho,
@@ -505,18 +514,20 @@ def _columns(objs, get, members) -> tuple:
     *entry_floats)``, each record's design count, the floats in
     :data:`_FLOAT_COLUMNS` order; the names and the :data:`_ENTRY_FLOATS`
     are those of the design entries, in record order.  Those a
-    :class:`_Records` holds are taken as they are; others are read by
-    ``get(name)``.  Regions and names are given as ``members(name, enum, column)``."""
-    if not isinstance(objs, _Records):
-        designs = list(map(get("designs"), objs))
-        entries = list(chain.from_iterable(designs))
-        fields = SweepRecord.__slots__[:-1]  # all but the designs
-        objs = _Records((list(map(len, designs)),
-                         *(list(map(get(name), objs)) for name in fields),
-                         *(list(map(get(name), entries))
-                           for name in DesignEfficiency.__slots__)))
-    counts, *floats, regions, names, effs, carnots = objs._held
-    return (counts, floats, members("region", OperationalRegion, regions),
+    :class:`_Records` holds are taken as they are, its region and design
+    indexes as their values; others are read by ``get(name)``, regions and
+    names then given as ``members(name, enum, column)``."""
+    if isinstance(objs, _Records):
+        counts, *floats, regions, names, effs, carnots = objs._held
+        regions, names = (list(map(_VALUES[e].__getitem__, c.tolist()))
+                          for e, c in ((OperationalRegion, regions), (QtmDesign, names)))
+        return counts, floats, regions, names, effs, carnots
+    designs = list(map(get("designs"), objs))
+    entries = list(chain.from_iterable(designs))
+    *floats, regions = (list(map(get(name), objs)) for name in SweepRecord.__slots__[:-1])
+    names, effs, carnots = (list(map(get(name), entries))
+                            for name in DesignEfficiency.__slots__)
+    return (list(map(len, designs)), floats, members("region", OperationalRegion, regions),
             members("design", QtmDesign, names), effs, carnots)
 
 
@@ -559,14 +570,14 @@ _JSON_ENTRY = ('      {\n        "design": "{}",\n        "efficiency": {},\n'
                '        "carnot": {}\n      }')
 
 
-def _chunked(records, text_of, head: str, sep: str, tail: str) -> str:
-    """``head + sep.join(texts) + tail`` in one join, where the texts are
-    ``text_of`` each chunk of ``_CHUNK`` records."""
+def _chunked(records, text_of, head: str, sep: str, tail: str) -> list[str]:
+    """The pieces of ``head + sep.join(texts) + tail``, unjoined, where the
+    texts are ``text_of`` each chunk of ``_CHUNK`` records."""
     pieces = [head]
     for start in range(0, len(records), _CHUNK):
         pieces += (text_of(records[start:start + _CHUNK]), sep)
     pieces[-1] = tail
-    return "".join(pieces)
+    return pieces
 
 
 def _csv_rows(records) -> str:
@@ -592,7 +603,7 @@ def _json_records(records) -> str:
         records, attrgetter, _values)
     cells = _fill(_JSON_ENTRY, names, *map(_json_floats, _ENTRY_FLOATS, entry_floats))
     lists = ["[\n" + ",\n".join(islice(cells, n)) + "\n    ]" if n else "[]"
-             for n in counts]
+             for n in _as_list(counts)]
     return ",\n".join(_fill(_JSON_RECORD, *map(_json_floats, _FLOAT_COLUMNS, floats),
                              regions, lists))
 
@@ -607,21 +618,21 @@ def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
             values = tuple(chain.from_iterable(zip(curve.rho, curve.efficiency)))
             lines.append(_format(row * len(curve.rho), values, [
                 ("rho", curve.rho), ("efficiency", curve.efficiency)]))
-    return "".join(lines)
+    return lines
 
 
-def _curves_json(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
-    return json.dumps({design.value: {
+def _curves_json(curves: dict[QtmDesign, EfficiencyCurve]) -> list[str]:
+    return [json.dumps({design.value: {
         "rho": _require("rho", curve.rho),
         "efficiency": _require("efficiency", curve.efficiency),
         "carnot": _require("carnot", [curve.carnot])[0],
         "carnot_limit": curve.carnot_limit_kind.value,
-    } for design, curve in curves.items()}, indent=2) + "\n"
+    } for design, curve in curves.items()}, indent=2), "\n"]
 
 
-#: The parser's value -> member map of each enum a record holds.
-_MEMBER_OF = {enum: {member.value: member for member in enum}
-              for enum in (OperationalRegion, QtmDesign)}
+#: The parser's value -> held index map of each enum a record holds.
+_INDEX_OF = {enum: {value: i for i, value in enumerate(values)}
+             for enum, values in _VALUES.items()}
 
 
 def _require_keys(obj, keys, numbers, what: str) -> None:
@@ -658,14 +669,15 @@ def _check_records(objs: list) -> None:
 
 
 def _records_in(doc) -> _Records:
-    """The records of a parsed records document, each float column an array."""
+    """The records of a parsed records document, held as :class:`_Records`."""
     if not isinstance(doc, list):
         raise ValidationError(
             f"records JSON must be a list at the top level, not {type(doc).__name__}")
     try:
         counts, floats, regions, names, *entry_floats = _columns(
             doc, itemgetter,
-            lambda name, enum, column: list(map(_MEMBER_OF[enum].__getitem__, column)))
+            lambda name, enum, column: np.fromiter(
+                map(_INDEX_OF[enum].__getitem__, column), np.int8, len(column)))
         floats += entry_floats
         if not ({list}.issuperset(map(type, map(itemgetter("designs"), doc)))
                 and all(_NUMBERS.issuperset(map(type, c)) for c in floats)):
@@ -675,6 +687,7 @@ def _records_in(doc) -> _Records:
         # Only a failed read pays for the check that names the fault.
         _check_records(doc)
         raise
+    counts = np.array(counts, dtype=np.int32)
     return _Records((counts, *floats[:8], regions, names, *floats[8:]))
 
 
@@ -727,27 +740,27 @@ def parse_records(text: str | bytes | bytearray) -> Sequence[SweepRecord]:
         # A JSONDecodeError is a ValueError; the columns read so far go with it.
         with suppress(ValueError):
             parts = zip(*[_records_in(loads(piece))._held for piece in _pieces(text)])
-            return _Records(tuple(np.concatenate(p) if isinstance(p[0], np.ndarray)
-                                  else list(chain.from_iterable(p)) for p in parts))
+            return _Records(tuple(map(np.concatenate, parts)))
     return _records_in(json.loads(text))
 
 
-def _write(destination, text: str) -> None:
+def _write(destination, pieces: list[str]) -> None:
+    """Write ``pieces``, one ``write`` call each, to standard output (``None``
+    or ``"-"``), a stream, or the file at the path ``destination``."""
     if destination is None or destination == "-":
-        sys.stdout.write(text)
-        return
+        destination = sys.stdout
     if hasattr(destination, "write"):
-        destination.write(text)
+        deque(map(destination.write, pieces), 0)
         return
     try:
         with open(destination, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise EmitIOError(f"cannot write {destination}: {exc}") from exc
 
 
 def _emit(format: str, destination, items, to_csv, to_json) -> None:
-    """Write ``to_csv(items)`` or ``to_json(items)``."""
+    """Write the pieces ``to_csv(items)`` or ``to_json(items)`` returns."""
     if format not in ("csv", "json"):
         raise ValidationError(f"unknown format {format!r} (expected csv or json)")
     _write(destination, (to_csv if format == "csv" else to_json)(items))
@@ -779,10 +792,11 @@ def emit(
     CSV uses the fixed :data:`CSV_COLUMNS` order with a header row and 12
     significant digits; boundary records leave the design columns empty.
     JSON keeps exact float values so ``parse_records(emitted)`` returns the
-    original records.  ``destination`` may be a path, an open text stream, or
-    ``None``/``"-"`` for standard output.  A record that is not a
-    :class:`SweepRecord` of :class:`DesignEfficiency` entries raises a
-    :class:`ValidationError` naming its index, and nothing is written.
+    original records.  ``destination`` is a path, ``None`` or ``"-"`` for
+    standard output, or a text stream whose ``write`` takes the text a chunk
+    at a time.  A record that is not a :class:`SweepRecord` of
+    :class:`DesignEfficiency` entries raises a :class:`ValidationError`
+    naming its index, and nothing is written.
     """
     if not hasattr(records, "__len__"):
         raise ValidationError(f"records must be a sequence, got {type(records).__name__}")
@@ -793,7 +807,8 @@ def emit(
               lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
               lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
     except (AttributeError, TypeError):
-        _check_emitted(records)  # only a failed write pays for the walk
+        if not isinstance(records, _Records):  # well-formed by construction
+            _check_emitted(records)  # only a failed write pays for the walk
         raise
 
 

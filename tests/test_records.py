@@ -233,6 +233,25 @@ def test_every_float_column_is_a_float64_array(swept, parsed):
                    for c in float_columns(result))
 
 
+def int_columns(result):
+    """The integer columns a result holds: the design counts, the regions'
+    indexes and the design entries' name indexes."""
+    return result._held[0], *result._held[9:11]
+
+
+def test_counts_regions_and_designs_are_held_as_int_arrays(swept, parsed):
+    doc = [RECORD, {**RECORD, "region": "Pumpers", "designs": []}]
+    for result in (swept, parsed, swept[3:9], parse_records(json.dumps(doc)),
+                   parse_records("[]")):
+        counts, regions, names = int_columns(result)
+        assert all(type(c) is np.ndarray for c in (counts, regions, names))
+        assert (counts.dtype, regions.dtype, names.dtype) == (np.int32, np.int8, np.int8)
+    (first, second) = parse_records(json.dumps(doc))
+    assert (first.region, second.region) == (OperationalRegion.OUT_TRANSFERS,
+                                             OperationalRegion.PUMPERS)
+    assert (first.designs[0].design, second.designs) == (QtmDesign.QEN, ())
+
+
 def test_results_compare_by_column_and_a_nan_equals_a_nan_in_its_place():
     floats = parse_records(json.dumps([{**RECORD, "rho": 2.0}] * 3))
     ints = parse_records(json.dumps([{**RECORD, "rho": 2}] * 3))
@@ -260,12 +279,17 @@ def held_bytes(call):
         tracemalloc.stop()
 
 
-def test_a_dense_result_and_its_parsed_twin_hold_their_floats_as_arrays():
-    # As lists of float objects they held 32.8 and 41.1 MB.
+def test_a_dense_result_and_its_parsed_twin_hold_every_column_as_an_array():
+    # As lists of float objects they held 32.8 and 41.1 MB; with float64
+    # arrays and lists of counts, regions and designs, 12.8 and 12.9 MB.
     swept, size = held_bytes(lambda: run_sweep(DENSE)[0])
     text = json_text(swept)
     parsed, parsed_size = held_bytes(lambda: parse_records(text))
-    assert size <= 16e6 and parsed_size <= 16e6
+    assert size <= 11e6 and parsed_size <= 11e6
+    for result in (swept, parsed):
+        assert all(type(c) is np.ndarray for c in result._held)
+        assert all(c.dtype == np.float64 for c in float_columns(result))
+        assert all(c.dtype.kind == "i" for c in int_columns(result))
     assert parsed == swept
 
 

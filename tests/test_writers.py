@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 from unittest import mock
 
@@ -37,6 +38,7 @@ from qtmkit import (
     emit,
     emit_curves,
     parse_records,
+    run_sweep,
 )
 
 #: Where the spelling of a float changes, and the edges of the band in which
@@ -418,6 +420,14 @@ def test_a_regions_two_curves_share_one_rho_tuple():
         assert curves[pair[0]].rho
 
 
+def test_curves_hold_the_grids_own_rho_floats():
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, r_low=1e-7,
+                     rho_grid=default_rho_grid(5.0, num=50))
+    grid = set(map(id, spec.rho_grid))
+    for curve in efficiency_curves(spec).values():
+        assert grid.issuperset(map(id, curve.rho))
+
+
 def test_curves_csv_spells_equal_signed_zero_rho_tuples_apart():
     # (0.0,) == (-0.0,), yet the two spell "0" and "-0": equal tuples that
     # are distinct objects each get their own text.
@@ -503,3 +513,62 @@ def test_records_that_are_no_sequence_are_rejected_by_name(records, format):
     message = f"records must be a sequence, got {type(records).__name__}$"
     with pytest.raises(ValidationError, match=message):
         emit(records, format, io.StringIO())
+
+
+#: The paper's ring case on the reference grid.
+REFERENCE = SweepSpec(t_low=1.0, theta_sq=5.0, r_low=1e-7,
+                      rho_grid=default_rho_grid(5.0))
+
+
+class WriteOnly:
+    """A destination with a ``write`` method and nothing else."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_a_stream_that_only_writes_gets_the_text_in_pieces(format):
+    # Each chunk of _CHUNK records is a write of its own; joined, the writes
+    # are the text a StringIO receives.
+    records = run_sweep(REFERENCE)[0]
+    stream = WriteOnly()
+    emit(records, format, stream)
+    assert len(stream.texts) >= -(-len(records) // sweep._CHUNK)
+    assert "".join(stream.texts) == written(emit, records, format)
+    stream = WriteOnly()
+    curves = efficiency_curves(REFERENCE)
+    emit_curves(curves, format, stream)
+    assert "".join(stream.texts) == written(emit_curves, curves, format)
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_emit_to_a_file_holds_about_one_copy_of_the_document(format, tmp_path):
+    # Joined before the write, the document peaked at 2.05 times its size.
+    spec = SweepSpec(t_low=1.0, theta_sq=5.0, r_low=1e-7,
+                     rho_grid=default_rho_grid(5.0, num=10_000))
+    records = run_sweep(spec)[0]
+    tracemalloc.start()
+    try:
+        emit(records, format, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (tmp_path / "out").stat().st_size
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_a_type_error_of_a_held_result_skips_the_record_walk(format, monkeypatch):
+    # A held result is well formed by construction: the write's own error is
+    # raised, the one a list of its records raises, without the walk.
+    records = run_sweep(REFERENCE)[0]
+    with pytest.raises(TypeError) as expected:
+        emit(list(records), format, io.BytesIO())
+    walked = []
+    monkeypatch.setattr(sweep, "_check_emitted", walked.append)
+    with pytest.raises(TypeError) as info:
+        emit(records, format, io.BytesIO())
+    assert str(info.value) == str(expected.value) and walked == []
