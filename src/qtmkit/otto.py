@@ -216,12 +216,22 @@ def multilevel_exchange(
     """Energy absorbed during a reservoir-contact stroke (released if < 0).
 
     The stroke keeps ``spectrum`` fixed while the occupations rethermalize
-    from ``t_start`` to ``t_end``, so the exchange is the eigenvalue-weighted
-    occupation difference between the endpoints.
+    from ``t_start`` to ``t_end``.  From the occupations ``p`` at the hotter
+    end, the colder end holds ``p_n (1 + q_n) / (1 + S)``, with ``S = sum(p q)``
+    and ``q_n = expm1(eta (E_n - E_0))``, ``eta = (1/t_hot - 1/t_cold)/k_B``
+    taken without its cancellation: the exchange is one shift, not the
+    difference of two rounded occupation vectors.
     """
-    p_start = occupation(spectrum, t_start, boltzmann_k)
-    p_end = occupation(spectrum, t_end, boltzmann_k)
-    return float(np.dot(np.asarray(spectrum.levels, dtype=float), p_end - p_start))
+    require_finite("temperature", t_start, InvalidTemperatureError, 0.0)
+    require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
+    require_finite("temperature", t_end, InvalidTemperatureError, 0.0)
+    t_hot, t_cold = max(t_start, t_end), min(t_start, t_end)
+    p = occupation(spectrum, t_hot, boltzmann_k)
+    eps = np.asarray(spectrum.levels, dtype=float) - spectrum.levels[0]
+    q = np.expm1(-eps / (boltzmann_k * t_cold) * ((t_hot - t_cold) / t_hot))
+    s = float(np.dot(p, q))
+    heat = float(np.dot(eps * p, q - s)) / (1.0 + s)
+    return heat if t_end < t_start else -heat
 
 
 def work_exchange(

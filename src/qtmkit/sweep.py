@@ -15,16 +15,20 @@ The builds and :func:`parse_records` run with the cyclic garbage collector
 paused (neither makes reference cycles); a program that toggles :mod:`gc`
 from another thread meanwhile may find it re-enabled afterwards.
 
-The CSV writers fill a row template per record or per curve, a chunk of text
-at a time with one ``%``; the JSON writer formats a float column at a time
-(:func:`_json_floats`) and joins the cells with the literals of
-``json.dumps(indent=2)``.  The chunk texts go out unjoined, one ``write`` each;
-joined, they are what ``csv.writer`` and ``json.dumps(..., indent=2)`` write
-(``tests/test_writers.py``).  A value that cannot be written raises a
-:class:`ValidationError` naming its column.
-:func:`parse_records` reads a piece at a time, with orjson, then with
-``json.loads``, and reads the whole text only to name a fault; it reads a
-number as ``float()`` does.  orjson is imported by these two JSON paths only.
+One number rule holds both ways: a float field holds a ``float`` (a subclass
+too) or an ``int`` that is not a ``bool``, as the float64 ``float()`` makes
+of it; an int beyond the float range is a fault.  :func:`_records_in` reads
+by it a parsed document and the records :func:`emit` is given unless held,
+:func:`emit_curves` checks each curve by it, and the writers format held
+float64 columns only.  The CSV writers fill a row template per record or per
+curve, a chunk of text at a time with one ``%``; the JSON writer formats a
+float column at a time (:func:`_json_floats`) and joins the cells with the
+literals of ``json.dumps(indent=2)``.  The chunk texts go out unjoined, one
+``write`` each; joined, they are what ``csv.writer`` and
+``json.dumps(..., indent=2)`` write for the float64 view of the records
+(``tests/test_writers.py``).  :func:`parse_records` reads a piece at a time,
+with orjson, then with ``json.loads``, and reads the whole text only to name
+a fault.  orjson is imported by these two JSON paths only.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ CSV_COLUMNS = (
 _FLOAT_COLUMNS = CSV_COLUMNS[:8]
 #: The float fields of a :class:`DesignEfficiency`.
 _ENTRY_FLOATS = ("efficiency", "carnot")
-#: The JSON value types a float field accepts (``bool`` is not one).
+#: The exact types of a float field's common values (``bool`` is not one).
 _NUMBERS = frozenset((float, int))
 
 
@@ -204,11 +208,6 @@ def _build(cls, n: int, *columns) -> list:
     return objs
 
 
-def _as_list(column) -> list:
-    """``column`` as a list: an array's values as Python floats."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector for a bulk build that makes no
@@ -263,7 +262,7 @@ class _Records(Sequence):
 
     @_gc_paused()
     def _built(self) -> list[SweepRecord]:
-        counts, *floats, regions, names, effs, carnots = map(_as_list, self._held)
+        counts, *floats, regions, names, effs, carnots = map(np.ndarray.tolist, self._held)
         designs = map(_DESIGNS.__getitem__, names)
         entries = iter(_build(DesignEfficiency, len(names), designs, effs, carnots))
         return _build(SweepRecord, len(counts), *floats, map(_REGIONS.__getitem__, regions),
@@ -461,40 +460,47 @@ def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     return curves
 
 
-def _json_floats(name: str, values) -> list[str]:
-    """Each value of column ``name`` as ``json.dumps`` writes it.
-
-    A float64 array, or a list of exact ``float`` values, is formatted by
-    one ``orjson.dumps`` call, which spells a float as ``repr`` does outside
-    a band of magnitudes; the cells inside it are re-spelled by
-    ``float.__repr__``.  Any other column (``NaN`` or ``Infinity``, which
-    orjson writes as ``null``; a hand-built list of ints, bools or float
-    subclasses) goes through the encoder value by value; a value it would
-    not write as a number raises a :class:`ValidationError` naming the column.
-    """
-    if len(values) and (isinstance(values, np.ndarray)
-                        or {float}.issuperset(map(type, values))):
-        import orjson
-        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-        if b"n" not in text:  # orjson writes a non-finite float as null
-            cells = text[1:-1].decode().split(",")
-            # orjson spells |x| in [1e-9, 1e-4) and from 1e16 on otherwise
-            # than repr (0.000025, 1e-9, 1e16); the band is a decade wider.
-            size = np.abs(values)
-            band = (1e-10 <= size) & (size < 1e-3) | (size >= 1e15)
-            for i in np.flatnonzero(band).tolist():
-                cells[i] = float.__repr__(values[i])
-            return cells
-    return list(map(json.dumps, _require(name, values)))
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float64 of ``values`` as ``json.dumps`` writes it: one
+    ``orjson.dumps`` call, which spells a float as ``repr`` does outside a
+    band of magnitudes, the cells inside it re-spelled by ``float.__repr__``;
+    a column holding ``NaN`` or an infinity, value by value by ``json.dumps``."""
+    import orjson
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"n" in text or not len(values):  # a non-finite float is null
+        return list(map(json.dumps, values.tolist()))
+    cells = text[1:-1].decode().split(",")
+    # orjson spells |x| in [1e-9, 1e-4) and from 1e16 on otherwise than
+    # repr (0.000025, 1e-9, 1e16); the band is a decade wider.
+    size = np.abs(values)
+    band = (1e-10 <= size) & (size < 1e-3) | (size >= 1e15)
+    for i in np.flatnonzero(band).tolist():
+        cells[i] = float.__repr__(values[i])
+    return cells
 
 
-def _require(name: str, values):
-    """``values`` as a list, if each is a number that ``json.dumps`` writes
-    as one; else a ValidationError naming ``name``."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"cannot write {name}: not a number: {value!r}")
-    return list(values)
+def _is_number(value) -> bool:
+    """The number rule: a ``float`` (``np.float64`` too), or an ``int`` but no ``bool``."""
+    return isinstance(value, (float, int)) and not isinstance(value, bool)
+
+
+def _require_number(value, key: str, what: str) -> None:
+    """Raise a ValidationError naming ``what`` and ``key`` unless ``value`` fits a float64."""
+    if not _is_number(value):
+        raise ValidationError(f"{what}: {key} is not a number, got {reprlib.repr(value)}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{what}: {key} is beyond the float range, "
+                              f"got {reprlib.repr(value)}") from None
+
+
+def _float64(column) -> np.ndarray:
+    """``column`` as float64 by the number rule, in one type scan if each is
+    an exact float or int; a fault raises a TypeError or an OverflowError."""
+    if not (_NUMBERS.issuperset(map(type, column)) or all(map(_is_number, column))):
+        raise TypeError("a float field holds a value that is not a number")
+    return np.array(column, dtype=float)
 
 
 def _values(name: str, kind: type[_Enum], members: list) -> list:
@@ -509,26 +515,9 @@ def _values(name: str, kind: type[_Enum], members: list) -> list:
     return list(map(attrgetter("_value_"), members))
 
 
-def _columns(objs, get, members) -> tuple:
-    """The columns of records ``objs``: ``(counts, floats, regions, names,
-    *entry_floats)``, each record's design count, the floats in
-    :data:`_FLOAT_COLUMNS` order; the names and the :data:`_ENTRY_FLOATS`
-    are those of the design entries, in record order.  Those a
-    :class:`_Records` holds are taken as they are, its region and design
-    indexes as their values; others are read by ``get(name)``, regions and
-    names then given as ``members(name, enum, column)``."""
-    if isinstance(objs, _Records):
-        counts, *floats, regions, names, effs, carnots = objs._held
-        regions, names = (list(map(_VALUES[e].__getitem__, c.tolist()))
-                          for e, c in ((OperationalRegion, regions), (QtmDesign, names)))
-        return counts, floats, regions, names, effs, carnots
-    designs = list(map(get("designs"), objs))
-    entries = list(chain.from_iterable(designs))
-    *floats, regions = (list(map(get(name), objs)) for name in SweepRecord.__slots__[:-1])
-    names, effs, carnots = (list(map(get(name), entries))
-                            for name in DesignEfficiency.__slots__)
-    return (list(map(len, designs)), floats, members("region", OperationalRegion, regions),
-            members("design", QtmDesign, names), effs, carnots)
+def _spelled(enum: type[_Enum], indexes: np.ndarray) -> list[str]:
+    """The value of each held ``enum`` index."""
+    return list(map(_VALUES[enum].__getitem__, indexes.tolist()))
 
 
 def _fill(template: str, *columns):
@@ -539,22 +528,6 @@ def _fill(template: str, *columns):
     for literal, column in zip(literals[1:], columns, strict=True):
         parts += (column, repeat(literal))
     return map("".join, zip(*parts))
-
-
-def _format(template: str, values: tuple, columns) -> str:
-    """``template % values``; if a value cannot be formatted, a
-    :class:`ValidationError` names the first of the ``(name, values)`` pairs
-    in ``columns`` that holds a value ``%.12g`` cannot format (not a real
-    number, or an int beyond the float range)."""
-    try:
-        return template % values
-    except (OverflowError, TypeError):
-        for name, column in columns:
-            try:
-                "%.12g" * len(column) % tuple(column)
-            except (OverflowError, TypeError) as exc:
-                raise ValidationError(f"cannot write {name}: {exc}") from None
-        raise
 
 
 #: Records formatted or built per pass: bounds the text columns held at once.
@@ -580,77 +553,65 @@ def _chunked(records, text_of, head: str, sep: str, tail: str) -> list[str]:
     return pieces
 
 
-def _csv_rows(records) -> str:
-    counts, floats, regions, names, *entry_floats = _columns(
-        records, attrgetter, _values)
-    floats, entry_floats = ([*map(_as_list, c)] for c in (floats, entry_floats))
+def _csv_rows(records: _Records) -> str:
+    counts, *floats, regions, names, effs, carnots = records._held
     # Each record's first and second design entry by index; a missing one
     # points past the entries, at the blank cells appended to each column.
-    counts = np.array(counts, dtype=np.intp)
+    counts = counts.astype(np.intp)
     first, second = (np.where(counts > k, np.cumsum(counts) - counts + k,
                               len(names)).tolist() for k in (0, 1))
-    names, effs, carnots = ([*column, ""] for column in (names, *entry_floats))
+    names, effs, carnots = ([*column, ""] for column in (
+        _spelled(QtmDesign, names), effs.tolist(), carnots.tolist()))
     cells = (map(column.__getitem__, index) for index, column in (
         (first, names), (first, effs), (second, names), (second, effs),
         (first, carnots), (second, carnots)))
     template = "".join(map(_CSV_ROWS.__getitem__, np.minimum(counts, 2).tolist()))
-    return _format(template, tuple(chain.from_iterable(zip(*floats, regions, *cells))),
-                   zip(_FLOAT_COLUMNS + _ENTRY_FLOATS, floats + entry_floats))
+    return template % tuple(chain.from_iterable(zip(
+        *map(np.ndarray.tolist, floats), _spelled(OperationalRegion, regions), *cells)))
 
 
-def _json_records(records) -> str:
-    counts, floats, regions, names, *entry_floats = _columns(
-        records, attrgetter, _values)
-    cells = _fill(_JSON_ENTRY, names, *map(_json_floats, _ENTRY_FLOATS, entry_floats))
+def _json_records(records: _Records) -> str:
+    counts, *floats, regions, names, effs, carnots = records._held
+    cells = _fill(_JSON_ENTRY, _spelled(QtmDesign, names), *map(_json_floats, (effs, carnots)))
     lists = ["[\n" + ",\n".join(islice(cells, n)) + "\n    ]" if n else "[]"
-             for n in _as_list(counts)]
-    return ",\n".join(_fill(_JSON_RECORD, *map(_json_floats, _FLOAT_COLUMNS, floats),
-                             regions, lists))
+             for n in counts.tolist()]
+    return ",\n".join(_fill(_JSON_RECORD, *map(_json_floats, floats),
+                            _spelled(OperationalRegion, regions), lists))
 
 
-def _curves_csv(curves: dict[QtmDesign, EfficiencyCurve]) -> str:
+def _curves_csv(curves: dict) -> list[str]:
     lines = ["design,rho,efficiency,carnot,carnot_limit\n"]
     for design in QtmDesign:
         if design in curves:
-            curve = curves[design]
-            carnot = _format("%.12g", (curve.carnot,), [("carnot", (curve.carnot,))])
-            row = f"{design.value},%.12g,%.12g,{carnot},{curve.carnot_limit_kind.value}\n"
-            values = tuple(chain.from_iterable(zip(curve.rho, curve.efficiency)))
-            lines.append(_format(row * len(curve.rho), values, [
-                ("rho", curve.rho), ("efficiency", curve.efficiency)]))
+            rho, efficiency, carnot, limit = curves[design]
+            row = f"{design.value},%.12g,%.12g,{carnot:.12g},{limit}\n"
+            lines.append(row * len(rho) % tuple(chain.from_iterable(zip(rho, efficiency))))
     return lines
 
 
-def _curves_json(curves: dict[QtmDesign, EfficiencyCurve]) -> list[str]:
+def _curves_json(curves: dict) -> list[str]:
     return [json.dumps({design.value: {
-        "rho": _require("rho", curve.rho),
-        "efficiency": _require("efficiency", curve.efficiency),
-        "carnot": _require("carnot", [curve.carnot])[0],
-        "carnot_limit": curve.carnot_limit_kind.value,
-    } for design, curve in curves.items()}, indent=2), "\n"]
+        "rho": rho, "efficiency": efficiency, "carnot": carnot, "carnot_limit": limit,
+    } for design, (rho, efficiency, carnot, limit) in curves.items()}, indent=2), "\n"]
 
 
-#: The parser's value -> held index map of each enum a record holds.
+#: The held index of each value (parsed) and member (emitted) of each enum.
 _INDEX_OF = {enum: {value: i for i, value in enumerate(values)}
              for enum, values in _VALUES.items()}
+_MEMBER_INDEX = {enum: {member: i for i, member in enumerate(members)}
+                 for enum, members in ((OperationalRegion, _REGIONS), (QtmDesign, _DESIGNS))}
 
 
 def _require_keys(obj, keys, numbers, what: str) -> None:
     """Raise unless ``obj`` is an object with ``keys``, each of ``numbers``
-    a JSON number within the float range."""
+    a number (:func:`_require_number`)."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} is not an object")
     for key in keys:
         if key not in obj:
             raise ValidationError(f"{what} lacks key {key!r}")
     for key in numbers:
-        if type(value := obj[key]) not in _NUMBERS:
-            raise ValidationError(f"{what}: {key} is not a number, got {value!r}")
-        try:
-            float(value)
-        except OverflowError:
-            raise ValidationError(f"{what}: {key} is beyond the float range, "
-                                  f"got {reprlib.repr(value)}") from None
+        _require_number(obj[key], key, what)
 
 
 def _check_records(objs: list) -> None:
@@ -668,26 +629,54 @@ def _check_records(objs: list) -> None:
             QtmDesign(entry["design"])
 
 
-def _records_in(doc) -> _Records:
-    """The records of a parsed records document, held as :class:`_Records`."""
-    if not isinstance(doc, list):
+def _check_emitted(records) -> None:
+    """Raise a :class:`ValidationError` naming the first of ``records`` that
+    is not a :class:`SweepRecord` with a tuple of :class:`DesignEfficiency`,
+    each of numbers and enum members."""
+    for i, record in enumerate(records):
+        if not isinstance(record, SweepRecord):
+            raise ValidationError(
+                f"record {i} is not a SweepRecord, got {type(record).__name__}")
+        for key in _FLOAT_COLUMNS:
+            _require_number(getattr(record, key), key, f"record {i}")
+        _values("region", OperationalRegion, [record.region])
+        if type(designs := record.designs) not in (tuple, list):
+            raise ValidationError(
+                f"record {i}: designs is not a tuple, got {type(designs).__name__}")
+        for j, entry in enumerate(designs):
+            if not isinstance(entry, DesignEfficiency):
+                raise ValidationError(f"record {i} design {j} is not a "
+                                      f"DesignEfficiency, got {type(entry).__name__}")
+            for key in _ENTRY_FLOATS:
+                _require_number(getattr(entry, key), key, f"record {i} design {j}")
+            _values("design", QtmDesign, [entry.design])
+
+
+def _records_in(objs, get=itemgetter) -> _Records:
+    """Records held by the number rule: a parsed document read by
+    ``itemgetter``, enums by value, or :func:`emit`'s records by
+    ``attrgetter``, enums by member.  Only a failed read walks ``objs``
+    (:func:`_check_records`, :func:`_check_emitted`) to name its fault."""
+    parsed = get is itemgetter
+    if parsed and not isinstance(objs, list):
         raise ValidationError(
-            f"records JSON must be a list at the top level, not {type(doc).__name__}")
+            f"records JSON must be a list at the top level, not {type(objs).__name__}")
+    index_of = _INDEX_OF if parsed else _MEMBER_INDEX
     try:
-        counts, floats, regions, names, *entry_floats = _columns(
-            doc, itemgetter,
-            lambda name, enum, column: np.fromiter(
-                map(_INDEX_OF[enum].__getitem__, column), np.int8, len(column)))
-        floats += entry_floats
-        if not ({list}.issuperset(map(type, map(itemgetter("designs"), doc)))
-                and all(_NUMBERS.issuperset(map(type, c)) for c in floats)):
-            raise TypeError("a record holds a value of the wrong type")
-        floats = [np.array(c, dtype=float) for c in floats]
-    except (KeyError, TypeError, OverflowError):
-        # Only a failed read pays for the check that names the fault.
-        _check_records(doc)
+        designs = list(map(get("designs"), objs))
+        if not {tuple, list}.issuperset(map(type, designs)):
+            raise TypeError("a record's designs is not a list")
+        entries = list(chain.from_iterable(designs))
+        *floats, regions = (list(map(get(name), objs)) for name in SweepRecord.__slots__[:-1])
+        names, *entry_floats = (list(map(get(name), entries))
+                                for name in DesignEfficiency.__slots__)
+        regions, names = (np.fromiter(map(index_of[e].__getitem__, c), np.int8, len(c))
+                          for e, c in ((OperationalRegion, regions), (QtmDesign, names)))
+        floats = list(map(_float64, floats + entry_floats))
+    except (AttributeError, KeyError, TypeError, OverflowError):
+        (_check_records if parsed else _check_emitted)(objs)
         raise
-    counts = np.array(counts, dtype=np.int32)
+    counts = np.fromiter(map(len, designs), np.int32, len(designs))
     return _Records((counts, *floats[:8], regions, names, *floats[8:]))
 
 
@@ -718,18 +707,18 @@ def parse_records(text: str | bytes | bytearray) -> Sequence[SweepRecord]:
 
     ``bytes`` and ``bytearray`` are decoded as ``json.loads`` decodes them;
     any other type but ``str`` raises ``json.loads``'s ``TypeError``.  A
-    document that is not a list of record objects with every key, each
-    float field a JSON number, raises :class:`ValidationError` naming the
-    first fault in document order; if that fault is an unknown region or
-    design value, the enum's ``ValueError``.
+    document that is not a list of record objects with every key raises
+    :class:`ValidationError` naming the first fault in document order; if
+    that fault is an unknown region or design value, the enum's
+    ``ValueError``.
 
-    Each number of a float field is held as the float64 ``float()`` makes
-    of it, NaN and infinities included; an integer beyond the float range
-    raises a :class:`ValidationError` naming its record and field.  The text
-    is read a piece at a time (:func:`_pieces`) by orjson, or, if orjson
-    rejects a piece (``NaN``, ``Infinity``, ``1e400``, a lone surrogate, bad
-    JSON), by ``json.loads``.  Only if both fail does ``json.loads`` read the
-    whole text, which names the fault or reads a document cut inside a record.
+    A float field is read by the number rule :func:`emit` writes by, NaN and
+    infinities included; a fault raises a :class:`ValidationError` naming
+    its record and field.  The text is read a piece at a time
+    (:func:`_pieces`) by orjson, or, if orjson rejects a piece (``NaN``,
+    ``Infinity``, ``1e400``, a lone surrogate, bad JSON), by ``json.loads``.
+    Only if both fail does ``json.loads`` read the whole text, which names
+    the fault or reads a document cut inside a record.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text), "surrogatepass")
@@ -766,22 +755,6 @@ def _emit(format: str, destination, items, to_csv, to_json) -> None:
     _write(destination, (to_csv if format == "csv" else to_json)(items))
 
 
-def _check_emitted(records) -> None:
-    """Raise a :class:`ValidationError` naming the first of ``records`` that
-    is not a :class:`SweepRecord` with a tuple of :class:`DesignEfficiency`."""
-    for i, record in enumerate(records):
-        if not isinstance(record, SweepRecord):
-            raise ValidationError(
-                f"record {i} is not a SweepRecord, got {type(record).__name__}")
-        if not isinstance(designs := record.designs, (tuple, list)):
-            raise ValidationError(
-                f"record {i}: designs is not a tuple, got {type(designs).__name__}")
-        for j, entry in enumerate(designs):
-            if not isinstance(entry, DesignEfficiency):
-                raise ValidationError(f"record {i} design {j} is not a "
-                                      f"DesignEfficiency, got {type(entry).__name__}")
-
-
 def emit(
     records: Sequence[SweepRecord],
     format: str = "csv",
@@ -791,25 +764,32 @@ def emit(
 
     CSV uses the fixed :data:`CSV_COLUMNS` order with a header row and 12
     significant digits; boundary records leave the design columns empty.
-    JSON keeps exact float values so ``parse_records(emitted)`` returns the
-    original records.  ``destination`` is a path, ``None`` or ``"-"`` for
-    standard output, or a text stream whose ``write`` takes the text a chunk
-    at a time.  A record that is not a :class:`SweepRecord` of
-    :class:`DesignEfficiency` entries raises a :class:`ValidationError`
-    naming its index, and nothing is written.
+    JSON keeps exact float values, so ``parse_records(emitted)`` returns the
+    records.  ``destination`` is a path, ``None`` or ``"-"`` for standard
+    output, or a text stream whose ``write`` takes the text a chunk at a
+    time.  Records not already held are read by :func:`_records_in`, so
+    both formats write a float field as its float64 (``1`` as ``1.0``) and
+    reject the same records with the same :class:`ValidationError` naming
+    the first fault, and nothing is written.
     """
     if not hasattr(records, "__len__"):
         raise ValidationError(f"records must be a sequence, got {type(records).__name__}")
     if len(records) == 0:
         raise ValidationError("no records to emit")
-    try:
-        _emit(format, destination, records,
-              lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
-              lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
-    except (AttributeError, TypeError):
-        if not isinstance(records, _Records):  # well-formed by construction
-            _check_emitted(records)  # only a failed write pays for the walk
-        raise
+    if not isinstance(records, _Records):
+        records = _records_in(records, attrgetter)
+    _emit(format, destination, records,
+          lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
+          lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
+
+
+def _exact_floats(column, key: str, what: str):
+    """``column`` if each value is a ``float``, else each checked and as one."""
+    if {float}.issuperset(map(type, column)):
+        return column
+    for value in column:
+        _require_number(value, key, what)
+    return list(map(float, column))
 
 
 def emit_curves(
@@ -817,12 +797,21 @@ def emit_curves(
     format: str = "csv",
     destination=None,
 ) -> None:
-    """Serialize efficiency curves: long-format CSV or per-design JSON."""
+    """Serialize efficiency curves: long-format CSV or per-design JSON.
+    Each curve's ``rho``, ``efficiency`` and ``carnot`` are written as their
+    float64s by the number rule; a fault raises a :class:`ValidationError`
+    naming its curve, and nothing is written."""
     if len(curves) == 0:
         raise ValidationError("no curves to emit")
     _values("design", QtmDesign, list(curves))
-    _values("carnot_limit", CarnotLimitKind,
-            [curve.carnot_limit_kind for curve in curves.values()])
+    limits = _values("carnot_limit", CarnotLimitKind,
+                     [curve.carnot_limit_kind for curve in curves.values()])
     for design in [d for d, c in curves.items() if len(c.rho) != len(c.efficiency)][:1]:
         raise ValidationError(f"curve {design.value}: len(rho) != len(efficiency)")
-    _emit(format, destination, curves, _curves_csv, _curves_json)
+    held = {}
+    for (design, curve), limit in zip(curves.items(), limits):
+        columns = {"rho": curve.rho, "efficiency": curve.efficiency, "carnot": (curve.carnot,)}
+        rho, efficiency, (carnot,) = (_exact_floats(column, key, f"curve {design.value}")
+                                      for key, column in columns.items())
+        held[design] = rho, efficiency, carnot, limit
+    _emit(format, destination, held, _curves_csv, _curves_json)

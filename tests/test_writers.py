@@ -2,10 +2,12 @@
 
 ``emit`` and ``emit_curves`` fill fixed row templates with formatted floats.
 These properties check that the result is, byte for byte, what
-``json.dumps(..., indent=2)`` and ``csv.writer`` write for the same records
-and curves, including non-finite values, signed zeros, subnormals,
-ints and the magnitudes where orjson's float spelling changes, and that JSON
-output still round-trips through ``parse_records``, each number as its float64.
+``json.dumps(..., indent=2)`` and ``csv.writer`` write for the float64 view
+of the same records and curves (each number as ``float()`` makes it),
+including non-finite values, signed zeros, subnormals, ints and the
+magnitudes where orjson's float spelling changes, that JSON output
+round-trips through ``parse_records``, and that both formats reject the same
+values with the same message.
 """
 
 import csv
@@ -13,8 +15,11 @@ import dataclasses
 import io
 import json
 import math
+import reprlib
 import tracemalloc
 
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -60,8 +65,18 @@ values = st.one_of(
 chunks = st.one_of(st.none(), st.integers(1, 5))
 
 
+#: Every kind of value the number rule admits: exact floats, float64s and
+#: ints up to the edge of the float range.
+rule_values = st.one_of(
+    values,
+    st.floats().map(np.float64),
+    st.integers(-2**1023, 2**1023),
+    st.sampled_from([2**63, 2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)]),
+)
+
+
 @st.composite
-def record_lists(draw):
+def record_lists(draw, values=values):
     # Carnot values come from a small pool of float objects, so one object is
     # shared by many entries, as run_sweep shares one per design; 0.0 and -0.0
     # are distinct objects that compare equal.
@@ -155,10 +170,35 @@ def exact(record):
     return {key: repr(value) for key, value in obj.items()}
 
 
+def one_record(value, column=None):
+    """A record of 0.5s with one design entry, ``value`` in field ``column``
+    (every float field if None)."""
+    floats = dict.fromkeys(sweep._FLOAT_COLUMNS, 0.5 if column else value)
+    entry = dict.fromkeys(sweep._ENTRY_FLOATS, 0.5 if column else value)
+    if column:
+        (floats if column in floats else entry)[column] = value
+    return SweepRecord(**floats, region=OperationalRegion.OUT_TRANSFERS,
+                       designs=(DesignEfficiency(QtmDesign.QEN, **entry),))
+
+
+def where(column):
+    """What a fault in field ``column`` of ``one_record`` is named by."""
+    return "record 0" if column in sweep._FLOAT_COLUMNS else "record 0 design 0"
+
+
+def one_curve(value, column):
+    """A QEN curve of one point, ``value`` in field ``column``."""
+    fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
+    fields[column] = value if column == "carnot" else (value,)
+    return {QtmDesign.QEN: EfficiencyCurve(QtmDesign.QEN, **fields,
+                                           carnot_limit_kind=CarnotLimitKind.MAXIMUM)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(record_lists(), chunks)
 def test_records_json_matches_json_dumps(records, chunk):
-    expected = json.dumps([record_dict(r) for r in records], indent=2) + "\n"
+    # Of the float64 view: an int is written as its float (1 -> 1.0).
+    expected = json.dumps([record_dict(as_floats(r)) for r in records], indent=2) + "\n"
     assert written(emit, records, "json", chunk) == expected
 
 
@@ -187,6 +227,68 @@ def test_records_json_round_trips(records, chunk):
     assert parsed == parse_records(written(emit, parsed, "json"))
 
 
+@settings(max_examples=150, deadline=None)
+@given(record_lists(rule_values), chunks)
+def test_what_emit_accepts_parse_records_reads_back_as_its_float64_view(records,
+                                                                       chunk):
+    # Floats, float64s, NaN, infinities and ints up to the edge of the float
+    # range: parse_records reads back the float64 view of the list, which
+    # re-emits the same JSON, and the CSV is the CSV of that view.
+    text = written(emit, records, "json", chunk)
+    parsed = parse_records(text)
+    view = list(map(as_floats, records))
+    assert list(map(exact, parsed)) == list(map(exact, view))
+    assert written(emit, parsed, "json", chunk) == text == written(emit, view, "json")
+    assert written(emit, records, "csv", chunk) == written(emit, view, "csv")
+
+
+#: Values no float field may hold: not numbers by the rule, or beyond float64.
+REJECTED = [True, np.float32(0.1), Fraction(1, 3), Decimal(1), "a", None, 10**400]
+REJECTED_IDS = ["bool", "float32", "Fraction", "Decimal", "str", "None", "10**400"]
+
+
+def fault(value) -> str:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"is beyond the float range, got {reprlib.repr(value)}"
+    return f"is not a number, got {value!r}"
+
+
+def messages(write, items) -> list[str]:
+    """The message each format raises for ``items``, after checking that
+    nothing was written."""
+    out = []
+    for format in ("csv", "json"):
+        buffer = io.StringIO()
+        with pytest.raises(ValidationError) as info:
+            write(items, format, buffer)
+        assert buffer.getvalue() == ""
+        out.append(str(info.value))
+    return out
+
+
+@pytest.mark.parametrize("value", REJECTED, ids=REJECTED_IDS)
+def test_both_formats_reject_a_value_with_the_same_message(value):
+    for column in (*sweep._FLOAT_COLUMNS, *sweep._ENTRY_FLOATS):
+        message = f"{where(column)}: {column} {fault(value)}"
+        assert messages(emit, [one_record(value, column)]) == [message] * 2
+    for column in ("rho", "efficiency", "carnot"):
+        message = f"curve QEN: {column} {fault(value)}"
+        assert messages(emit_curves, one_curve(value, column)) == [message] * 2
+
+
+def test_a_long_value_that_is_not_a_number_is_named_in_short():
+    # A field holding 1e5 numbers is named by its reprlib.repr, not a
+    # 689 kB repr, in both formats; parse_records names a long JSON value alike.
+    value = tuple(range(10**5))
+    message = f"record 0: rho is not a number, got {reprlib.repr(value)}"
+    assert messages(emit, [one_record(value, "rho")]) == [message] * 2
+    doc = json.loads(written(emit, [one_record(0.5)], "json"))
+    doc[0]["designs"][0]["carnot"] = list(value)
+    with pytest.raises(ValidationError) as info:
+        parse_records(json.dumps(doc))
+    assert len(str(info.value)) < 100
+
+
 def test_float_arrays_are_spelled_as_json_dumps_spells_their_floats():
     finite = [x for x in SPECIAL if math.isfinite(x)]
     records = [SweepRecord(*[x] * 8, OperationalRegion.OUT_TRANSFERS,
@@ -205,88 +307,75 @@ class Real(float):
 
 
 @pytest.mark.parametrize("value", [
-    10**400, 2**63, Real(2.5e-05), np.float64(1e16),
-], ids=["10**400", "2**63", "subclass", "float64"])
+    1, 2**63, Real(2.5e-05), np.float64(1e16),
+], ids=["1", "2**63", "subclass", "float64"])
 def test_records_json_of_other_number_types_matches_json_dumps(value):
-    # An int beyond the float range and float subclasses are written as the
-    # encoder writes them, in float fields and design entries.
-    record = SweepRecord(value, 2.0, 1.0, -0.5, 0.5, 1.0, -0.5, value,
-                         OperationalRegion.OUT_TRANSFERS,
-                         (DesignEfficiency(QtmDesign.QEN, value, value),))
-    expected = json.dumps([record_dict(record)], indent=2) + "\n"
+    # An int and float subclasses are written as their float64, in float
+    # fields and design entries.
+    record = one_record(value)
+    expected = json.dumps([record_dict(as_floats(record))], indent=2) + "\n"
     assert written(emit, [record], "json") == expected
 
 
 @pytest.mark.parametrize("value", [
-    np.float64(1e16), np.float32(0.1), True, Real(2.5e-05), 2**63, 5e-324,
-], ids=["float64", "float32", "bool", "subclass", "2**63", "5e-324"])
+    np.float64(1e16), Real(2.5e-05), 1, 2**63, 5e-324,
+], ids=["float64", "subclass", "1", "2**63", "5e-324"])
 def test_records_csv_of_other_number_types_matches_csv_writer(value):
-    # The CSV writer converts through __float__ ("%.12g") where csv.writer's
-    # reference here calls __format__ ("{:.12g}"); both must spell the same,
-    # in float fields, efficiencies and Carnot values.
+    # The CSV of the float64 view, in float fields, efficiencies and Carnot
+    # values; a float64 and a float subclass spell as their float.
     entry = DesignEfficiency(QtmDesign.QEN, value, value)
     records = [
         SweepRecord(value, 2.0, 1.0, -0.5, 0.5, 1.0, -0.5, value,
                     OperationalRegion.OUT_TRANSFERS, (entry,) * count)
         for count in (0, 1, 2)
     ]
-    expected = csv_text(sweep.CSV_COLUMNS, map(record_row, records))
+    expected = csv_text(sweep.CSV_COLUMNS, map(record_row, map(as_floats, records)))
     assert written(emit, records, "csv") == expected
 
 
 @pytest.mark.parametrize("column", ["rho", "e_out_norm", "efficiency", "carnot"])
 def test_records_csv_of_an_int_beyond_the_float_range_names_its_column(column):
-    # "{:.12g}" cannot format 10**400; the JSON writer writes its digits.
-    floats = dict.fromkeys(sweep._FLOAT_COLUMNS, 0.5)
-    entry = {"efficiency": 0.5, "carnot": 0.8}
-    (floats if column in floats else entry)[column] = 10**400
-    record = SweepRecord(**floats, region=OperationalRegion.OUT_TRANSFERS,
-                         designs=(DesignEfficiency(QtmDesign.QEN, **entry),))
-    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
-        emit([record], "csv", io.StringIO())
+    # No float64 holds 10**400: the record and field are named, as
+    # parse_records names them, and nothing is written.
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as info:
+        emit([one_record(10**400, column)], "csv", buffer)
+    assert str(info.value) == (f"{where(column)}: {column} is beyond the float "
+                               f"range, got {reprlib.repr(10**400)}")
+    assert buffer.getvalue() == ""
 
 
 @pytest.mark.parametrize("column", ["rho", "efficiency", "carnot"])
 def test_curves_csv_of_an_int_beyond_the_float_range_names_its_column(column):
-    fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
-    fields[column] = 10**400 if column == "carnot" else (10**400,)
-    curve = EfficiencyCurve(QtmDesign.QEN, **fields,
-                            carnot_limit_kind=CarnotLimitKind.MAXIMUM)
-    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
-        emit_curves({QtmDesign.QEN: curve}, "csv", io.StringIO())
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as info:
+        emit_curves(one_curve(10**400, column), "csv", buffer)
+    assert str(info.value) == (f"curve QEN: {column} is beyond the float range, "
+                               f"got {reprlib.repr(10**400)}")
+    assert buffer.getvalue() == ""
 
 
-@pytest.mark.parametrize("format, value", [
-    ("csv", "a"), ("csv", None), ("csv", (0.5,)),
-    ("json", "a"), ("json", None), ("json", np.float32(0.1)), ("json", True),
-], ids=["csv-str", "csv-None", "csv-tuple", "json-str", "json-None",
-        "json-float32", "json-bool"])
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("value", ["a", None, (0.5,), np.float32(0.1), True],
+                         ids=["str", "None", "tuple", "float32", "bool"])
 @pytest.mark.parametrize("column", [*sweep._FLOAT_COLUMNS, "efficiency", "carnot"])
 def test_records_of_a_value_that_is_not_a_number_name_its_column(format, value,
                                                                  column):
-    # csv.writer would write "a" and None as text, json.dumps "a" as a string,
-    # None as null and True as true, and none is read back as a number;
-    # json.dumps cannot write a float32 at all.  The CSV writer writes a
-    # float32 as a float and True as 1
-    # (test_records_csv_of_other_number_types_matches_csv_writer).  A lone
-    # "%.12g" % value would unpack a one-element tuple and format its float.
-    floats = dict.fromkeys(sweep._FLOAT_COLUMNS, 0.5)
-    entry = {"efficiency": 0.5, "carnot": 0.8}
-    (floats if column in floats else entry)[column] = value
-    record = SweepRecord(**floats, region=OperationalRegion.OUT_TRANSFERS,
-                         designs=(DesignEfficiency(QtmDesign.QEN, **entry),))
-    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
-        emit([record], format, io.StringIO())
+    # Neither format writes a value parse_records would not read back as a
+    # number: not "a" or None, not a float32 (no float subclass), not True,
+    # and not a one-element tuple, which a lone "%.12g" % value would unpack.
+    with pytest.raises(ValidationError) as info:
+        emit([one_record(value, column)], format, io.StringIO())
+    assert str(info.value) == f"{where(column)}: {column} is not a number, got {value!r}"
 
 
 @pytest.mark.parametrize("column", ["rho", "efficiency", "carnot"])
 def test_curves_json_of_a_bool_names_its_column(column):
-    fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
-    fields[column] = True if column == "carnot" else (True,)
-    curve = EfficiencyCurve(QtmDesign.QEN, **fields,
-                            carnot_limit_kind=CarnotLimitKind.MAXIMUM)
-    with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
-        emit_curves({QtmDesign.QEN: curve}, "json", io.StringIO())
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as info:
+        emit_curves(one_curve(True, column), "json", buffer)
+    assert str(info.value) == f"curve QEN: {column} is not a number, got True"
+    assert buffer.getvalue() == ""
 
 
 @pytest.mark.parametrize("value", ["a", None], ids=["str", "None"])
@@ -294,13 +383,10 @@ def test_curves_json_of_a_bool_names_its_column(column):
 def test_curves_csv_of_a_value_that_is_not_a_number_names_its_column(value,
                                                                      column):
     # And the curves JSON, where json.dumps would write "a" and None as such.
-    fields = {"rho": (1.5,), "efficiency": (0.5,), "carnot": 0.8}
-    fields[column] = value if column == "carnot" else (value,)
-    curve = EfficiencyCurve(QtmDesign.QEN, **fields,
-                            carnot_limit_kind=CarnotLimitKind.MAXIMUM)
     for format in ("csv", "json"):
-        with pytest.raises(ValidationError, match=f"^cannot write {column}: "):
-            emit_curves({QtmDesign.QEN: curve}, format, io.StringIO())
+        with pytest.raises(ValidationError) as info:
+            emit_curves(one_curve(value, column), format, io.StringIO())
+        assert str(info.value) == f"curve QEN: {column} is not a number, got {value!r}"
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])
@@ -353,11 +439,12 @@ def test_curves_of_a_design_or_limit_that_is_no_member_name_its_column(
 @settings(max_examples=100, deadline=None)
 @given(curve_maps())
 def test_curves_json_matches_json_dumps(curves):
+    # Of the float64 view: an int is written as its float (1 -> 1.0).
     expected = json.dumps({
         design.value: {
-            "rho": list(curve.rho),
-            "efficiency": list(curve.efficiency),
-            "carnot": curve.carnot,
+            "rho": list(map(float, curve.rho)),
+            "efficiency": list(map(float, curve.efficiency)),
+            "carnot": float(curve.carnot),
             "carnot_limit": curve.carnot_limit_kind.value,
         }
         for design, curve in curves.items()
@@ -403,12 +490,16 @@ def test_curves_of_float_array_columns_are_written_as_of_tuples(format):
 
 @pytest.mark.parametrize("column", ["rho", "efficiency"])
 def test_curves_json_of_an_int_array_names_its_column(column):
+    # An int64 array's values are np.int64, no int: both formats name the
+    # first, where a float64 array is written as a tuple of its floats.
     fields = {"rho": np.array([1.5]), "efficiency": np.array([0.5])}
     fields[column] = np.array([1], dtype=np.int64)
     curve = EfficiencyCurve(QtmDesign.QEN, **fields, carnot=0.8,
                             carnot_limit_kind=CarnotLimitKind.MAXIMUM)
-    with pytest.raises(ValidationError, match=f"^cannot write {column}: not a number"):
-        emit_curves({QtmDesign.QEN: curve}, "json", io.StringIO())
+    for format in ("csv", "json"):
+        with pytest.raises(ValidationError) as info:
+            emit_curves({QtmDesign.QEN: curve}, format, io.StringIO())
+        assert str(info.value) == f"curve QEN: {column} is not a number, got {np.int64(1)!r}"
 
 
 def test_a_regions_two_curves_share_one_rho_tuple():
