@@ -33,7 +33,7 @@ __all__ = [
 class PhysicalConstants:
     """Constants entering the ring spectrum and Boltzmann weights.
 
-    Defaults are the CODATA 2018 recommended values (SI).
+    Defaults are the CODATA 2018 recommended values (SI), each held as a ``float``.
     """
 
     hbar: float = 1.054571817e-34  # J s
@@ -43,6 +43,7 @@ class PhysicalConstants:
     def __post_init__(self) -> None:
         for name in ("hbar", "boltzmann_k", "electron_mass"):
             require_finite(name, getattr(self, name), ValidationError, 0.0)
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def reduced(cls) -> "PhysicalConstants":

@@ -159,10 +159,11 @@ def occupation(
 
 def _exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
     """``(e_high_gamma, e_low_gamma)`` of the cycle, by the module docstring's
-    ``x``, after checking its temperatures; elementwise over gap arrays."""
+    ``x``, of its checked temperatures as floats; elementwise over gap arrays."""
     require_finite("t_low", t_low, InvalidTemperatureError, 0.0)
     require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
+    t_low, theta_sq, boltzmann_k = float(t_low), float(theta_sq), float(boltzmann_k)
     require_finite("temperature", theta_sq * t_low, InvalidTemperatureError, 0.0)
     require_finite("k_B * t_low", boltzmann_k * t_low, ValidationError, 0.0)
     b_low = gap_low / (boltzmann_k * t_low)

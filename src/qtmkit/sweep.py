@@ -18,8 +18,10 @@ from another thread meanwhile may find it re-enabled afterwards.
 One number rule holds both ways: a float field holds a ``float`` (a subclass
 too) or an ``int`` that is not a ``bool``, as the float64 ``float()`` makes
 of it; an int beyond the float range is a fault.  :func:`_records_in` reads
-by it a parsed document and the records :func:`emit` is given unless held,
-:func:`emit_curves` checks each curve by it, and the writers format held
+by it a parsed document and the records :func:`emit` is given unless held;
+:func:`_require_fields` names the first fault of either (``record i[ design
+j]: <field> …``) and reads each curve :func:`emit_curves` is given (``curve
+D: <field> …``).  The writers format held
 float64 columns only.  The CSV writers fill a row template per record or per
 curve, a chunk of text at a time with one ``%``; the JSON writer formats a
 float column at a time (:func:`_json_floats`) and joins the cells with the
@@ -120,8 +122,8 @@ class SweepSpec:
     """Parameters of one sweep.
 
     Exactly one of ``r_low`` (ring medium, meters) or ``gap_low`` (generic
-    medium, energy units) must be set, matching ``medium_kind``.  The
-    checked ``rho_grid`` is kept as a tuple of floats, not the caller's object.
+    medium, energy units) must be set, matching ``medium_kind``.  Each checked
+    number is held as its ``float``, ``rho_grid`` as a tuple of them.
     """
 
     t_low: float
@@ -170,6 +172,8 @@ class SweepSpec:
             raise ValidationError(f"{self.medium_kind.value} sweeps take {key}, "
                                   f"not {other}: set exactly one of r_low or gap_low")
         require_finite(key, value, ValidationError, 0.0)
+        for name in ("t_low", "theta_sq", key):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,10 +226,11 @@ def _gc_paused():
             gc.enable()
 
 
-#: What a held region or design index stands for: its member, and its value.
-_DESIGNS = tuple(QtmDesign)
-_VALUES = {enum: tuple(m.value for m in members)
-           for enum, members in ((OperationalRegion, _REGIONS), (QtmDesign, _DESIGNS))}
+#: Each enum's members: a held region or design index stands for one, and its value.
+_MEMBERS = {OperationalRegion: _REGIONS, QtmDesign: tuple(QtmDesign),
+            CarnotLimitKind: tuple(CarnotLimitKind)}
+_DESIGNS = _MEMBERS[QtmDesign]
+_VALUES = {enum: tuple(m.value for m in members) for enum, members in _MEMBERS.items()}
 
 
 class _Records(Sequence):
@@ -484,14 +489,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (float, int)) and not isinstance(value, bool)
 
 
-def _require_number(value, key: str, what: str) -> None:
-    """Raise a ValidationError naming ``what`` and ``key`` unless ``value`` fits a float64."""
+def _require_number(value, key: str, where: str) -> float:
+    """``float(value)``, or a ValidationError naming ``where`` and ``key``
+    unless ``value`` fits a float64 by the number rule."""
     if not _is_number(value):
-        raise ValidationError(f"{what}: {key} is not a number, got {reprlib.repr(value)}")
+        raise ValidationError(f"{where}: {key} is not a number, got {reprlib.repr(value)}")
     try:
-        float(value)
+        return float(value)
     except OverflowError:
-        raise ValidationError(f"{what}: {key} is beyond the float range, "
+        raise ValidationError(f"{where}: {key} is beyond the float range, "
                               f"got {reprlib.repr(value)}") from None
 
 
@@ -501,18 +507,6 @@ def _float64(column) -> np.ndarray:
     if not (_NUMBERS.issuperset(map(type, column)) or all(map(_is_number, column))):
         raise TypeError("a float field holds a value that is not a number")
     return np.array(column, dtype=float)
-
-
-def _values(name: str, kind: type[_Enum], members: list) -> list:
-    """The value of each ``kind`` member of column ``name``, after one type
-    scan: anything else there (a string, another enum's member) raises a
-    ValidationError naming the column."""
-    if not {kind}.issuperset(map(type, members)):
-        value = next(m for m in members if type(m) is not kind)
-        raise ValidationError(
-            f"cannot write {name}: not a member of {kind.__name__}: {value!r}")
-    # ``_value_`` itself: the ``value`` property would add a call a member.
-    return list(map(attrgetter("_value_"), members))
 
 
 def _spelled(enum: type[_Enum], indexes: np.ndarray) -> list[str]:
@@ -596,72 +590,71 @@ def _curves_json(curves: dict) -> list[str]:
 
 
 #: The held index of each value (parsed) and member (emitted) of each enum.
-_INDEX_OF = {enum: {value: i for i, value in enumerate(values)}
-             for enum, values in _VALUES.items()}
-_MEMBER_INDEX = {enum: {member: i for i, member in enumerate(members)}
-                 for enum, members in ((OperationalRegion, _REGIONS), (QtmDesign, _DESIGNS))}
+_INDEX_OF, _MEMBER_INDEX = ({enum: {key: i for i, key in enumerate(keys)}
+                             for enum, keys in table.items()} for table in (_VALUES, _MEMBERS))
+#: What each field holds: a number (``float``), an enum member, a list or
+#: tuple of entries (``list``), or a sequence of numbers (``tuple``).
+_RULES = {SweepRecord: {**dict.fromkeys(_FLOAT_COLUMNS, float), "region": OperationalRegion,
+                        "designs": list},
+          DesignEfficiency: {"design": QtmDesign, **dict.fromkeys(_ENTRY_FLOATS, float)},
+          EfficiencyCurve: {"design": QtmDesign, "rho": tuple, "efficiency": tuple,
+                            "carnot": float, "carnot_limit_kind": CarnotLimitKind}}
+#: How a parsed document, and what :func:`emit` and :func:`emit_curves` are
+#: given, are read: the getter, each object's type, the enum indexes.
+_PARSED = (itemgetter, dict.fromkeys(_RULES, dict), _INDEX_OF)
+_EMITTED = (attrgetter, {schema: schema for schema in _RULES}, _MEMBER_INDEX)
 
 
-def _require_keys(obj, keys, numbers, what: str) -> None:
-    """Raise unless ``obj`` is an object with ``keys``, each of ``numbers``
-    a number (:func:`_require_number`)."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} is not an object")
-    for key in keys:
-        if key not in obj:
-            raise ValidationError(f"{what} lacks key {key!r}")
-    for key in numbers:
-        _require_number(obj[key], key, what)
+def _require_member(value, key: str, where: str, enum, index_of=_MEMBER_INDEX) -> None:
+    """Raise a ValidationError naming ``where`` and ``key`` unless ``value``
+    has a held index in ``index_of[enum]``."""
+    try:
+        index_of[enum][value]
+    except (KeyError, TypeError):  # a TypeError: an unhashable value
+        raise ValidationError(f"{where}: {key} is not in {enum.__name__}, "
+                              f"got {reprlib.repr(value)}") from None
 
 
-def _check_records(objs: list) -> None:
-    """Raise a :class:`ValidationError` naming the first malformed record
-    object in ``objs``, or the enum's ``ValueError`` for the first unknown
-    region or design value."""
-    for i, obj in enumerate(objs):
-        _require_keys(obj, SweepRecord.__slots__, _FLOAT_COLUMNS, f"record {i}")
-        OperationalRegion(obj["region"])
-        if not isinstance(obj["designs"], list):
-            raise ValidationError(f"record {i}: designs is not a list")
-        for j, entry in enumerate(obj["designs"]):
-            _require_keys(entry, DesignEfficiency.__slots__, _ENTRY_FLOATS,
-                          f"record {i} design {j}")
-            QtmDesign(entry["design"])
+def _require_fields(obj, schema, where: str, reading) -> list:
+    """The fields of ``obj`` by ``reading`` if each holds what ``_RULES[schema]``
+    says, numbers as floats (a sequence of floats as it is, after one type
+    scan); else a ValidationError naming ``where`` and the first fault."""
+    get, types, index_of = reading
+    if not isinstance(obj, kind := types[schema]):
+        raise ValidationError(f"{where}: type is {type(obj).__name__}, not {kind.__name__}")
+    values = []
+    for key, rule in _RULES[schema].items():
+        try:
+            value = get(key)(obj)
+        except (KeyError, AttributeError):
+            raise ValidationError(f"{where}: {key} is missing") from None
+        if rule is float:
+            value = _require_number(value, key, where)
+        elif rule is tuple:
+            try:
+                len(value)
+                exact = {float}.issuperset(map(type, value))
+            except TypeError:
+                raise ValidationError(f"{where}: {key} is not a sequence, "
+                                      f"got {reprlib.repr(value)}") from None
+            value = value if exact else [_require_number(v, key, where) for v in value]
+        elif rule is not list:  # an enum
+            _require_member(value, key, where, rule, index_of)
+        elif type(value) not in (tuple, list):
+            raise ValidationError(f"{where}: {key} is not a list, got {type(value).__name__}")
+        values.append(value)
+    return values
 
 
-def _check_emitted(records) -> None:
-    """Raise a :class:`ValidationError` naming the first of ``records`` that
-    is not a :class:`SweepRecord` with a tuple of :class:`DesignEfficiency`,
-    each of numbers and enum members."""
-    for i, record in enumerate(records):
-        if not isinstance(record, SweepRecord):
-            raise ValidationError(
-                f"record {i} is not a SweepRecord, got {type(record).__name__}")
-        for key in _FLOAT_COLUMNS:
-            _require_number(getattr(record, key), key, f"record {i}")
-        _values("region", OperationalRegion, [record.region])
-        if type(designs := record.designs) not in (tuple, list):
-            raise ValidationError(
-                f"record {i}: designs is not a tuple, got {type(designs).__name__}")
-        for j, entry in enumerate(designs):
-            if not isinstance(entry, DesignEfficiency):
-                raise ValidationError(f"record {i} design {j} is not a "
-                                      f"DesignEfficiency, got {type(entry).__name__}")
-            for key in _ENTRY_FLOATS:
-                _require_number(getattr(entry, key), key, f"record {i} design {j}")
-            _values("design", QtmDesign, [entry.design])
-
-
-def _records_in(objs, get=itemgetter) -> _Records:
+def _records_in(objs, reading=_PARSED) -> _Records:
     """Records held by the number rule: a parsed document read by
-    ``itemgetter``, enums by value, or :func:`emit`'s records by
-    ``attrgetter``, enums by member.  Only a failed read walks ``objs``
-    (:func:`_check_records`, :func:`_check_emitted`) to name its fault."""
-    parsed = get is itemgetter
-    if parsed and not isinstance(objs, list):
+    :data:`_PARSED` (``itemgetter``, enums by value), or :func:`emit`'s
+    records by :data:`_EMITTED` (``attrgetter``, enums by member).  Only a
+    failed read walks ``objs`` by :func:`_require_fields` to name its first fault."""
+    if reading is _PARSED and not isinstance(objs, list):
         raise ValidationError(
             f"records JSON must be a list at the top level, not {type(objs).__name__}")
-    index_of = _INDEX_OF if parsed else _MEMBER_INDEX
+    get, _, index_of = reading
     try:
         designs = list(map(get("designs"), objs))
         if not {tuple, list}.issuperset(map(type, designs)):
@@ -674,7 +667,10 @@ def _records_in(objs, get=itemgetter) -> _Records:
                           for e, c in ((OperationalRegion, regions), (QtmDesign, names)))
         floats = list(map(_float64, floats + entry_floats))
     except (AttributeError, KeyError, TypeError, OverflowError):
-        (_check_records if parsed else _check_emitted)(objs)
+        for i, obj in enumerate(objs):  # name the first fault in list order
+            *_, entries = _require_fields(obj, SweepRecord, f"record {i}", reading)
+            for j, entry in enumerate(entries):
+                _require_fields(entry, DesignEfficiency, f"record {i} design {j}", reading)
         raise
     counts = np.fromiter(map(len, designs), np.int32, len(designs))
     return _Records((counts, *floats[:8], regions, names, *floats[8:]))
@@ -707,18 +703,16 @@ def parse_records(text: str | bytes | bytearray) -> Sequence[SweepRecord]:
 
     ``bytes`` and ``bytearray`` are decoded as ``json.loads`` decodes them;
     any other type but ``str`` raises ``json.loads``'s ``TypeError``.  A
-    document that is not a list of record objects with every key raises
-    :class:`ValidationError` naming the first fault in document order; if
-    that fault is an unknown region or design value, the enum's
-    ``ValueError``.
+    float field is read by the number rule :func:`emit` writes by, NaN and
+    infinities included.  A fault raises a :class:`ValidationError` naming
+    the first in document order by its record and field (``record 5: rho is
+    missing``, ``record 0: region is not in OperationalRegion, got 'Bogus'``).
 
-    A float field is read by the number rule :func:`emit` writes by, NaN and
-    infinities included; a fault raises a :class:`ValidationError` naming
-    its record and field.  The text is read a piece at a time
-    (:func:`_pieces`) by orjson, or, if orjson rejects a piece (``NaN``,
-    ``Infinity``, ``1e400``, a lone surrogate, bad JSON), by ``json.loads``.
-    Only if both fail does ``json.loads`` read the whole text, which names
-    the fault or reads a document cut inside a record.
+    The text is read a piece at a time (:func:`_pieces`) by orjson; if
+    orjson rejects any piece (``NaN``, ``Infinity``, ``1e400``, a lone
+    surrogate, bad JSON), ``json.loads`` reads every piece again.  Only if
+    both fail does ``json.loads`` read the whole text, which names the fault
+    or reads a document cut inside a record.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text), "surrogatepass")
@@ -777,19 +771,10 @@ def emit(
     if len(records) == 0:
         raise ValidationError("no records to emit")
     if not isinstance(records, _Records):
-        records = _records_in(records, attrgetter)
+        records = _records_in(records, _EMITTED)
     _emit(format, destination, records,
           lambda r: _chunked(r, _csv_rows, ",".join(CSV_COLUMNS) + "\n", "", ""),
           lambda r: _chunked(r, _json_records, "[\n", ",\n", "\n]\n"))
-
-
-def _exact_floats(column, key: str, what: str):
-    """``column`` if each value is a ``float``, else each checked and as one."""
-    if {float}.issuperset(map(type, column)):
-        return column
-    for value in column:
-        _require_number(value, key, what)
-    return list(map(float, column))
 
 
 def emit_curves(
@@ -799,19 +784,22 @@ def emit_curves(
 ) -> None:
     """Serialize efficiency curves: long-format CSV or per-design JSON.
     Each curve's ``rho``, ``efficiency`` and ``carnot`` are written as their
-    float64s by the number rule; a fault raises a :class:`ValidationError`
-    naming its curve, and nothing is written."""
+    float64s by the number rule.  A fault, a curve whose ``design`` is not its
+    key among them, raises a :class:`ValidationError` naming its curve
+    (``curve QEN: …``), or ``curves: …``, and nothing is written."""
+    if not hasattr(curves, "items"):
+        raise ValidationError(f"curves: type is {type(curves).__name__}, not dict")
     if len(curves) == 0:
         raise ValidationError("no curves to emit")
-    _values("design", QtmDesign, list(curves))
-    limits = _values("carnot_limit", CarnotLimitKind,
-                     [curve.carnot_limit_kind for curve in curves.values()])
-    for design in [d for d, c in curves.items() if len(c.rho) != len(c.efficiency)][:1]:
-        raise ValidationError(f"curve {design.value}: len(rho) != len(efficiency)")
     held = {}
-    for (design, curve), limit in zip(curves.items(), limits):
-        columns = {"rho": curve.rho, "efficiency": curve.efficiency, "carnot": (curve.carnot,)}
-        rho, efficiency, (carnot,) = (_exact_floats(column, key, f"curve {design.value}")
-                                      for key, column in columns.items())
-        held[design] = rho, efficiency, carnot, limit
+    for design, curve in curves.items():
+        _require_member(design, "design", "curves", QtmDesign)
+        where = f"curve {design.value}"
+        named, rho, efficiency, carnot, limit = _require_fields(
+            curve, EfficiencyCurve, where, _EMITTED)
+        if named is not design:
+            raise ValidationError(f"{where}: design is {named.value}")
+        if len(rho) != len(efficiency):
+            raise ValidationError(f"{where}: len(rho) != len(efficiency)")
+        held[design] = rho, efficiency, carnot, limit.value
     _emit(format, destination, held, _curves_csv, _curves_json)

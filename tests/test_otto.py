@@ -1,5 +1,7 @@
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -264,6 +266,17 @@ class TestOttoCycleEnergies:
         )
         assert energies.e_high_gamma == pytest.approx(e_high_ref, rel=1e-10)
         assert energies.e_low_gamma == pytest.approx(e_low_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("number", [np.float32, Decimal, Fraction],
+                             ids=["float32", "Decimal", "Fraction"])
+    def test_temperatures_of_other_number_types_are_taken_as_their_floats(self,
+                                                                         number):
+        # np.float32 temperatures once promoted the kernel to float32; a
+        # Decimal one once crashed it with a TypeError.
+        medium = gap_medium(0.9, 2.3)
+        given = number("0.7"), number("5.3"), number("1.1")
+        energies = otto_cycle_energies(medium, *given)
+        assert energies == otto_cycle_energies(medium, *map(float, given))
 
 
 class TestMultilevelExchange:

@@ -380,15 +380,15 @@ RECORD = {"rho": 1.5, "alpha_sq": 2.25, "e_high": 1.0, "e_low": -0.5,
     ({"a": 1}, "must be a list"),
     ("x", "must be a list"),
     (1.5, "must be a list"),
-    ([1], "record 0 is not an object"),
-    ([{}], "record 0 lacks key 'rho'"),
+    ([1], "record 0: type is int, not dict"),
+    ([{}], "record 0: rho is missing"),
     ([RECORD, {k: v for k, v in RECORD.items() if k != "region"}],
-     "record 1 lacks key 'region'"),
+     "record 1: region is missing"),
     ([RECORD, {**RECORD, "designs": None}], "record 1: designs is not a list"),
     ([{**RECORD, "designs": [RECORD["designs"][0], ["QEN"]]}],
-     "record 0 design 1 is not an object"),
+     "record 0 design 1: type is list, not dict"),
     ([{**RECORD, "designs": [{"design": "QEN", "efficiency": 0.5}]}],
-     "record 0 design 0 lacks key 'carnot'"),
+     "record 0 design 0: carnot is missing"),
 ])
 def test_malformed_documents_raise_validation_error(doc, message):
     with pytest.raises(ValidationError, match=message):
@@ -398,7 +398,7 @@ def test_malformed_documents_raise_validation_error(doc, message):
 def test_malformed_record_is_numbered_across_chunks(monkeypatch):
     monkeypatch.setattr(sweep, "_CHUNK", 2)
     doc = [RECORD] * 5 + [{**RECORD, "designs": [{}]}]
-    with pytest.raises(ValidationError, match="record 5 design 0 lacks key"):
+    with pytest.raises(ValidationError, match="record 5 design 0: design is missing"):
         parse_records(json.dumps(doc))
     assert len(parse_records(json.dumps([RECORD] * 5))) == 5
 
@@ -426,29 +426,26 @@ def test_the_first_fault_in_document_order_is_named():
     # An unknown region in record 0 is named before a missing key in record 5.
     doc = [{**RECORD, "region": "Bogus"}, *[RECORD] * 4,
            {k: v for k, v in RECORD.items() if k != "rho"}]
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_records(json.dumps(doc))
-    assert type(info.value) is ValueError
-    assert str(info.value) == "'Bogus' is not a valid OperationalRegion"
-    with pytest.raises(ValidationError, match="^record 4 lacks key 'rho'$"):
+    assert str(info.value) == "record 0: region is not in OperationalRegion, got 'Bogus'"
+    with pytest.raises(ValidationError, match="^record 4: rho is missing$"):
         parse_records(json.dumps(doc[1:]))
 
 
-def test_an_unknown_design_in_a_late_piece_raises_the_enums_error(monkeypatch):
+def test_an_unknown_design_in_a_late_piece_names_its_record(monkeypatch):
     monkeypatch.setattr(sweep, "_PIECE", 1)
     late = {**RECORD, "designs": [ENTRY, {**ENTRY, "design": "QXX"}]}
     text = json.dumps([RECORD] * 6 + [late, RECORD], indent=2)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValidationError) as info:
         parse_records(text)
-    assert type(info.value) is ValueError
-    assert str(info.value) == "'QXX' is not a valid QtmDesign"
+    assert str(info.value) == "record 6 design 1: design is not in QtmDesign, got 'QXX'"
 
 
-def test_an_unhashable_region_raises_the_enums_error():
-    with pytest.raises(ValueError) as info:
+def test_an_unhashable_region_names_its_record():
+    with pytest.raises(ValidationError) as info:
         parse_records(json.dumps([RECORD, {**RECORD, "region": [1]}]))
-    assert type(info.value) is ValueError
-    assert str(info.value) == "[1] is not a valid OperationalRegion"
+    assert str(info.value) == "record 1: region is not in OperationalRegion, got [1]"
 
 
 def test_big_integers_parse_as_the_floats_they_round_to():
@@ -496,7 +493,8 @@ def test_an_integer_beyond_the_float_range_names_its_record_and_field(
 
 def test_an_error_quotes_a_big_integer_as_spelled():
     doc = [{**RECORD, "region": 10**20}]
-    with pytest.raises(ValueError, match="^100000000000000000000 is not a valid"):
+    with pytest.raises(ValidationError, match="^record 0: region is not in "
+                       "OperationalRegion, got 100000000000000000000$"):
         parse_records(json.dumps(doc))
 
 

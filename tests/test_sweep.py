@@ -1,6 +1,8 @@
 import io
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +113,29 @@ class TestSweepSpec:
         grids = (np.array([0.5, 1.5]), np.array([0.5, 1.5]), np.array([0.5, 2.5]))
         first, same, other = (ring_spec(rho_grid=g) for g in grids)
         assert first == same and first != other
+
+    @pytest.mark.parametrize("number", [
+        np.float32, Decimal, Fraction, lambda text: round(float(text))],
+        ids=["float32", "Decimal", "Fraction", "int"])
+    @pytest.mark.parametrize("kind", list(MediumKind))
+    def test_a_sweep_of_other_number_types_is_the_sweep_of_their_floats(self, number,
+                                                                        kind):
+        # np.float32 inputs once ran the sweep in float32 (k_B * t_low
+        # promotes); a Decimal or Fraction once crashed it with a TypeError.
+        key = "r_low" if kind is MediumKind.QUANTUM_RING else "gap_low"
+        given = dict(t_low=number("0.7"), theta_sq=number("5.3"), **{key: number("1.2")})
+        constants = dict(hbar=number("1.1"), boltzmann_k=number("0.9"),
+                         electron_mass=number("1.3"))
+        grid = default_rho_grid(5.0, num=50)
+        spec = SweepSpec(**given, rho_grid=grid, medium_kind=kind)
+        floats = SweepSpec(**{k: float(v) for k, v in given.items()}, rho_grid=grid,
+                           medium_kind=kind)
+        held = PhysicalConstants(**constants)
+        twin = PhysicalConstants(**{k: float(v) for k, v in constants.items()})
+        assert (spec, held) == (floats, twin)
+        assert {type(getattr(spec, k)) for k in given} == {float}
+        assert {type(getattr(held, k)) for k in constants} == {float}
+        assert run_sweep(spec, held)[0] == run_sweep(floats, twin)[0]
 
 
 class TestDefaultGrid:

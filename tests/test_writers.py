@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import reprlib
 import tracemalloc
 
@@ -405,16 +406,17 @@ def test_records_of_a_region_or_design_that_is_no_member_name_its_column(
         design = value
     record = SweepRecord(*[0.5] * 8, region, (DesignEfficiency(design, 0.5, 0.8),))
     kind = "OperationalRegion" if column == "region" else "QtmDesign"
+    where = "record 0" if column == "region" else "record 0 design 0"
     with pytest.raises(ValidationError) as info:
         emit([record], format, io.StringIO())
-    assert str(info.value) == f"cannot write {column}: not a member of {kind}: {value!r}"
+    assert str(info.value) == f"{where}: {column} is not in {kind}, got {reprlib.repr(value)}"
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])
 @pytest.mark.parametrize("column, value", [
     ("design", "QEN"), ("design", None), ("design", CarnotLimitKind.MAXIMUM),
-    ("carnot_limit", "maximum"), ("carnot_limit", None),
-    ("carnot_limit", QtmDesign.QEN),
+    ("carnot_limit_kind", "maximum"), ("carnot_limit_kind", None),
+    ("carnot_limit_kind", QtmDesign.QEN),
 ], ids=["design-str", "design-None", "design-other-enum", "limit-str",
         "limit-None", "limit-other-enum"])
 def test_curves_of_a_design_or_limit_that_is_no_member_name_its_column(
@@ -428,11 +430,12 @@ def test_curves_of_a_design_or_limit_that_is_no_member_name_its_column(
     else:
         limit = value
     curve = EfficiencyCurve(QtmDesign.QEN, (1.5, 2.0), (0.3, 0.4), 0.8, limit)
-    kind = "QtmDesign" if column == "design" else "CarnotLimitKind"
+    kind, where = ("QtmDesign", "curves") if column == "design" else (
+        "CarnotLimitKind", "curve QEN")
     buffer = io.StringIO()
     with pytest.raises(ValidationError) as info:
         emit_curves({design: curve}, format, buffer)
-    assert str(info.value) == f"cannot write {column}: not a member of {kind}: {value!r}"
+    assert str(info.value) == f"{where}: {column} is not in {kind}, got {reprlib.repr(value)}"
     assert buffer.getvalue() == ""
 
 
@@ -474,6 +477,41 @@ def test_curves_with_unequal_rho_and_efficiency_lengths_are_rejected(format):
     buffer = io.StringIO()
     with pytest.raises(ValidationError, match="^curve QEN: "):
         emit_curves(curves, format, buffer)
+    assert buffer.getvalue() == ""
+
+
+QEN_CURVE = EfficiencyCurve(QtmDesign.QEN, (1.5, 2.0), (0.3, 0.4), 0.8,
+                            CarnotLimitKind.MAXIMUM)
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("curves, message", [
+    ({QtmDesign.QEN: dataclasses.replace(QEN_CURVE, rho=None)},
+     "curve QEN: rho is not a sequence, got None"),
+    ({QtmDesign.QEN: dataclasses.replace(QEN_CURVE, efficiency=1.5)},
+     "curve QEN: efficiency is not a sequence, got 1.5"),
+    ({QtmDesign.QLL: None}, "curve QLL: type is NoneType, not EfficiencyCurve"),
+    ({QtmDesign.QEN: QEN_CURVE, QtmDesign.QLL: (1,)},
+     "curve QLL: type is tuple, not EfficiencyCurve"),
+    (None, "curves: type is NoneType, not dict"),
+], ids=["rho-None", "efficiency-float", "curve-None", "curve-tuple", "curves-None"])
+def test_curves_of_the_wrong_shape_are_named(curves, message, format):
+    # Each once escaped as a bare TypeError or AttributeError.
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as info:
+        emit_curves(curves, format, buffer)
+    assert str(info.value) == message
+    assert buffer.getvalue() == ""
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_a_curve_under_another_designs_key_is_rejected(format):
+    # It was written as the key's series: QLL's values labelled QEN.
+    curves = efficiency_curves(REFERENCE)
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as info:
+        emit_curves({QtmDesign.QEN: curves[QtmDesign.QLL]}, format, buffer)
+    assert str(info.value) == "curve QEN: design is QLL"
     assert buffer.getvalue() == ""
 
 
@@ -553,15 +591,16 @@ def test_parse_rejects_an_unknown_enum_value_with_value_error(field, bad):
         doc[0]["region"] = bad
     else:
         doc[0]["designs"][0]["design"] = bad
-    with pytest.raises(ValueError, match="is not a valid"):
+    where = "record 0" if field == "region" else "record 0 design 0"
+    with pytest.raises(ValidationError, match=f"^{where}: {field} is not in "):
         parse_records(json.dumps(doc))
 
 
 @pytest.mark.parametrize("format", ["csv", "json"])
 @pytest.mark.parametrize("shape, message", [
-    ("designs-None", "record 290: designs is not a tuple, got NoneType"),
-    ("entry-tuple", "record 290 design 1 is not a DesignEfficiency, got tuple"),
-    ("record-dict", "record 290 is not a SweepRecord, got dict"),
+    ("designs-None", "record 290: designs is not a list, got NoneType"),
+    ("entry-tuple", "record 290 design 1: type is tuple, not DesignEfficiency"),
+    ("record-dict", "record 290: type is dict, not SweepRecord"),
 ], ids=["designs-None", "entry-tuple", "record-dict"])
 def test_records_of_the_wrong_shape_are_named_by_their_index(shape, message,
                                                              format, tmp_path):
@@ -609,6 +648,74 @@ def test_records_that_are_no_sequence_are_rejected_by_name(records, format):
 #: The paper's ring case on the reference grid.
 REFERENCE = SweepSpec(t_low=1.0, theta_sq=5.0, r_low=1e-7,
                       rho_grid=default_rho_grid(5.0))
+
+#: What a planted fault puts in a field of a record or design entry; DROP
+#: drops the field.
+DROP = object()
+FAULTS = {
+    **dict.fromkeys((*sweep._FLOAT_COLUMNS, *sweep._ENTRY_FLOATS), [DROP, "x", True, 10**400]),
+    **dict.fromkeys(("region", "design"), [DROP, "Bogus", None, [1], CarnotLimitKind.MAXIMUM]),
+    "designs": [DROP, None, "", {}],
+}
+
+
+@st.composite
+def planted(draw):
+    """``(objs, i)``: 3 to 8 reference records as objects of
+    :func:`record_dict`, with one fault planted in record ``i`` and maybe one
+    in a later record."""
+    pool = run_sweep(REFERENCE)[0]
+    objs = [record_dict(pool[k]) for k in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                        min_size=3, max_size=8))]
+    i = draw(st.integers(0, len(objs) - 1))
+    for k in {i, draw(st.integers(i, len(objs) - 1))}:
+        entries = objs[k]["designs"]
+        target = entries[draw(st.integers(0, len(entries) - 1))] if entries and draw(
+            st.booleans()) else objs[k]
+        key = draw(st.sampled_from(list(target)))
+        value = draw(st.sampled_from(FAULTS[key]))
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return objs, i
+
+
+def documented(objs) -> str:
+    """``objs`` as a JSON document: a planted enum member as its value."""
+    return json.dumps(objs, default=lambda member: member.value, indent=2)
+
+
+def built(obj, cls=SweepRecord):
+    """``obj`` as a ``cls``, its enum values as members and its entries as a
+    tuple of DesignEfficiency; a dropped field is left unset, anything
+    planted is kept as it is."""
+    made = object.__new__(cls)
+    for key, value in obj.items():
+        if key == "designs" and type(value) is list:
+            value = tuple(built(entry, DesignEfficiency) for entry in value)
+        enum = {"region": OperationalRegion, "design": QtmDesign}.get(key)
+        if enum and value in [m.value for m in enum]:
+            value = enum(value)
+        object.__setattr__(made, key, value)
+    return made
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted(), st.sampled_from(["csv", "json"]))
+def test_both_readers_name_the_record_of_the_first_fault(case, format):
+    # parse_records reads the document, emit the records: each raises a
+    # ValidationError naming record i (or a design entry of it), and emit
+    # writes nothing.
+    objs, i = case
+    with pytest.raises(ValidationError) as parsed:
+        parse_records(documented(objs))
+    buffer = io.StringIO()
+    with pytest.raises(ValidationError) as emitted:
+        emit([built(obj) for obj in objs], format, buffer)
+    for info in (parsed, emitted):
+        assert re.match(rf"record {i}[: ]", str(info.value)), str(info.value)
+    assert buffer.getvalue() == ""
 
 
 class WriteOnly:
@@ -659,7 +766,7 @@ def test_a_type_error_of_a_held_result_skips_the_record_walk(format, monkeypatch
     with pytest.raises(TypeError) as expected:
         emit(list(records), format, io.BytesIO())
     walked = []
-    monkeypatch.setattr(sweep, "_check_emitted", walked.append)
+    monkeypatch.setattr(sweep, "_require_fields", lambda *args: walked.append(args))
     with pytest.raises(TypeError) as info:
         emit(records, format, io.BytesIO())
     assert str(info.value) == str(expected.value) and walked == []
