@@ -203,14 +203,14 @@ def efficiency(design: QtmDesign, alpha_sq: float) -> float:
     diverges there or what it tends to.  None of them is reversible: the
     reversible ratio theta_sq lies inside (1, inf).
     """
-    require_finite("alpha_sq", alpha_sq, OutOfRegionError)
+    alpha_sq = require_finite("alpha_sq", alpha_sq, OutOfRegionError)
     try:
         form, lo, hi = _EFFICIENCY[design]
     except (KeyError, TypeError):
         raise _not_a_design(design) from None
     if alpha_sq == lo or alpha_sq == hi:
         try:
-            limit = f"tends to {form(float(alpha_sq))!r}"
+            limit = f"tends to {form(alpha_sq)!r}"
         except ZeroDivisionError:
             limit = "diverges"
         raise SingularEfficiencyError(f"{design.value} efficiency is undefined at the "
@@ -240,7 +240,7 @@ def carnot_efficiency(design: QtmDesign, theta_sq: float) -> float:
     with positive entropy production) or the reversible ratio
     ``a* = theta_sq`` (others).
     """
-    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    theta_sq = require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     try:
         form = _CARNOT[design]
     except (KeyError, TypeError):
@@ -280,7 +280,7 @@ class AlphaBounds:
 def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
     """Admissible ``alpha_sq`` interval for the design between reservoirs
     with the given temperature ratio."""
-    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    theta_sq = require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     try:
         lo, hi, limit, end = _BOUNDS[design]
     except (KeyError, TypeError):
@@ -293,5 +293,5 @@ def alpha_bounds(design: QtmDesign, theta_sq: float) -> AlphaBounds:
 def classical_otto_efficiency(rho: float) -> float:
     """Otto-cycle efficiency of a monatomic ideal gas at compression ratio
     ``rho``: ``1 - rho**(-2/3)``."""
-    require_finite("compression ratio rho", rho, InvalidRhoError, 1.0)
+    rho = require_finite("compression ratio rho", rho, InvalidRhoError, 1.0)
     return 1.0 - rho ** (-2.0 / 3.0)

@@ -4,7 +4,8 @@ Validation failures (bad temperatures, inadmissible sign patterns, values
 outside a machine design's operating interval, ...) derive from
 :class:`ValidationError`, which is also a ``ValueError``.  I/O failures while
 writing sweep output derive from :class:`EmitIOError`.  A number that must
-be finite, or finite and above a floor, is checked by :func:`require_finite`.
+be finite, or finite and above a floor, is checked by :func:`require_finite`,
+which returns the ``float`` the caller computes with, whatever its type.
 """
 
 import math
@@ -85,12 +86,13 @@ class EmitIOError(QtmError):
 
 def require_finite(
     name: str, value: float, error_cls: type, floor: float = -math.inf
-) -> None:
-    """Raise ``error_cls`` unless ``value`` is a finite number above ``floor``."""
-    try:
-        ok = math.isfinite(value) and value > floor
-    except (TypeError, OverflowError):  # not a real number, or an int past floats
-        ok = False
-    if not ok:
-        above = "" if floor == -math.inf else f" and above {floor:g}"
-        raise error_cls(f"{name} must be finite{above}, got {value!r}")
+) -> float:
+    """The ``float`` of ``value`` if it is finite and above ``floor``; else
+    raise ``error_cls``, quoting ``value`` as given."""
+    try:  # math.isfinite first: float() alone would read a numeric string
+        if math.isfinite(value) and (number := float(value)) > floor:
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass  # not a real number, a signaling NaN, or an int past the floats
+    above = "" if floor == -math.inf else f" and above {floor:g}"
+    raise error_cls(f"{name} must be finite{above}, got {value!r}")

@@ -42,8 +42,8 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "boltzmann_k", "electron_mass"):
-            require_finite(name, getattr(self, name), ValidationError, 0.0)
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, require_finite(
+                name, getattr(self, name), ValidationError, 0.0))
 
     @classmethod
     def reduced(cls) -> "PhysicalConstants":
@@ -66,7 +66,7 @@ def ring_levels(
     ground level.  An effective-mass ring is
     ``replace(constants, electron_mass=m_eff)``.
     """
-    require_finite("radius", radius, InvalidRingError, 0.0)
+    radius = require_finite("radius", radius, InvalidRingError, 0.0)
     require_finite(f"2 * mass * radius**2 at radius {radius!r}",
                    2.0 * constants.electron_mass * (radius * radius),
                    InvalidRingError, 0.0)
@@ -107,10 +107,10 @@ def gap_medium(
     Ground offsets shift whole configurations without touching the gaps; the
     reservoir exchanges of the resulting Otto cycle depend on the gaps only.
     """
-    require_finite("gap_low", gap_low, InvalidGapError, 0.0)
-    require_finite("alpha_sq", alpha_sq, InvalidGapError, 0.0)
-    require_finite("e_ground_low", e_ground_low, InvalidGapError)
-    require_finite("e_ground_high", e_ground_high, InvalidGapError)
+    gap_low = require_finite("gap_low", gap_low, InvalidGapError, 0.0)
+    alpha_sq = require_finite("alpha_sq", alpha_sq, InvalidGapError, 0.0)
+    e_ground_low = require_finite("e_ground_low", e_ground_low, InvalidGapError)
+    e_ground_high = require_finite("e_ground_high", e_ground_high, InvalidGapError)
     return TwoLevelMedium(
         low_config=(e_ground_low, e_ground_low + gap_low),
         high_config=(e_ground_high, e_ground_high + alpha_sq * gap_low),

@@ -37,7 +37,7 @@ sweep, as a unit mismatch away from the reversible ratio.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,12 +74,12 @@ class LevelSpectrum:
             raise DegenerateMediumError(
                 f"a spectrum needs at least two levels, got {len(self.levels)}"
             )
-        for level in self.levels:
-            require_finite("level", level, ValidationError)
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        levels = tuple(require_finite("level", v, ValidationError) for v in self.levels)
+        if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DegenerateMediumError(
                 f"levels must be strictly increasing, got {self.levels!r}"
             )
+        object.__setattr__(self, "levels", levels)
 
 
 @dataclass(frozen=True)
@@ -95,22 +95,21 @@ class TwoLevelMedium:
     high_config: tuple[float, float]
 
     def __post_init__(self) -> None:
-        for name, config in (
-            ("low_config", self.low_config),
-            ("high_config", self.high_config),
-        ):
+        for name in ("low_config", "high_config"):
+            config = getattr(self, name)
             try:
                 e_g, e_e = config
             except (TypeError, ValueError):
                 raise DegenerateMediumError(
                     f"{name} must be a (ground, excited) pair, got {config!r}"
                 ) from None
-            require_finite(name, e_g, ValidationError)
-            require_finite(name, e_e, ValidationError)
-            if not 0.0 < e_e - e_g <= sys.float_info.max:  # an int gap may pass inf
-                what = "finite" if e_e > e_g else "positive"
+            ground, excited = (require_finite(name, e_g, ValidationError),
+                               require_finite(name, e_e, ValidationError))
+            if not 0.0 < excited - ground < math.inf:
+                what = "finite" if excited > ground else "positive"
                 raise DegenerateMediumError(
                     f"{name} gap must be {what}, got {(e_g, e_e)!r}")
+            object.__setattr__(self, name, (ground, excited))
 
     @property
     def gap_low(self) -> float:
@@ -150,22 +149,26 @@ def occupation(
     numpy.ndarray
         Probabilities summing to one, non-increasing with level energy.
     """
-    require_finite("temperature", temperature, InvalidTemperatureError, 0.0)
-    require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
+    temperature = require_finite("temperature", temperature, InvalidTemperatureError, 0.0)
+    boltzmann_k = require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
     levels = np.asarray(spectrum.levels, dtype=float)
     weights = np.exp(-(levels - levels[0]) / (boltzmann_k * temperature))
     return weights / weights.sum()
 
 
-def _exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
-    """``(e_high_gamma, e_low_gamma)`` of the cycle, by the module docstring's
-    ``x``, of its checked temperatures as floats; elementwise over gap arrays."""
-    require_finite("t_low", t_low, InvalidTemperatureError, 0.0)
-    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
-    t_low, theta_sq, boltzmann_k = float(t_low), float(theta_sq), float(boltzmann_k)
+def _temperatures(t_low, theta_sq, boltzmann_k) -> tuple[float, float, float]:
+    """The checked floats of a cycle's ``t_low``, ``theta_sq`` and ``boltzmann_k``."""
+    t_low = require_finite("t_low", t_low, InvalidTemperatureError, 0.0)
+    theta_sq = require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    boltzmann_k = require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
     require_finite("temperature", theta_sq * t_low, InvalidTemperatureError, 0.0)
     require_finite("k_B * t_low", boltzmann_k * t_low, ValidationError, 0.0)
+    return t_low, theta_sq, boltzmann_k
+
+
+def _exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
+    """``(e_high_gamma, e_low_gamma)`` of the cycle, by the module docstring's
+    ``x``, of its :func:`_temperatures`; elementwise over gap arrays."""
     b_low = gap_low / (boltzmann_k * t_low)
     b_high = gap_high / (boltzmann_k * (theta_sq * t_low))
     d = b_low - b_high
@@ -188,6 +191,7 @@ def otto_cycle_energies(
     Exchanges that vanished off the ``theta_sq`` band, or are NaN, raise the
     unit-mismatch error, worded here only: a sweep raises it for its first
     frozen-out point through this function, with that point's rho in front."""
+    t_low, theta_sq, boltzmann_k = _temperatures(t_low, theta_sq, boltzmann_k)
     e_high, e_low = map(float, _exchanges(
         medium.gap_low, medium.gap_high, t_low, theta_sq, boltzmann_k))
     # NaN: both Boltzmann exponents overflowed; 0: the occupations froze out.
@@ -223,9 +227,9 @@ def multilevel_exchange(
     taken without its cancellation: the exchange is one shift, not the
     difference of two rounded occupation vectors.
     """
-    require_finite("temperature", t_start, InvalidTemperatureError, 0.0)
-    require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
-    require_finite("temperature", t_end, InvalidTemperatureError, 0.0)
+    t_start = require_finite("temperature", t_start, InvalidTemperatureError, 0.0)
+    boltzmann_k = require_finite("boltzmann_k", boltzmann_k, ValidationError, 0.0)
+    t_end = require_finite("temperature", t_end, InvalidTemperatureError, 0.0)
     t_hot, t_cold = max(t_start, t_end), min(t_start, t_end)
     p = occupation(spectrum, t_hot, boltzmann_k)
     eps = np.asarray(spectrum.levels, dtype=float) - spectrum.levels[0]

@@ -17,7 +17,6 @@ This module holds the value types and the classifier.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 from operator import attrgetter
@@ -52,7 +51,7 @@ def _edges(theta_sq: float) -> tuple[float, ...]:
 
 def _unchecked(cls, **fields):
     """Frozen dataclass ``cls`` with ``fields`` (declared order) as its ``__dict__``;
-    skipping ``__init__`` is sound only for fields its checks pass unconverted."""
+    sound only for fields that already are what its ``__init__`` would store."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -73,8 +72,9 @@ class ExchangeTriple:
     e_low: float
 
     def __post_init__(self) -> None:
-        require_finite("e_high", self.e_high, ValidationError)
-        require_finite("e_low", self.e_low, ValidationError)
+        for name in ("e_high", "e_low"):
+            object.__setattr__(self, name, require_finite(
+                name, getattr(self, name), ValidationError))
 
     @property
     def e_out(self) -> float:
@@ -167,9 +167,7 @@ def alpha_squared(ex: ExchangeTriple) -> float:
     makes the ratio positive in every operational region, and the ratio
     finite and nonzero in floating point.
     """
-    ratio = _pair_ratio(ex)
-    require_finite("alpha_sq", ratio, ValidationError, 0.0)
-    return ratio
+    return require_finite("alpha_sq", _pair_ratio(ex), ValidationError, 0.0)
 
 
 def classify_region(
@@ -187,12 +185,8 @@ def classify_region(
     ``tol * alpha_sq`` of a threshold whose band applies to the triple's
     orientation (:func:`_region_index`) gives that boundary's marker instead.
     """
-    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
-    try:
-        ok = 0.0 <= tol <= sys.float_info.max  # an int past it is no float
-    except TypeError:  # not a number
-        ok = False
-    if not ok:
+    theta_sq = require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    if (tol := require_finite("tol", tol, ValidationError)) < 0.0:
         raise ValidationError(f"tol must be finite and non-negative, got {tol!r}")
     a = _pair_ratio(ex)
     forward = ex.e_high > 0.0

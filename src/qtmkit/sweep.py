@@ -62,7 +62,7 @@ from .errors import (EmitIOError, EmptyGridError, InvalidTemperatureError,
                      ValidationError, require_finite)
 from .media import (CODATA, PhysicalConstants, _ring_levels, gap_medium,
                     ring_medium)
-from .otto import _exchanges, otto_cycle_energies
+from .otto import _exchanges, _temperatures, otto_cycle_energies
 from .regions import (_REGIONS, OperationalRegion, _edges,  # noqa: F401  (see below)
                       _Enum, _region_index, classify_region, in_boundary_band)
 
@@ -134,8 +134,10 @@ class SweepSpec:
     gap_low: Optional[float] = None
 
     def __post_init__(self) -> None:
-        require_finite("t_low", self.t_low, InvalidTemperatureError, 0.0)
-        require_finite("theta_sq", self.theta_sq, InvalidThetaError, 1.0)
+        for name, error, floor in (("t_low", InvalidTemperatureError, 0.0),
+                                   ("theta_sq", InvalidThetaError, 1.0)):
+            object.__setattr__(self, name, require_finite(
+                name, getattr(self, name), error, floor))
         if not isinstance(self.medium_kind, MediumKind):
             raise ValidationError("medium_kind must be a MediumKind, "
                                   f"got {self.medium_kind!r}")
@@ -171,9 +173,7 @@ class SweepSpec:
         if getattr(self, other) is not None:
             raise ValidationError(f"{self.medium_kind.value} sweeps take {key}, "
                                   f"not {other}: set exactly one of r_low or gap_low")
-        require_finite(key, value, ValidationError, 0.0)
-        for name in ("t_low", "theta_sq", key):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, key, require_finite(key, value, ValidationError, 0.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,7 +300,7 @@ def boundary_report(theta_sq: float) -> BoundaryReport:
     endpoint of the efficiency curves, so injected grid points, reports and
     curve clipping agree bitwise.
     """
-    require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
+    theta_sq = require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     thresholds = _edges(theta_sq)[1:4]
     return BoundaryReport(*map(math.sqrt, thresholds), *thresholds)
 
@@ -398,8 +398,8 @@ def run_sweep(
     rho = np.asarray(spec.rho_grid, dtype=float)
     gap_low, gap_high, alpha_sq = _gaps(spec, rho, constants)
     with np.errstate(all="ignore"):  # a frozen-out point is named by _classify
-        e_high, e_low = _exchanges(gap_low, gap_high, spec.t_low, spec.theta_sq,
-                                   constants.boltzmann_k)
+        e_high, e_low = _exchanges(gap_low, gap_high, *_temperatures(
+            spec.t_low, spec.theta_sq, constants.boltzmann_k))
     e_out = e_high + e_low
     index = _classify(spec, constants, rho, e_high, e_low, alpha_sq)
 

@@ -272,11 +272,19 @@ class TestOttoCycleEnergies:
     def test_temperatures_of_other_number_types_are_taken_as_their_floats(self,
                                                                          number):
         # np.float32 temperatures once promoted the kernel to float32; a
-        # Decimal one once crashed it with a TypeError.
+        # Decimal one once crashed the kernel, and the freeze-out message,
+        # with a TypeError.  The message is worded from the floats.
         medium = gap_medium(0.9, 2.3)
         given = number("0.7"), number("5.3"), number("1.1")
         energies = otto_cycle_energies(medium, *given)
         assert energies == otto_cycle_energies(medium, *map(float, given))
+        frozen, t_low = gap_medium(1e5, 2.0), number("0.001")
+        messages = []
+        for t in (t_low, float(t_low)):
+            with pytest.raises(DegenerateExchangeError) as raised:
+                otto_cycle_energies(frozen, t, 5.0, 1.0)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 class TestMultilevelExchange:

@@ -5,13 +5,18 @@ own error, naming that point; a classifier
 tolerance must be finite and non-negative; a value that is not a number
 raises the checked field's own error; a sweep spec field of the wrong type
 is rejected by name; a catalog lookup by anything but a design or region
-member names the value."""
+member names the value; every public entry computes with the float of a
+number of any type."""
 
+import dataclasses
 import json
 import math
 import re
+import struct
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qtmkit import (
@@ -21,22 +26,29 @@ from qtmkit import (
     InvalidRingError,
     InvalidTemperatureError,
     InvalidThetaError,
+    LevelSpectrum,
     OperationalRegion,
     OutOfRegionError,
+    PhysicalConstants,
     QtmDesign,
     SweepSpec,
     TwoLevelMedium,
     ValidationError,
     admissible_designs,
     alpha_bounds,
+    alpha_squared,
     boundary_report,
     carnot_efficiency,
+    classical_otto_efficiency,
     classify_region,
     default_rho_grid,
     efficiency,
     gap_medium,
+    multilevel_exchange,
+    occupation,
     otto_cycle_energies,
     ring_levels,
+    ring_medium,
     run_sweep,
 )
 from qtmkit.cli import main
@@ -145,8 +157,12 @@ def test_ring_levels_reject_a_radius_out_of_float_range(radius):
         ring_levels(radius)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-3, "x", None,
-                                 pytest.param(10**400, id="big")])
+@pytest.mark.parametrize("tol", [
+    math.inf, math.nan, -1e-3, "x", None, pytest.param(10**400, id="big"),
+    pytest.param(Decimal("-1e-3"), id="Decimal"),
+    pytest.param(Decimal("sNaN"), id="Decimal-sNaN"),
+    pytest.param(Fraction(-1, 1000), id="Fraction"),
+    pytest.param(np.float32("inf"), id="float32")])
 def test_classify_rejects_a_non_finite_or_negative_tol(tol):
     with pytest.raises(ValidationError, match="^tol must be finite"):
         classify_region(ExchangeTriple(2.0, -1.0), 5.0, tol=tol)
@@ -172,13 +188,21 @@ def test_classify_cli_rejects_an_infinite_tol(capsys):
      InvalidTemperatureError, "t_low", BIG),
     (lambda: efficiency(QtmDesign.QEN, 10**400), OutOfRegionError, "alpha_sq",
      BIG),
+    (lambda: gap_medium(Decimal("sNaN"), 2.0), InvalidGapError, "gap_low",
+     re.escape("Decimal('sNaN')")),
+    (lambda: efficiency(QtmDesign.QEN, Decimal("sNaN")), OutOfRegionError,
+     "alpha_sq", re.escape("Decimal('sNaN')")),
+    (lambda: gap_medium(Decimal("1e-400"), 2.0), InvalidGapError, "gap_low",
+     re.escape("Decimal('1E-400')")),
 ], ids=["ExchangeTriple", "gap_medium", "TwoLevelMedium", "ExchangeTriple-big",
-        "gap_medium-big", "SweepSpec-big", "efficiency-big"])
+        "gap_medium-big", "SweepSpec-big", "efficiency-big", "gap_medium-sNaN",
+        "efficiency-sNaN", "gap_medium-underflow"])
 def test_a_value_that_is_not_a_number_raises_the_fields_error(build, error,
                                                               field, value):
-    # math.isfinite raises TypeError on a str and OverflowError on an int
-    # beyond the float range; the check turns either into the caller's
-    # ValidationError, naming the field and the value.
+    # math.isfinite raises TypeError on a str, ValueError on a signaling NaN
+    # and OverflowError on an int beyond the float range; the check turns
+    # each into the caller's ValidationError, naming the field and the
+    # value.  The floor is checked on the float: Decimal("1e-400") is 0.
     with pytest.raises(error, match=f"^{field} must be finite.*, got {value}$"):
         build()
 
@@ -224,3 +248,74 @@ def test_admissible_designs_of_anything_but_a_region_names_the_value(value):
         admissible_designs(value)
     assert type(info.value) is ValidationError
     assert str(info.value) == f"region must be an OperationalRegion, got {value!r}"
+
+
+SPECTRUM = LevelSpectrum((0.0, 0.7, 1.9))
+
+#: Each public numeric entry, given its numbers as ``n(text)``.
+SCALAR_ENTRIES = {
+    "efficiency": lambda n: efficiency(QtmDesign.QEN, n("2.3")),
+    "efficiency-2acq": lambda n: efficiency(QtmDesign.QCO, n("0.15")),
+    "carnot_efficiency": lambda n: carnot_efficiency(QtmDesign.QHP, n("5.3")),
+    "alpha_bounds": lambda n: alpha_bounds(QtmDesign.QCO, n("5.3")),
+    "classical_otto_efficiency": lambda n: classical_otto_efficiency(n("1.7")),
+    "classify_region-theta_sq": lambda n: classify_region(
+        ExchangeTriple(1.0, -0.45), n("2.3")),
+    # Within 0.1 * 1.05 of alpha_sq = 1.05 lies the threshold 1: the band
+    # is taken, so the region depends on the tol.
+    "classify_region-tol": lambda n: classify_region(
+        ExchangeTriple(1.05, -1.0), 5.0, n("0.1")),
+    "alpha_squared": lambda n: alpha_squared(ExchangeTriple(n("1.3"), n("-0.7"))),
+    "ExchangeTriple": lambda n: ExchangeTriple(n("0.7"), n("-0.3")),
+    "boundary_report": lambda n: boundary_report(n("5.3")),
+    "ring_levels": lambda n: ring_levels(n("1.7"), PhysicalConstants.reduced()),
+    "ring_medium": lambda n: ring_medium(n("1e-7"), n("5e-8")),
+    "gap_medium": lambda n: gap_medium(n("0.9"), n("2.3"), n("0.1"), n("-0.6")),
+    "TwoLevelMedium": lambda n: TwoLevelMedium((n("0.1"), n("1.1")),
+                                               (n("-0.6"), n("2.9"))),
+    "LevelSpectrum": lambda n: LevelSpectrum((n("0"), n("0.7"), n("1.9"))),
+    "occupation": lambda n: occupation(SPECTRUM, n("1.3"), n("0.9")),
+    "otto_cycle_energies": lambda n: otto_cycle_energies(
+        gap_medium(n("0.9"), n("2.3")), n("0.7"), n("5.3"), n("1.1")),
+    "multilevel_exchange": lambda n: multilevel_exchange(
+        SPECTRUM, n("1.3"), n("0.6"), n("0.9")),
+}
+
+
+def leaves(result) -> list:
+    """What a result holds, flattened: a value type by its fields, a tuple
+    by its items, a float64 array by its floats."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, np.ndarray):
+        assert result.dtype == np.float64
+        result = result.tolist()
+    if isinstance(result, (tuple, list)):
+        return [leaf for item in result for leaf in leaves(item)]
+    return [result]
+
+
+@pytest.mark.parametrize("number", [
+    np.float32, Decimal, Fraction, lambda text: round(float(text)), np.float64],
+    ids=["float32", "Decimal", "Fraction", "int", "float64"])
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES.values(), ids=SCALAR_ENTRIES)
+def test_a_public_entry_computes_with_the_float_of_any_number_type(entry, number):
+    # The sweep's rule for other number types, over the scalar API: a
+    # float32 once gave float32 results, or a false gap error where a ring
+    # level underflowed in float32; a Decimal raised a bare TypeError; a
+    # Fraction gave a Fraction.  A number is taken as its float, and the
+    # result is the call on that float, bit for bit.
+    try:
+        want = leaves(entry(lambda text: float(number(text))))
+    except ValidationError as exc:  # an int may round to an invalid value
+        with pytest.raises(type(exc)):
+            entry(number)
+        return
+    got = leaves(entry(number))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, float):
+            assert type(a) is type(b) is float
+            assert struct.pack("<d", a) == struct.pack("<d", b)
+        else:  # an enum member
+            assert a is b
