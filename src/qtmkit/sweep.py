@@ -53,8 +53,8 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import (  # noqa: F401  (admissible_designs, efficiency: see below)
-    _PAIRS, CarnotLimitKind, QtmDesign, _efficiencies, admissible_designs,
+from .designs import (  # noqa: F401  (admissible_designs, alpha_bounds, efficiency: see below)
+    _BOUNDS, _PAIRS, CarnotLimitKind, QtmDesign, _efficiencies, admissible_designs,
     alpha_bounds, carnot_efficiency, efficiency,
 )
 from .errors import (EmitIOError, EmptyGridError, InvalidTemperatureError,
@@ -67,7 +67,8 @@ from .regions import (_REGIONS, OperationalRegion, _edges,  # noqa: F401  (see b
                       _Enum, _region_index, classify_region, in_boundary_band)
 
 # The kernel evaluates on arrays what the scalar API does point by point; the
-# scalar API stays bound here for the spans perfbench/tracing.py wraps.
+# scalar API (admissible_designs, alpha_bounds, classify_region, efficiency)
+# stays bound here for the spans perfbench/tracing.py wraps.
 
 __all__ = [
     "MediumKind",
@@ -296,9 +297,9 @@ def boundary_report(theta_sq: float) -> BoundaryReport:
     """The ``alpha_sq`` thresholds ``(1/theta_sq, 1, theta_sq)`` and their
     compression ratios ``(1/theta, 1, theta)``.
 
-    Each rho is the square root of its ``alpha_sq`` threshold, as is every rho
-    endpoint of the efficiency curves, so injected grid points, reports and
-    curve clipping agree bitwise.
+    Each rho is the square root of its ``alpha_sq`` threshold: the points
+    :func:`default_rho_grid` injects, and the one that closes an efficiency
+    curve at its Carnot edge.
     """
     theta_sq = require_finite("theta_sq", theta_sq, InvalidThetaError, 1.0)
     thresholds = _edges(theta_sq)[1:4]
@@ -325,6 +326,7 @@ def default_rho_grid(
             f"need an integer num >= 2 and 0 < rho_min < rho_max < inf, got "
             f"num={num!r}, rho_min={rho_min!r}, rho_max={rho_max!r}"
         )
+    rho_min, rho_max = float(rho_min), float(rho_max)  # a float64 grid for any Real bounds
     inject = [r for r in astuple(boundary_report(theta_sq))[:3]
               if rho_min <= r <= rho_max]
     # Sort and drop repeats by hand: np.unique would import numpy.ma.
@@ -424,8 +426,8 @@ def run_sweep(
 
 @dataclass(frozen=True)
 class EfficiencyCurve:
-    """Efficiency-versus-rho series of one design, clipped to its admissible
-    interval, with its Carnot level."""
+    """Efficiency-versus-rho series of one design over the grid points of its
+    region, with its Carnot level."""
 
     design: QtmDesign
     rho: tuple[float, ...]
@@ -437,31 +439,27 @@ class EfficiencyCurve:
 def efficiency_curves(spec: SweepSpec) -> dict[QtmDesign, EfficiencyCurve]:
     """Per-design efficiency series over the sweep's rho grid.
 
-    Each series exists only on the design's admissible interval; the endpoint
-    shared with the adjacent region is included, where the series value meets
-    the design's Carnot level.  The rho interval is the square root of the
-    design's ``alpha_sq`` interval; only its Carnot endpoint is closed, the
-    other one being a singular or degenerate limit.  A region's two designs
-    share one interval, so their curves share one ``rho`` tuple, which
-    halves the memory the rho columns take; each holds the grid's own floats.
+    A point lies on the curves of the designs its record carries: its region
+    is the :func:`_region_index` of ``alpha_sq = rho * rho``, as a record's is
+    of its gap ratio, so a point in a threshold's band lies on no curve.  A
+    curve is closed only at the grid point :func:`boundary_report` gives its
+    Carnot edge, where the series meets the design's Carnot level; the other
+    edge is a singular or degenerate limit.  A region's two designs share one
+    ``rho`` tuple of the grid's own floats.
     """
     grid = np.asarray(spec.rho_grid, dtype=float)
+    alpha_sq = grid * grid
+    index = _region_index(alpha_sq, alpha_sq < spec.theta_sq, spec.theta_sq)
+    edge_rho = astuple(boundary_report(spec.theta_sq))  # the rho of edges 1, 2, 3
     curves = {}
-    for design in QtmDesign:
-        bounds = alpha_bounds(design, spec.theta_sq)
-        if design is _PAIRS[design.region][0]:  # one rho tuple per region
-            lo, hi, end = map(math.sqrt, (bounds.alpha_sq_min, bounds.alpha_sq_max,
-                                          bounds.carnot_alpha_sq))
-            inside = ((lo < grid) & (grid < hi)) | (grid == end)
-            rhos = grid[inside]
-            rho = tuple(compress(spec.rho_grid, inside.tolist()))
-        curves[design] = EfficiencyCurve(
-            design=design,
-            rho=rho,
-            efficiency=tuple(_efficiencies(design, rhos * rhos).tolist()),
-            carnot=carnot_efficiency(design, spec.theta_sq),
-            carnot_limit_kind=bounds.carnot_limit_kind,
-        )
+    for i, pair in enumerate(_PAIRS.values()):  # regions, then designs, in QtmDesign order
+        # A region's two designs share its Carnot edge, and one rho tuple.
+        inside = (index == i) | (grid == edge_rho[_BOUNDS[pair[0]][3] - 1])
+        rho = tuple(compress(spec.rho_grid, inside.tolist()))
+        for design in pair:
+            curves[design] = EfficiencyCurve(
+                design, rho, tuple(_efficiencies(design, alpha_sq[inside]).tolist()),
+                carnot_efficiency(design, spec.theta_sq), _BOUNDS[design][2])
     return curves
 
 

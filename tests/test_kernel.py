@@ -254,6 +254,51 @@ def test_sweep_records_match_the_scalar_api(
         assert all(a == b for a, b in pairs), pairs
 
 
+@given(
+    theta_sq=st.floats(1.1, 30.0),
+    gap_low=st.floats(1e-3, 10.0),
+    t_low=st.floats(0.1, 10.0),
+    rhos=st.lists(st.floats(0.05, 10.0), max_size=20, unique=True),
+    # A ring in metres and kelvin, sized so that no point freezes out.
+    ring=st.none() | st.tuples(st.floats(1e-7, 1e-6), st.floats(1.0, 10.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_each_record_carries_the_designs_whose_curves_hold_its_rho(
+    theta_sq, gap_low, t_low, rhos, ring
+):
+    # Records read alpha_sq as gap_high/gap_low and curves as rho*rho, a few
+    # ulps apart, so the planted points keep 0.7 tol from each band's edges:
+    # at 0.3 tol from a threshold they are in its band, at 3 tol outside it.
+    report = boundary_report(theta_sq)
+    tol = DEFAULT_CLASSIFY_TOL
+    planted = [math.sqrt(t * (1.0 + s * tol)) for t in astuple(report)[3:]
+               for s in (-3.0, -0.3, 0.3, 3.0)]
+    grid = tuple(sorted({*rhos, *planted, *astuple(report)[:3]}))
+    if ring is None:
+        spec = SweepSpec(t_low=t_low, theta_sq=theta_sq, rho_grid=grid,
+                         medium_kind=MediumKind.GENERIC_GAP, gap_low=gap_low)
+        constants = REDUCED
+    else:
+        r_low, t_low = ring
+        spec = SweepSpec(t_low=t_low, theta_sq=theta_sq, rho_grid=grid,
+                         medium_kind=MediumKind.QUANTUM_RING, r_low=r_low)
+        constants = CODATA
+    records, _ = run_sweep(spec, constants)
+    curves = efficiency_curves(spec)
+    # A curve is closed at its Carnot edge, a boundary point with no designs.
+    acquirers = {d for d in QtmDesign if d.region in (
+        OperationalRegion.TWO_ACQUIRERS_OUT, OperationalRegion.TWO_ACQUIRERS_HIGH)}
+    carnot_edges = {report.rho_subregion: acquirers,
+                    report.rho_outt_pump: set(QtmDesign) - acquirers}
+    for record in records:
+        on = {d for d, curve in curves.items() if record.rho in curve.rho}
+        carries = {entry.design for entry in record.designs}
+        if record.rho in carnot_edges:
+            assert (carries, on) == (set(), carnot_edges[record.rho]), record.rho
+        else:
+            assert carries == on, record.rho
+
+
 def max_exchanges(gap_low, gap_high, t_low, theta_sq, boltzmann_k):
     """``otto._exchanges`` written with ``np.maximum``: the select's oracle."""
     b_low = gap_low / (boltzmann_k * t_low)

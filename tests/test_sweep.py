@@ -167,6 +167,15 @@ class TestDefaultGrid:
                            match="num >= 2 and 0 < rho_min < rho_max"):
             default_rho_grid(5.0, num=num, rho_min=rho_min, rho_max=rho_max)
 
+    @pytest.mark.parametrize("number", [np.float32, Fraction])
+    def test_bounds_of_other_number_types_give_the_grid_of_their_floats(self, number):
+        # An np.float32 bound once gave a float32-rounded grid, and a Fraction
+        # bound a grid holding Fractions.
+        low, high = number("0.05"), number("3")
+        grid = default_rho_grid(5.0, 10, low, high)
+        assert grid == default_rho_grid(5.0, 10, float(low), float(high))
+        assert {type(r) for r in grid} == {float}
+
 
 class TestRunSweep:
     def test_records_cover_the_grid_in_order(self, ring_sweep):
@@ -429,6 +438,21 @@ class TestEmit:
         with pytest.raises(ValidationError, match="no curves to emit"):
             emit_curves({}, format=fmt, destination=buffer)
         assert buffer.getvalue() == ""
+
+
+def test_overlapping_bands_close_each_curve_at_its_carnot_point_only():
+    # At theta_sq = 1 + 1e-10 the three bands overlap and rho = 1 lies in the
+    # 1/theta_sq band: a curve closed over its whole Carnot-edge band would
+    # take QCO and QHT to alpha_sq = 1, where their efficiency is singular.
+    theta_sq = 1.0 + 1e-10
+    grid = default_rho_grid(theta_sq, num=777)
+    report = boundary_report(theta_sq)
+    sub, pump = report.rho_subregion, report.rho_outt_pump
+    curves = efficiency_curves(ring_spec(theta_sq=theta_sq, rho_grid=grid))
+    rho = ([tuple(r for r in grid if r <= sub)] * 2 + [(sub,)] * 2 + [(pump,)] * 2
+           + [tuple(r for r in grid if r >= pump)] * 2)
+    assert {d: c.rho for d, c in curves.items()} == dict(zip(QtmDesign, rho))
+    assert list(map(len, rho)) == [251, 251, 1, 1, 1, 1, 528, 528]
 
 
 def test_boundary_report_standalone():
