@@ -36,7 +36,6 @@ from .regions import (
     classify_region,
 )
 from .sweep import (
-    _NUMBERS,
     MediumKind,
     SweepSpec,
     boundary_report,
@@ -186,50 +185,19 @@ def _load_json(path: str, keys: Sequence[str]) -> dict:
     return doc
 
 
-def _number(value) -> float:
-    if type(value) not in _NUMBERS:
-        raise TypeError("not a number")
-    return float(value)
-
-
-def _grid(value) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise TypeError("not an array")
-    return tuple(map(_number, value))
-
-
-#: How each config value is read; JSON numbers (not bools) unless named here.
-_READERS = {
-    "rho_grid": _grid,
-    "medium_kind": MediumKind,
-}
-
-
-def _read(doc: dict, path: str, keys: Sequence[str]) -> dict:
-    """The values of ``keys`` that ``doc`` sets, each read by its reader."""
-    values = {}
-    for key in keys:
-        if key in doc:
-            try:
-                values[key] = _READERS.get(key, _number)(doc[key])
-            except (TypeError, ValueError, OverflowError):
-                raise ValidationError(
-                    f"{key} in {path} has the wrong type or value: "
-                    f"{doc[key]!r}"
-                ) from None
-    return values
-
-
 def _load_sweep_config(path: str) -> tuple[SweepSpec, PhysicalConstants]:
     if os.environ.get("QTM_CONSTANTS"):
         raise ValidationError(
             "QTM_CONSTANTS is no longer read; set "
             f"{', '.join(_CONSTANTS_KEYS)} in the sweep config instead")
-    doc = _load_json(path, _SPEC_KEYS + _CONSTANTS_KEYS)
-    constants = PhysicalConstants(**_read(doc, path, _CONSTANTS_KEYS))
-    values = _read(doc, path, _SPEC_KEYS)
+    values = _load_json(path, _SPEC_KEYS + _CONSTANTS_KEYS)
+    # Each constructor checks a config value as it checks an API caller's.
+    constants = PhysicalConstants(**{k: values.pop(k) for k in _CONSTANTS_KEYS if k in values})
     if "theta_sq" not in values or "t_low" not in values:
         raise ValidationError(f"{path} must define t_low and theta_sq")
+    if "medium_kind" in values:  # by value; SweepSpec names a value that matches none
+        kind = values["medium_kind"]
+        values["medium_kind"] = next((m for m in MediumKind if m.value == kind), kind)
     if "rho_grid" not in values:
         values["rho_grid"] = default_rho_grid(values["theta_sq"])
     return SweepSpec(**values), constants

@@ -3,9 +3,10 @@
 Validation failures (bad temperatures, inadmissible sign patterns, values
 outside a machine design's operating interval, ...) derive from
 :class:`ValidationError`, which is also a ``ValueError``.  I/O failures while
-writing sweep output derive from :class:`EmitIOError`.  A number that must
-be finite, or finite and above a floor, is checked by :func:`require_finite`,
-which returns the ``float`` the caller computes with, whatever its type.
+writing sweep output derive from :class:`EmitIOError`.  Every number a
+caller or a sweep config gives qtmkit is checked by :func:`require_finite`:
+it must be finite, or finite and above a floor, and a ``bool`` is not a
+number.  It returns the ``float`` the caller computes with, whatever its type.
 """
 
 import math
@@ -87,10 +88,12 @@ class EmitIOError(QtmError):
 def require_finite(
     name: str, value: float, error_cls: type, floor: float = -math.inf
 ) -> float:
-    """The ``float`` of ``value`` if it is finite and above ``floor``; else
-    raise ``error_cls``, quoting ``value`` as given."""
+    """The ``float`` of ``value`` if it is a finite number above ``floor``;
+    else raise ``error_cls``, quoting ``value`` as given.  A ``bool`` is not
+    a number here."""
     try:  # math.isfinite first: float() alone would read a numeric string
-        if math.isfinite(value) and (number := float(value)) > floor:
+        if (type(value) is not bool  # bool has no subclasses
+                and math.isfinite(value) and (number := float(value)) > floor):
             return number
     except (TypeError, ValueError, OverflowError):
         pass  # not a real number, a signaling NaN, or an int past the floats

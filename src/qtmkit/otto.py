@@ -256,11 +256,10 @@ def work_exchange(
         raise ValidationError(
             f"spectra must have equal length, got {n} and {len(end.levels)}"
         )
-    p = np.asarray(occupations, dtype=float)
-    if p.shape != (n,):
+    if (shape := np.shape(occupations)) != (n,):
         raise ValidationError(
-            f"occupations must match the spectrum length {n}, "
-            f"got shape {p.shape}"
+            f"occupations must match the spectrum length {n}, got shape {shape}"
         )
+    p = [require_finite("occupation", v, ValidationError) for v in occupations]
     shift = np.asarray(end.levels, dtype=float) - np.asarray(start.levels, dtype=float)
     return float(np.dot(p, shift))

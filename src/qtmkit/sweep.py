@@ -47,7 +47,7 @@ from dataclasses import astuple, dataclass, field
 from enum import unique
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from numbers import Integral, Real
+from numbers import Integral
 from operator import attrgetter, itemgetter
 from typing import Optional
 
@@ -148,10 +148,14 @@ class SweepSpec:
             # the array a text one, or an object one holding it.
             rho = np.asarray(grid)
             kind = rho.dtype.kind
-            if rho.ndim != 1 or kind not in "biufO" or kind == "O" and any(
+            if rho.ndim != 1 or kind not in "iufO" or kind == "O" and any(
                     isinstance(v, (str, bytes)) for v in rho):
                 raise TypeError("not a sequence of numbers")
             rho = rho.astype(float, copy=False)
+            # A bool is not a number either: numpy reads one as 1 or 0, so
+            # only an entry at 1 or 0 can be one.
+            if any(type(grid[i]) is bool for i in np.flatnonzero((rho == 0) | (rho == 1))):
+                raise TypeError("a bool is not a number")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"rho_grid must be a sequence of numbers, "
                                   f"got {reprlib.repr(grid)}: {exc}") from None
@@ -318,19 +322,19 @@ def default_rho_grid(
     efficiency curves land exactly on grid points (when they fall inside the
     requested range).
     """
-    if not (isinstance(num, Integral) and num >= 2
-            and isinstance(rho_min, Real) and isinstance(rho_max, Real)
-            and bool not in {type(rho_min), type(rho_max)}
-            and 0.0 < rho_min < rho_max < math.inf):
+    try:  # each bound as its float: a float64 grid for bounds of any number type
+        low, high = (require_finite("rho", bound, ValidationError, 0.0)
+                     for bound in (rho_min, rho_max))
+    except ValidationError:
+        low = high = math.nan
+    if not (isinstance(num, Integral) and num >= 2 and low < high):
         raise ValidationError(
             f"need an integer num >= 2 and 0 < rho_min < rho_max < inf, got "
             f"num={num!r}, rho_min={rho_min!r}, rho_max={rho_max!r}"
         )
-    rho_min, rho_max = float(rho_min), float(rho_max)  # a float64 grid for any Real bounds
-    inject = [r for r in astuple(boundary_report(theta_sq))[:3]
-              if rho_min <= r <= rho_max]
+    inject = [r for r in astuple(boundary_report(theta_sq))[:3] if low <= r <= high]
     # Sort and drop repeats by hand: np.unique would import numpy.ma.
-    grid = np.sort(np.concatenate([np.linspace(rho_min, rho_max, num), inject]))
+    grid = np.sort(np.concatenate([np.linspace(low, high, num), inject]))
     return tuple(grid[np.append(True, grid[1:] != grid[:-1])].tolist())
 
 

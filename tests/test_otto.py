@@ -356,6 +356,18 @@ class TestWorkExchange:
         assert str(info.value) == (
             "occupations must match the spectrum length 2, got shape (3,)")
 
+    @pytest.mark.parametrize("occupations, shown", [
+        (["0.25", "0.75"], "'0.25'"), ([math.nan, 0.5], "nan"),
+        ([True, False], "True")], ids=["str", "nan", "bool"])
+    def test_an_occupation_that_is_not_a_finite_number_is_named(self, occupations,
+                                                                shown):
+        # A numeric string was once parsed, a NaN gave a NaN and a bool was
+        # taken as 1.0 or 0.0.
+        with pytest.raises(ValidationError) as info:
+            work_exchange(LevelSpectrum((0.0, 1.0)), LevelSpectrum((0.0, 2.0)),
+                          occupations)
+        assert str(info.value) == f"occupation must be finite, got {shown}"
+
 
 U = 2.0**-53  # the unit roundoff of a double
 

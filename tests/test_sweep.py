@@ -161,13 +161,14 @@ class TestDefaultGrid:
         (600, -math.inf, 3.0), (2.5, 0.05, 3.0), (600.0, 0.05, 3.0),
         (600, "0.1", 3.0), (600, 0.05, "3"), (600, None, 3.0),
         (600, True, 3.0), (600, 0.05, True),
+        pytest.param(600, 0.05, 10**400, id="600-0.05-big"),
     ])
     def test_rejects_too_few_points_or_a_bad_range(self, num, rho_min, rho_max):
         with pytest.raises(ValidationError,
                            match="num >= 2 and 0 < rho_min < rho_max"):
             default_rho_grid(5.0, num=num, rho_min=rho_min, rho_max=rho_max)
 
-    @pytest.mark.parametrize("number", [np.float32, Fraction])
+    @pytest.mark.parametrize("number", [np.float32, Fraction, Decimal])
     def test_bounds_of_other_number_types_give_the_grid_of_their_floats(self, number):
         # An np.float32 bound once gave a float32-rounded grid, and a Fraction
         # bound a grid holding Fractions.

@@ -6,7 +6,7 @@ tolerance must be finite and non-negative; a value that is not a number
 raises the checked field's own error; a sweep spec field of the wrong type
 is rejected by name; a catalog lookup by anything but a design or region
 member names the value; every public entry computes with the float of a
-number of any type."""
+number of any type, and rejects a bool as it rejects any non-number."""
 
 import dataclasses
 import json
@@ -102,6 +102,16 @@ def run_sweep_cli(tmp_path, capsys, config):
         ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "rho_grid": [1, "2"]},
          "rho_grid"),
         ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "hbar": "1e-34"}, "hbar"),
+        ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "rho_grid": [True, 2.0]},
+         "rho_grid"),
+        # A medium kind is looked up by its value: an unknown, an unhashable
+        # one and a bool are named too.
+        ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "medium_kind": "bogus"},
+         "medium_kind"),
+        ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "medium_kind": [1]},
+         "medium_kind"),
+        ({"t_low": 1, "theta_sq": 5, "r_low": 1e-7, "medium_kind": True},
+         "medium_kind"),
         # An int beyond the float range.
         ({"t_low": 10 ** 400, "theta_sq": 5, "r_low": 1e-7}, "t_low"),
     ],
@@ -217,9 +227,11 @@ def test_a_value_that_is_not_a_number_raises_the_fields_error(build, error,
     ("rho_grid", ("1.5", 2, b"2.5"), "('1.5', 2, b'2.5')"),
     ("rho_grid", (b"1.5",), "(b'1.5',)"),
     ("rho_grid", (Fraction(1, 2), "2"), "(Fraction(1, 2), '2')"),
+    # numpy reads a bool among numbers as 1 or 0.
+    ("rho_grid", [True, 2.0], "[True, 2.0]"),
 ], ids=["medium_kind-str", "rho_grid-str", "rho_grid-None",
         "rho_grid-int", "rho_grid-big", "rho_grid-numeric-str", "rho_grid-bytes",
-        "rho_grid-object-str"])
+        "rho_grid-object-str", "rho_grid-bool"])
 def test_a_sweep_spec_field_of_the_wrong_type_names_the_field_and_value(
         field, value, shown):
     fields = {"t_low": 1.0, "theta_sq": 5.0, "r_low": 1e-7, "rho_grid": (1.0,),
@@ -319,3 +331,16 @@ def test_a_public_entry_computes_with_the_float_of_any_number_type(entry, number
             assert struct.pack("<d", a) == struct.pack("<d", b)
         else:  # an enum member
             assert a is b
+
+
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES.values(), ids=SCALAR_ENTRIES)
+def test_a_public_entry_rejects_a_bool_as_it_rejects_any_non_number(entry):
+    # A bool was once taken as 1.0 or 0.0, though the records and the sweep
+    # config never took one.  It now fails the first checked field with that
+    # field's own error, word for word as a None does.
+    with pytest.raises(ValidationError) as none:
+        entry(lambda text: None)
+    with pytest.raises(ValidationError) as info:
+        entry(lambda text: True)
+    assert type(info.value) is type(none.value)
+    assert str(info.value) == str(none.value).replace("got None", "got True")
